@@ -18,6 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import BudgetExceededError, FolrankError, InputError, UnsupportedGroupError
+from .exactla import MAX_PRIMES
 from .groupring import RingMatrix
 from .groups import DEFAULT_MAX_WINDOW_ELEMENTS
 from .mmdim import DEFAULT_EPS_SCHEDULE, mmdim_estimate
@@ -26,6 +27,7 @@ from .ranks import (
     DEFAULT_TOLERANCE,
     DensitySeries,
     ModulePresentation,
+    _frac_str,
     derived_rng,
     erank_of_presentation,
     folner_set,
@@ -64,7 +66,7 @@ class JobSpec:
     seed: int = 0
     epsilons: tuple[float, ...] = DEFAULT_EPS_SCHEDULE
     max_window_elements: int = DEFAULT_MAX_WINDOW_ELEMENTS
-    max_primes: int = 16
+    max_primes: int = MAX_PRIMES
     growth_steps: int = DEFAULT_GROWTH_STEPS
     sample_budget: int = 400
     cases: int = 100
@@ -80,11 +82,6 @@ class JobSpec:
             raise InputError("schedule must be strictly increasing")
         if self.max_primes < 3:
             raise InputError("max_primes must allow at least three agreeing primes")
-
-
-def _frac_str(x) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -183,6 +180,15 @@ def _series_report(job: JobSpec, series: DensitySeries) -> dict:
     }
 
 
+def _series_kwargs(job: JobSpec) -> dict:
+    return dict(
+        tolerance=job.tolerance,
+        seed=job.seed,
+        max_window_elements=job.max_window_elements,
+        max_primes=job.max_primes,
+    )
+
+
 def _run_series_command(job: JobSpec) -> int:
     P = ModulePresentation(job.matrix)
     engine = {
@@ -190,9 +196,7 @@ def _run_series_command(job: JobSpec) -> int:
         "vnd": vnd_of_presentation,
         "erank": erank_of_presentation,
     }[job.command]
-    kwargs = dict(
-        tolerance=job.tolerance, seed=job.seed, max_window_elements=job.max_window_elements
-    )
+    kwargs = _series_kwargs(job)
     if job.command == "erank":
         kwargs["growth_steps"] = job.growth_steps
     series = engine(P, job.schedule, **kwargs)
@@ -205,7 +209,12 @@ def _run_series_command(job: JobSpec) -> int:
 
 def _run_mmdim(job: JobSpec) -> int:
     est = mmdim_estimate(
-        job.matrix, job.schedule, job.epsilons, budget=job.sample_budget, seed=job.seed
+        job.matrix,
+        job.schedule,
+        job.epsilons,
+        budget=job.sample_budget,
+        seed=job.seed,
+        max_primes=job.max_primes,
     )
     report = {
         "quantity": "mmdim",
@@ -239,7 +248,8 @@ def _run_identity_check(job: JobSpec) -> int:
     all_ok = True
     for L in job.schedule:
         F = folner_set(f.spec, L, job.max_window_elements)
-        ok = per_window_identity_check(f, F, rng=derived_rng(job.seed, "identity-cli", L))
+        rng = derived_rng(job.seed, "identity-cli", L)
+        ok = per_window_identity_check(f, F, rng=rng, max_primes=job.max_primes)
         checks.append({"L": L, "ok": ok})
         all_ok = all_ok and ok
     report = {
@@ -257,7 +267,7 @@ def _run_identity_check(job: JobSpec) -> int:
 
 def _run_oracle(job: JobSpec) -> int:
     P = ModulePresentation(job.matrix)
-    value = oracle_value(P, seed=job.seed)
+    value = oracle_value(P, seed=job.seed, max_primes=job.max_primes)
     report = {
         "quantity": "oracle",
         "group": job.matrix.spec.to_json(),
@@ -272,20 +282,12 @@ def _run_oracle(job: JobSpec) -> int:
 
 def _run_compare(job: JobSpec) -> int:
     P = ModulePresentation(job.matrix)
-    mrank = mrank_of_presentation(
-        P, job.schedule, tolerance=job.tolerance, seed=job.seed,
-        max_window_elements=job.max_window_elements,
-    )
-    vnd = vnd_of_presentation(
-        P, job.schedule, tolerance=job.tolerance, seed=job.seed,
-        max_window_elements=job.max_window_elements,
-    )
-    erank = erank_of_presentation(
-        P, job.schedule, tolerance=job.tolerance, seed=job.seed,
-        growth_steps=job.growth_steps, max_window_elements=job.max_window_elements,
-    )
+    common = _series_kwargs(job)
+    mrank = mrank_of_presentation(P, job.schedule, **common)
+    vnd = vnd_of_presentation(P, job.schedule, **common)
+    erank = erank_of_presentation(P, job.schedule, growth_steps=job.growth_steps, **common)
     try:
-        oracle = oracle_value(P, seed=job.seed)
+        oracle = oracle_value(P, seed=job.seed, max_primes=job.max_primes)
     except UnsupportedGroupError:
         oracle = None
     columns = {
@@ -318,9 +320,9 @@ def _run_compare(job: JobSpec) -> int:
 
 def _run_verify_suite(job: JobSpec) -> int:
     suites = [
-        run_identity_suite(job.seed, cases=job.cases),
-        run_superadditivity_suite(job.seed, cases=job.cases),
-        run_submodularity_suite(job.seed, cases=job.cases),
+        run_identity_suite(job.seed, cases=job.cases, max_primes=job.max_primes),
+        run_superadditivity_suite(job.seed, cases=job.cases, max_primes=job.max_primes),
+        run_submodularity_suite(job.seed, cases=job.cases, max_primes=job.max_primes),
     ]
     all_pass = True
     for s in suites:
@@ -342,9 +344,6 @@ def _run_verify_suite(job: JobSpec) -> int:
 
 def run(job: JobSpec) -> int:
     """Execute one job; returns the process exit code."""
-    from . import exactla
-
-    exactla.MAX_PRIMES = job.max_primes
     if job.command == "verify-suite":
         return _run_verify_suite(job)
     if job.matrix is None:
@@ -402,7 +401,7 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
             if args.max_window_elements is not None
             else budgets.get("max_window_elements", DEFAULT_MAX_WINDOW_ELEMENTS)
         ),
-        max_primes=int(budgets.get("max_primes", 16)),
+        max_primes=int(budgets.get("max_primes", MAX_PRIMES)),
         growth_steps=int(budgets.get("growth_steps", DEFAULT_GROWTH_STEPS)),
         sample_budget=int(
             args.samples if args.samples is not None else budgets.get("max_samples", 400)

@@ -1,20 +1,39 @@
 """Exact rank and kernel dimension of integer matrices at window scale.
 
 Small matrices (max dimension <= 64) go through fraction-free Bareiss
-elimination over Python integers.  Large windows use vectorized Gaussian
-elimination modulo random 31-bit primes with numpy int64 arithmetic; the
-rank is certified by requiring three distinct agreeing primes plus a
-fraction-free spot check on a random minor.
+elimination over Python integers.  Large windows use Gaussian elimination
+modulo random 31-bit primes with numpy int64 arithmetic; the rank is
+certified by requiring three distinct agreeing primes plus a fraction-free
+spot check on a random minor.
+
+Window matrices are very sparse and nearly banded, so the modular
+elimination works on a profile.  Once per ``rank_q`` call, a layout that
+does not depend on the prime is planned from the sparse entries: columns
+are ordered by the first row that touches them, rows by their leading column
+in that order, and each row keeps its last nonzero column.  For each prime
+the residues are scattered into a fresh zero array in that order and
+eliminated in place, with no copy.  At column c only rows whose leading
+column is at most c can be nonzero (a row is only ever changed at a column
+where it is nonzero), so the pivot search reads that slice of the column;
+rows below it are skipped and an empty profile jumps c to the next leading
+column.  Swaps and row updates touch columns c to the pivot row's last
+nonzero only, and an updated row's last column widens to the pivot's to
+cover fill-in.  The pivot row is not rescaled: each row below is reduced
+by its own factor a[i, c] / a[r, c] mod p.  Rank modulo p does not depend
+on the order of rows and columns, so the reordering changes no result, and
+on a dense matrix the clipped region is the whole matrix.
 
 The error analysis for one random prime p: a wrong (too small) rank needs p
 to divide a fixed nonzero maximal minor D of the matrix; D has at most
 log2(|D|)/30 prime divisors above 2^30 and there are ~9.8e7 primes in
-[2^30, 2^31).  For window matrices in this package's acceptance range
-(entries bounded by a few hundred, dimension <= ~4000) that gives a
-per-prime failure probability below 2e-5, hence below 2^-46 for three
-independent agreeing primes.  Requiring three agreements instead of two
-compensates for using 31-bit primes (which keep products inside int64)
-rather than 62-bit ones.
+[2^30, 2^31).  For matrices with entries bounded by a few hundred and
+dimension <= ~4000 that gives a per-prime failure probability below 2e-5,
+hence below 2^-46 for three independent agreeing primes.  The default
+budgets admit larger windows (the Z^2 window at L=64 has 8,192 columns);
+those fall outside this argument, and no bound is stated for them until the
+bound is computed from the matrix itself (ROADMAP item 5).  Requiring three
+agreements instead of two compensates for using 31-bit primes (which keep
+products inside int64) rather than 62-bit ones.
 """
 
 from __future__ import annotations
@@ -176,39 +195,92 @@ def bareiss_rank(dense: Sequence[Sequence[int]]) -> int:
     return r
 
 
-def _to_numpy_mod(M: SparseIntMatrix, p: int) -> np.ndarray:
-    a = np.zeros((M.rows, M.cols), dtype=np.int64)
-    if M.entries:
-        ii = np.fromiter((i for (i, _) in M.entries), dtype=np.int64, count=len(M.entries))
-        jj = np.fromiter((j for (_, j) in M.entries), dtype=np.int64, count=len(M.entries))
-        vv = np.fromiter((v % p for v in M.entries.values()), dtype=np.int64, count=len(M.entries))
-        a[ii, jj] = vv
-    return a
+@dataclass(frozen=True)
+class _Layout:
+    """Where each entry of a sparse matrix goes in the profile order.
+
+    Entry k holds ``values[k]`` at row ``ii[k]``, column ``jj[k]``.  Rows are
+    sorted by leading column, so ``first`` is nondecreasing; a zero row has
+    leading column ``cols``.  ``last`` is each row's last nonzero column.
+    All rows and columns are positions in the permuted order.
+    """
+
+    rows: int
+    cols: int
+    ii: np.ndarray
+    jj: np.ndarray
+    values: tuple
+    first: list
+    last: np.ndarray
 
 
-def _rank_mod_p(a: np.ndarray, p: int) -> int:
-    # Entries must lie in [0, p) with p < 2^31 so products fit in int64.
-    a = a.copy()
-    m, n = a.shape
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
+def _plan_layout(M: SparseIntMatrix) -> _Layout:
+    m, n = M.rows, M.cols
+    nnz = len(M.entries)
+    ii = np.fromiter((i for (i, _) in M.entries), dtype=np.int64, count=nnz)
+    jj = np.fromiter((j for (_, j) in M.entries), dtype=np.int64, count=nnz)
+    # Columns by the first row that touches them; untouched columns go last.
+    first_row = np.full(n, m, dtype=np.int64)
+    np.minimum.at(first_row, jj, ii)
+    col_pos = np.empty(n, dtype=np.int64)
+    col_pos[np.argsort(first_row, kind="stable")] = np.arange(n)
+    jj = col_pos[jj]
+    # Rows by their leading column in that order; zero rows go last.
+    lead = np.full(m, n, dtype=np.int64)
+    np.minimum.at(lead, ii, jj)
+    tail = np.full(m, -1, dtype=np.int64)
+    np.maximum.at(tail, ii, jj)
+    order = np.argsort(lead, kind="stable")
+    row_pos = np.empty(m, dtype=np.int64)
+    row_pos[order] = np.arange(m)
+    return _Layout(
+        m, n, row_pos[ii], jj, tuple(M.entries.values()), lead[order].tolist(), tail[order]
+    )
+
+
+def _clipped_rank_mod_p(layout: _Layout, p: int) -> int:
+    """Rank modulo the prime p < 2^31 by profile-clipped elimination.
+
+    Invariants at column c with r pivots found: rows [r, m) are zero left of
+    c; rows [hi, m) are still untouched (a row is only updated at a column
+    where it is nonzero, and their leading columns exceed c); every row is
+    zero right of last[row].  So the pivot search reads rows [r, hi) of
+    column c, and swaps and updates read columns [c, last + 1) only.
+    """
+    m, n = layout.rows, layout.cols
+    a = np.zeros((m, n), dtype=np.int64)
+    a[layout.ii, layout.jj] = np.fromiter(
+        (v % p for v in layout.values), dtype=np.int64, count=len(layout.values)
+    )
+    first = layout.first
+    last = layout.last.copy()
+    r = hi = c = 0
+    while r < m and c < n:
+        while hi < m and first[hi] <= c:
+            hi += 1
+        if hi == r:
+            c = first[r]  # rows [r, m) are all zero before their leading column
+            continue
+        nz = a[r:hi, c].nonzero()[0]
         if nz.size == 0:
+            c += 1
             continue
         i = r + int(nz[0])
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = (a[r, c:] * inv) % p
-        below = a[r + 1 :, c]
-        nzb = np.nonzero(below)[0]
-        if nzb.size:
-            idx = r + 1 + nzb
-            a[idx, c:] = (a[idx, c:] - np.outer(a[idx, c], a[r, c:])) % p
+            # Row r is zero in column c, so after the swap the rows below
+            # that need an update are still exactly nz[1:].
+            end = max(last[r], last[i]) + 1
+            a[[r, i], c:end] = a[[i, r], c:end]
+            last[[r, i]] = last[[i, r]]
+        end = int(last[r]) + 1
+        if nz.size > 1:
+            idx = r + nz[1:]
+            # Products of two residues below 2^31 stay below 2^62.
+            factors = a[idx, c] * pow(int(a[r, c]), p - 2, p) % p
+            a[idx, c:end] = (a[idx, c:end] - np.outer(factors, a[r, c:end])) % p
+            last[idx] = np.maximum(last[idx], end - 1)
         r += 1
+        c += 1
     return r
 
 
@@ -220,8 +292,9 @@ def _spot_check(M: SparseIntMatrix, primes: Sequence[int], rng: random.Random) -
     col_ids = sorted(rng.sample(range(M.cols), k))
     minor = M.submatrix(row_ids, col_ids)
     want = bareiss_rank(minor.to_dense())
+    layout = _plan_layout(minor)
     for p in primes:
-        if _rank_mod_p(_to_numpy_mod(minor, p), p) != want:
+        if _clipped_rank_mod_p(layout, p) != want:
             return False
     return True
 
@@ -231,7 +304,7 @@ def rank_q(
     rng: random.Random | None = None,
     small_dim_cutoff: int = SMALL_DIM_CUTOFF,
     agreements: int = AGREEMENTS_NEEDED,
-    max_primes: int | None = None,
+    max_primes: int = MAX_PRIMES,
 ) -> RankCertificate:
     """Exact rank over the rationals with a certificate.
 
@@ -239,8 +312,6 @@ def rank_q(
     are done fraction-free; larger ones go through the modular multi-prime
     protocol described in the module docstring.
     """
-    if max_primes is None:
-        max_primes = MAX_PRIMES  # read at call time so job budgets can cap it
     if M.rows == 0 or M.cols == 0 or not M.entries:
         return RankCertificate(0, "fraction-free")
     if max(M.rows, M.cols) <= small_dim_cutoff:
@@ -248,11 +319,12 @@ def rank_q(
     rng = rng if rng is not None else random.Random(0xF01)
     seen: dict[int, int] = {}
     by_rank: dict[int, list[int]] = {}
+    layout = _plan_layout(M)
     while len(seen) < max_primes:
         p = random_prime(rng)
         if p in seen:
             continue
-        r = _rank_mod_p(_to_numpy_mod(M, p), p)
+        r = _clipped_rank_mod_p(layout, p)
         seen[p] = r
         by_rank.setdefault(r, []).append(p)
         best = max(by_rank)
@@ -408,7 +480,9 @@ def point_rank_laurent(f: "RingMatrix", point: tuple[int, ...], p: int) -> int:
     return _dense_rank_mod_p(dense, p)
 
 
-def regular_rep_kernel(f: "RingMatrix", rng: random.Random | None = None) -> Fraction:
+def regular_rep_kernel(
+    f: "RingMatrix", rng: random.Random | None = None, max_primes: int = MAX_PRIMES
+) -> Fraction:
     """Normalized kernel dimension of the whole-group window of a finite group.
 
     Returns dim ker(window) / |G|, the kernel-projection trace in the finite
@@ -422,4 +496,4 @@ def regular_rep_kernel(f: "RingMatrix", rng: random.Random | None = None) -> Fra
     order = f.spec.group_order()
     F = folner_set(f.spec, 1)
     W = window_matrix(f, F)
-    return Fraction(kernel_dim_q(W.data, rng=rng), order)
+    return Fraction(kernel_dim_q(W.data, rng=rng, max_primes=max_primes), order)

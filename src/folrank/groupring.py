@@ -134,11 +134,6 @@ class RingElem:
         inv = self.spec.inverse
         return RingElem(self.spec, {inv(g): c for g, c in self.coeffs.items()})
 
-    def left_translate(self, g: GroupElement) -> "RingElem":
-        """The product g . self, i.e. coefficients move from u to g.u."""
-        mul = self.spec.mul
-        return RingElem(self.spec, {mul(g, u): c for u, c in self.coeffs.items()})
-
 
 class RingMatrix:
     """An m x n matrix over the group ring, with cached support and l1 norm."""
@@ -173,10 +168,6 @@ class RingMatrix:
         z = RingElem.zero(spec)
         return cls(spec, [[z] * cols for _ in range(rows)], cols=cols)
 
-    @classmethod
-    def from_scalar(cls, elem: RingElem) -> "RingMatrix":
-        return cls(elem.spec, [[elem]])
-
     def support(self) -> frozenset:
         if self._support is None:
             acc: frozenset = frozenset()
@@ -196,9 +187,6 @@ class RingMatrix:
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
-
-    def row(self, j: int) -> tuple[RingElem, ...]:
-        return self.entries[j]
 
     def star(self) -> "RingMatrix":
         """The n x m involuted matrix: (f*)_{k,j} has coefficients f_{j,k} at inverses."""

@@ -111,9 +111,6 @@ class GroupSpec:
             return tuple(x % k for x, k in zip(coords[:r], self.orders)) + coords[r:]
         return coords
 
-    def element(self, coords: Sequence[int]) -> GroupElement:
-        return self.reduce(coords)
-
     def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
         if len(g) != self.coord_len or len(h) != self.coord_len:
             raise InputError("group elements do not match the group's coordinate layout")

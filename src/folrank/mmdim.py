@@ -25,18 +25,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .exactla import SparseIntMatrix, rank_q
+from .exactla import MAX_PRIMES, SparseIntMatrix, rank_q
 from .groupring import RingMatrix, window_matrix
 from .groups import FolnerSet, GroupElement, elements_of, folner_set
 from .ranks import derived_rng
 
 CONGRUENCE_TOL = 2.0**-40
 _ENUM_CAP = 4096
-
-
-def circle(x: float) -> float:
-    """Reduce a real number to the fundamental domain [0, 1)."""
-    return float(x) % 1.0
 
 
 def theta(a: float, b: float) -> float:
@@ -111,13 +106,15 @@ def theta_pseudometric(x: SolenoidBoxPoint, y: SolenoidBoxPoint) -> float:
     return _theta_arrays(x.values, y.values)
 
 
-def separated_upper_bound(f: RingMatrix, F, eps: float, rng: random.Random | None = None) -> float:
+def separated_upper_bound(
+    f: RingMatrix, F, eps: float, rng: random.Random | None = None, max_primes: int = MAX_PRIMES
+) -> float:
     """log of the explicit separated-set counting bound at scale eps."""
     if not 0.0 < eps < 1.0:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     felems = elements_of(F)
     W = window_matrix(f, F)
-    kdim = W.data.cols - rank_q(W.data, rng=rng).rank
+    kdim = W.data.cols - rank_q(W.data, rng=rng, max_primes=max_primes).rank
     fprime = set(interior_set(f, felems))
     boundary = len(W.row_elems) - len(fprime & set(W.row_elems))
     m = f.rows
@@ -134,7 +131,9 @@ def _grid_modulus(eps: float) -> int:
     return max(1, int(1.0 / eps + 1e-9))
 
 
-def kernel_grid_packing(f: RingMatrix, F, eps: float, rng: random.Random | None = None) -> tuple[int, int]:
+def kernel_grid_packing(
+    f: RingMatrix, F, eps: float, rng: random.Random | None = None, max_primes: int = MAX_PRIMES
+) -> tuple[int, int]:
     """(count, dim): the certified grid packing floor(1/eps)^dim built on the
     free coordinates of the real interior solution space.
 
@@ -143,7 +142,7 @@ def kernel_grid_packing(f: RingMatrix, F, eps: float, rng: random.Random | None 
     without enumerating it.
     """
     C = interior_constraint_matrix(f, F)
-    dim = C.cols - rank_q(C, rng=rng).rank
+    dim = C.cols - rank_q(C, rng=rng, max_primes=max_primes).rank
     return _grid_modulus(eps) ** dim, dim
 
 
@@ -339,11 +338,16 @@ class PackingReport:
 
 
 def packing_report(
-    f: RingMatrix, F: FolnerSet, eps: float, budget: int = 400, seed: int = 0
+    f: RingMatrix,
+    F: FolnerSet,
+    eps: float,
+    budget: int = 400,
+    seed: int = 0,
+    max_primes: int = MAX_PRIMES,
 ) -> PackingReport:
     rng = derived_rng(seed, "upper", F.L, repr(eps))
-    upper = separated_upper_bound(f, F, eps, rng=rng)
-    grid_count, grid_dim = kernel_grid_packing(f, F, eps, rng=rng)
+    upper = separated_upper_bound(f, F, eps, rng=rng, max_primes=max_primes)
+    grid_count, grid_dim = kernel_grid_packing(f, F, eps, rng=rng, max_primes=max_primes)
     lower = separated_lower_count(f, F, eps, budget=budget, seed=seed)
     return PackingReport(
         L=F.L,
@@ -401,6 +405,7 @@ def mmdim_estimate(
     eps_schedule: Sequence[float],
     budget: int = 400,
     seed: int = 0,
+    max_primes: int = MAX_PRIMES,
 ) -> MmdimEstimate:
     """Two-sided metric-mean-dimension estimate over window and eps schedules."""
     window_indices = sorted(set(int(L) for L in window_indices))
@@ -414,7 +419,9 @@ def mmdim_estimate(
     by_pair: dict[tuple[float, int], PackingReport] = {}
     for eps in eps_schedule:
         for L in window_indices:
-            rep = packing_report(f, windows[L], eps, budget=budget, seed=seed)
+            rep = packing_report(
+                f, windows[L], eps, budget=budget, seed=seed, max_primes=max_primes
+            )
             reports.append(rep)
             by_pair[(eps, L)] = rep
     l1, l2 = window_indices[-2], window_indices[-1]

@@ -30,6 +30,7 @@ from typing import Sequence
 
 from .errors import BudgetExceededError, InputError, UnsupportedGroupError
 from .exactla import (
+    MAX_PRIMES,
     RankCertificate,
     SparseIntMatrix,
     generic_rank_laurent,
@@ -187,9 +188,9 @@ def submodule_rank_matrix(
 
 
 def submodule_rank(
-    A, F, spec: GroupSpec, rng: random.Random | None = None
+    A, F, spec: GroupSpec, rng: random.Random | None = None, max_primes: int = MAX_PRIMES
 ) -> tuple[int, RankCertificate]:
-    cert = rank_q(submodule_rank_matrix(A, F, spec), rng=rng)
+    cert = rank_q(submodule_rank_matrix(A, F, spec), rng=rng, max_primes=max_primes)
     return cert.rank, cert
 
 
@@ -203,11 +204,11 @@ def submodule_rank_density(A, F, spec: GroupSpec, rng: random.Random | None = No
 
 
 def window_kernel_dim(
-    P: ModulePresentation, F, rng: random.Random | None = None
+    P: ModulePresentation, F, rng: random.Random | None = None, max_primes: int = MAX_PRIMES
 ) -> tuple[int, RankCertificate]:
     """dim over Q of ker f intersected with vectors supported in F."""
     W = window_matrix(P.relations, F)
-    cert = rank_q(W.data, rng=rng)
+    cert = rank_q(W.data, rng=rng, max_primes=max_primes)
     return W.data.cols - cert.rank, cert
 
 
@@ -219,13 +220,15 @@ def window_kernel_density(P: ModulePresentation, F, rng: random.Random | None = 
     return Fraction(dim, len(felems))
 
 
-def per_window_identity_check(f: RingMatrix, F, rng: random.Random | None = None) -> bool:
+def per_window_identity_check(
+    f: RingMatrix, F, rng: random.Random | None = None, max_primes: int = MAX_PRIMES
+) -> bool:
     """rank(<F^{-1} rows(f)>) == m|F| - dim ker(window of f*): two independent
     computations of the same number; inequality is a genuine failure."""
     felems = elements_of(F)
-    lhs, _ = submodule_rank(f.entries, F, f.spec, rng=rng)
+    lhs, _ = submodule_rank(f.entries, F, f.spec, rng=rng, max_primes=max_primes)
     W = window_matrix(f.star(), F)
-    rhs = f.rows * len(felems) - kernel_dim_q(W.data, rng=rng)
+    rhs = f.rows * len(felems) - kernel_dim_q(W.data, rng=rng, max_primes=max_primes)
     return lhs == rhs
 
 
@@ -339,6 +342,7 @@ def mrank_of_presentation(
     tolerance: Fraction = DEFAULT_TOLERANCE,
     seed: int = 0,
     max_window_elements: int = DEFAULT_MAX_WINDOW_ELEMENTS,
+    max_primes: int = MAX_PRIMES,
 ) -> DensitySeries:
     """Mean-rank series of the presented module: density n - rank(<F^{-1}A>)/|F|
     with A the relation rows.  The limit estimate is n minus the running
@@ -352,7 +356,9 @@ def mrank_of_presentation(
         F = folner_set(P.spec, L, max_window_elements)
         if P.m == 0:
             return SeriesRecord(L, len(F), 0, Fraction(n))
-        rank, cert = submodule_rank(rows, F, P.spec, rng=derived_rng(seed, "mrank", L))
+        rank, cert = submodule_rank(
+            rows, F, P.spec, rng=derived_rng(seed, "mrank", L), max_primes=max_primes
+        )
         density = n - Fraction(rank, len(F))
         if not 0 <= density <= n:
             raise InputError(f"density {density} escaped [0, {n}]")
@@ -380,6 +386,7 @@ def vnd_of_presentation(
     tolerance: Fraction = DEFAULT_TOLERANCE,
     seed: int = 0,
     max_window_elements: int = DEFAULT_MAX_WINDOW_ELEMENTS,
+    max_primes: int = MAX_PRIMES,
 ) -> DensitySeries:
     """Kernel-density series dim(ker f on F)/|F|.  The limit estimate is the
     last computed density; kernel densities are not one-sided bounds, so the
@@ -390,7 +397,9 @@ def vnd_of_presentation(
 
     def one(L: int) -> SeriesRecord:
         F = folner_set(P.spec, L, max_window_elements)
-        dim, cert = window_kernel_dim(P, F, rng=derived_rng(seed, "vnd", L))
+        dim, cert = window_kernel_dim(
+            P, F, rng=derived_rng(seed, "vnd", L), max_primes=max_primes
+        )
         density = Fraction(dim, len(F))
         if not 0 <= density <= n:
             raise InputError(f"density {density} escaped [0, {n}]")
@@ -541,6 +550,7 @@ def erank_dual_restriction_dim(
     F,
     growth_steps: int = DEFAULT_GROWTH_STEPS,
     seed: int = 0,
+    max_primes: int = MAX_PRIMES,
 ) -> StabilizedDim:
     """dim over Q of the restriction to F^{-1} of the dual solution space.
 
@@ -562,10 +572,10 @@ def erank_dual_restriction_dim(
     def value(E, step):
         rng = derived_rng(seed, "erank-dual", len(E), step)
         C, col_index = _dual_constraint_matrix(f, E)
-        rank_c = rank_q(C, rng=rng).rank
+        rank_c = rank_q(C, rng=rng, max_primes=max_primes).rank
         keep = [i for i, (_, w) in enumerate(col_index) if w not in finv_set]
         c_drop = C.submatrix(range(C.rows), keep)
-        rank_drop = rank_q(c_drop, rng=rng).rank
+        rank_drop = rank_q(c_drop, rng=rng, max_primes=max_primes).rank
         return n * len(felems) - rank_c + rank_drop
 
     return _stabilize(spec, E0, value, growth_steps)
@@ -578,6 +588,7 @@ def erank_of_presentation(
     seed: int = 0,
     growth_steps: int = DEFAULT_GROWTH_STEPS,
     max_window_elements: int = DEFAULT_MAX_WINDOW_ELEMENTS,
+    max_primes: int = MAX_PRIMES,
 ) -> DensitySeries:
     """Series of dual-restriction dimensions over |F|; running-minimum estimate."""
     schedule = _validate_schedule(schedule)
@@ -586,7 +597,9 @@ def erank_of_presentation(
 
     def one(L: int) -> SeriesRecord:
         F = folner_set(P.spec, L, max_window_elements)
-        sd = erank_dual_restriction_dim(P, F, growth_steps=growth_steps, seed=seed)
+        sd = erank_dual_restriction_dim(
+            P, F, growth_steps=growth_steps, seed=seed, max_primes=max_primes
+        )
         density = Fraction(sd.value, len(F))
         if not 0 <= density <= n:
             raise InputError(f"density {density} escaped [0, {n}]")
@@ -606,6 +619,7 @@ def quotient_span_rank(
     F,
     growth_steps: int = DEFAULT_GROWTH_STEPS,
     seed: int = 0,
+    max_primes: int = MAX_PRIMES,
 ) -> StabilizedDim:
     """rank of <F^{-1} pi(B)> inside the quotient by the row module of f.
 
@@ -621,7 +635,7 @@ def quotient_span_rank(
     if V.cols == 0:
         return StabilizedDim(0, True, 0, 0)
     if f.rows == 0 or f.is_zero():
-        return StabilizedDim(rank_q(V).rank, True, 0, 0)
+        return StabilizedDim(rank_q(V, max_primes=max_primes).rank, True, 0, 0)
     inv, mul = spec.inverse, spec.mul
     support_cols = sorted(
         {mul(inv(s), u) for s in felems for row in rows for e in row for u in e.coeffs}
@@ -636,9 +650,9 @@ def quotient_span_rank(
         rng = derived_rng(seed, "quotient-span", len(E), step)
         W = right_window_matrix(f, E)
         out_rows = [i for i, (_, w) in enumerate(W.row_index) if w not in s_set]
-        rank_all = rank_q(W.data, rng=rng).rank
+        rank_all = rank_q(W.data, rng=rng, max_primes=max_primes).rank
         r_out = W.data.submatrix(out_rows, range(W.data.cols))
-        rank_out = rank_q(r_out, rng=rng).rank
+        rank_out = rank_q(r_out, rng=rng, max_primes=max_primes).rank
         dim_n = rank_all - rank_out
         basis = nullspace_q(r_out)
         # Map each kernel vector through the rows supported in S to get a
@@ -665,7 +679,7 @@ def quotient_span_rank(
                     stacked[(row_base, col)] = v
             row_base += 1
         stack = SparseIntMatrix(row_base, V.cols, {k: v for k, v in stacked.items() if v})
-        return rank_q(stack, rng=rng).rank - dim_n
+        return rank_q(stack, rng=rng, max_primes=max_primes).rank - dim_n
 
     return _stabilize(spec, E0, value, growth_steps)
 
@@ -675,7 +689,7 @@ def quotient_span_rank(
 # ---------------------------------------------------------------------------
 
 
-def oracle_value(P: ModulePresentation, seed: int = 0) -> Fraction:
+def oracle_value(P: ModulePresentation, seed: int = 0, max_primes: int = MAX_PRIMES) -> Fraction:
     """Closed-form limit for the families with one: n minus the generic
     Laurent rank over Z^d, or the whole-group kernel density for finite
     groups."""
@@ -687,7 +701,9 @@ def oracle_value(P: ModulePresentation, seed: int = 0) -> Fraction:
     if spec.is_finite:
         if P.m == 0:
             return Fraction(P.n)
-        return regular_rep_kernel(P.relations, rng=derived_rng(seed, "oracle"))
+        return regular_rep_kernel(
+            P.relations, rng=derived_rng(seed, "oracle"), max_primes=max_primes
+        )
     raise UnsupportedGroupError(f"no closed-form oracle for {spec.family}")
 
 
@@ -765,7 +781,10 @@ def _row_scale(c: RingElem, row):
 
 
 def run_identity_suite(
-    seed: int, cases: int = 100, window_indices: Sequence[int] = (2, 3, 4)
+    seed: int,
+    cases: int = 100,
+    window_indices: Sequence[int] = (2, 3, 4),
+    max_primes: int = MAX_PRIMES,
 ) -> SuiteResult:
     """Randomized exact check of the window identity
     rank(<F^{-1} rows(f)>) = m|F| - dim ker(f* window)."""
@@ -778,12 +797,15 @@ def run_identity_suite(
         f = random_ring_matrix(rng, spec, m, n, radius=2, coeff_bound=3)
         for L in window_indices:
             F = folner_set(spec, L)
-            if not per_window_identity_check(f, F, rng=derived_rng(seed, "identity-rank", i, L)):
+            rng_L = derived_rng(seed, "identity-rank", i, L)
+            if not per_window_identity_check(f, F, rng=rng_L, max_primes=max_primes):
                 result.failures.append(f"case {i}: {spec.family} d={spec.d} L={L}")
     return result
 
 
-def run_superadditivity_suite(seed: int, cases: int = 100) -> SuiteResult:
+def run_superadditivity_suite(
+    seed: int, cases: int = 100, max_primes: int = MAX_PRIMES
+) -> SuiteResult:
     """Randomized check that window ranks are superadditive across a
     submodule/quotient split: rank<F^{-1}A2> >= rank<F^{-1}A1> +
     rank<F^{-1}pi(A2)> with A2 = A1 u A3', A1 inside the row module."""
@@ -809,13 +831,19 @@ def run_superadditivity_suite(seed: int, cases: int = 100) -> SuiteResult:
         a2 = a1 + a3
         L = rng.randint(2, 3)
         F = folner_set(spec, L)
-        r2, _ = submodule_rank(a2, F, spec, rng=derived_rng(seed, "superadd-r2", i))
-        r1, _ = submodule_rank(a1, F, spec, rng=derived_rng(seed, "superadd-r1", i))
-        q = quotient_span_rank(f, a2, F, growth_steps=6, seed=seed + i)
+        r2, _ = submodule_rank(
+            a2, F, spec, rng=derived_rng(seed, "superadd-r2", i), max_primes=max_primes
+        )
+        r1, _ = submodule_rank(
+            a1, F, spec, rng=derived_rng(seed, "superadd-r1", i), max_primes=max_primes
+        )
+        q = quotient_span_rank(f, a2, F, growth_steps=6, seed=seed + i, max_primes=max_primes)
         if not q.stabilized or r2 < r1 + q.value:
             # The quotient rank is approached from above; escalate the window
             # growth once before declaring a failure.
-            q = quotient_span_rank(f, a2, F, growth_steps=14, seed=seed + i)
+            q = quotient_span_rank(
+                f, a2, F, growth_steps=14, seed=seed + i, max_primes=max_primes
+            )
         if not q.stabilized:
             result.flagged += 1
         elif r2 < r1 + q.value:
@@ -823,7 +851,9 @@ def run_superadditivity_suite(seed: int, cases: int = 100) -> SuiteResult:
     return result
 
 
-def run_submodularity_suite(seed: int, cases: int = 100) -> SuiteResult:
+def run_submodularity_suite(
+    seed: int, cases: int = 100, max_primes: int = MAX_PRIMES
+) -> SuiteResult:
     """Randomized check of submodularity and right-translation invariance of
     F |-> rank(<F^{-1}A>)."""
     specs = (zd(1), zd(2))
@@ -844,7 +874,8 @@ def run_submodularity_suite(seed: int, cases: int = 100) -> SuiteResult:
         inter = tuple(sorted(set(f1) & set(f2)))
 
         def phi(F, tag):
-            rank, _ = submodule_rank(A, F, spec, rng=derived_rng(seed, "submod-rank", i, tag))
+            rng_t = derived_rng(seed, "submod-rank", i, tag)
+            rank, _ = submodule_rank(A, F, spec, rng=rng_t, max_primes=max_primes)
             return rank
 
         if phi(union, "u") + phi(inter, "i") > phi(f1, "1") + phi(f2, "2"):

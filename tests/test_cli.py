@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from folrank import cli as cli_module, exactla
 from folrank.cli import main, parse_epsilon, parse_fraction
 from folrank.errors import InputError
+from folrank.groupring import RingMatrix, window_matrix
+from folrank.groups import folner_set
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -172,6 +175,26 @@ def test_jobspec_file_input(tmp_path):
     assert [r["L"] for r in report["series"]] == [2, 4]
 
 
+def test_max_primes_budget_stays_inside_its_job(tmp_path, monkeypatch):
+    # Never certify, so every rank_q call runs through its whole prime budget.
+    tried = []
+    kernel = exactla._clipped_rank_mod_p
+    monkeypatch.setattr(exactla, "_spot_check", lambda M, primes, rng: False)
+    monkeypatch.setattr(exactla, "_clipped_rank_mod_p", lambda lay, p: tried.append(p) or kernel(lay, p))
+    matrix = json.loads((FIXTURES / "xy_minus_one.json").read_text())
+    job = {"command": "vnd", "matrix": matrix, "schedule": [8], "budgets": {"max_primes": 3}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert main(["vnd", "--input", str(path), "--out", str(tmp_path)]) == 2
+    assert len(tried) == 3
+    tried.clear()
+    f = RingMatrix.from_json(matrix)
+    W = window_matrix(f, folner_set(f.spec, 8)).data
+    cert = exactla.rank_q(W)
+    assert len(tried) == exactla.MAX_PRIMES == 16
+    assert cert.method == "fraction-free"
+
+
 # -- determinism -------------------------------------------------------------------
 
 
@@ -195,6 +218,10 @@ def test_reports_byte_identical_across_runs_and_threads(tmp_path):
 
 
 def test_console_script_entry(tmp_path):
+    # The child process imports folrank from wherever this process found it,
+    # so the test also runs from a checkout without an install.
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable,
@@ -208,6 +235,7 @@ def test_console_script_entry(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"

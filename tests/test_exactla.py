@@ -8,8 +8,8 @@ from folrank.errors import InputError, UnsupportedGroupError
 from folrank.exactla import (
     RankCertificate,
     SparseIntMatrix,
-    _rank_mod_p,
-    _to_numpy_mod,
+    _clipped_rank_mod_p,
+    _plan_layout,
     bareiss_rank,
     generic_rank_laurent,
     kernel_dim_q,
@@ -19,8 +19,8 @@ from folrank.exactla import (
     rank_q,
     regular_rep_kernel,
 )
-from folrank.groupring import RingElem, RingMatrix
-from folrank.groups import finite_cyclic, zd
+from folrank.groupring import RingElem, RingMatrix, window_matrix
+from folrank.groups import finite_cyclic, folner_set, zd
 
 Z2 = zd(2)
 
@@ -79,7 +79,7 @@ def test_fraction_free_matches_modular_up_to_cutoff():
         ff = bareiss_rank(dense)
         mat = M(dense)
         p = random_prime(rng)
-        assert _rank_mod_p(_to_numpy_mod(mat, p), p) == ff
+        assert _clipped_rank_mod_p(_plan_layout(mat), p) == ff
         assert rank_q(mat).rank == ff
 
 
@@ -96,12 +96,84 @@ def test_fraction_free_matches_modular(rows, cols, seed):
     mat = M(dense)
     for _ in range(2):
         p = random_prime(rng)
-        assert _rank_mod_p(_to_numpy_mod(mat, p), p) <= ff
+        assert _clipped_rank_mod_p(_plan_layout(mat), p) <= ff
     # A single 31-bit prime is wrong only if it divides a fixed minor;
     # two in a row disagreeing with fraction-free would be astronomically
     # unlikely, so insist on exact agreement for at least one of them.
     p = random_prime(random.Random(seed + 1))
-    assert _rank_mod_p(_to_numpy_mod(mat, p), p) == ff
+    assert _clipped_rank_mod_p(_plan_layout(mat), p) == ff
+
+
+# -- profile-clipped kernel on sparse, structured inputs -----------------------
+
+
+@st.composite
+def sparse_dense(draw):
+    """Mostly-zero integer matrices with zero rows and columns, repeated rows
+    (tied leading columns, rank drops) and row sums (fill-in and swaps)."""
+    rows, cols = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    entry = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, -3))
+    dense = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        kind = draw(st.sampled_from(("copy", "add", "zero-row", "zero-col")))
+        if kind == "copy":
+            dense[i] = list(dense[j])
+        elif kind == "add":
+            dense[i] = [x + y for x, y in zip(dense[i], dense[j])]
+        elif kind == "zero-row":
+            dense[i] = [0] * cols
+        else:
+            k = draw(st.integers(0, cols - 1))
+            for row in dense:
+                row[k] = 0
+    return dense
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense=sparse_dense(), seed=st.integers(0, 10**6))
+def test_clipped_kernel_matches_bareiss_on_sparse(dense, seed):
+    p = random_prime(random.Random(seed))
+    assert _clipped_rank_mod_p(_plan_layout(M(dense)), p) == bareiss_rank(dense)
+
+
+def test_clipped_kernel_fill_in_past_row_end():
+    # Row 1 = [1, 0, 0] ends at column 0; eliminating column 0 with row 0
+    # fills it to [0, -1, -1].  As the next pivot it must clear row 2 up to
+    # column 2, so the rank is 2.  Keeping row 1's old end gives 3.
+    dense = [[1, 1, 1], [1, 0, 0], [0, 1, 1]]
+    assert bareiss_rank(dense) == 2
+    assert _clipped_rank_mod_p(_plan_layout(M(dense)), 2_147_483_647) == 2
+
+
+def test_clipped_kernel_swaps_pivot():
+    # After column 0, row 1 is zero in column 1 and row 2 holds the pivot.
+    dense = [[1, 1, 0], [1, 1, 1], [0, 1, 0]]
+    assert _clipped_rank_mod_p(_plan_layout(M(dense)), 2_147_483_647) == 3
+
+
+def test_layout_orders_profile():
+    lay = _plan_layout(M([[0, 0, 0], [0, 5, 0], [7, 0, 0], [1, 0, 3]]))
+    # Columns by first touching row: 1 (row 1), 0 (row 2), 2 (row 3).
+    # Rows by leading column in that order: 1, 2, 3, then the zero row 0.
+    assert lay.first == [0, 1, 1, 3]
+    assert lay.last.tolist() == [0, 1, 2, -1]
+
+
+def test_rank_q_window_above_cutoff_permuted_and_transposed():
+    W = window_matrix(xy_minus_one(), folner_set(Z2, 8)).data
+    assert (W.rows, W.cols) == (80, 128)
+    want = bareiss_rank(W.to_dense())
+    rng = random.Random(7)
+    rperm = list(range(W.rows))
+    cperm = list(range(W.cols))
+    rng.shuffle(rperm)
+    rng.shuffle(cperm)
+    variants = (W, W.submatrix(rperm, range(W.cols)), W.submatrix(range(W.rows), cperm), W.transpose())
+    for mat in variants:
+        cert = rank_q(mat, rng=random.Random(2))
+        assert cert.method == "modular-multi-prime"
+        assert cert.rank == want
 
 
 @settings(max_examples=30, deadline=None)
