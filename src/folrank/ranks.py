@@ -35,7 +35,7 @@ from .exactla import (
     SparseIntMatrix,
     generic_rank_laurent,
     kernel_dim_q,
-    nullspace_q,
+    nullspace_q,  # noqa: F401  no caller here; perfbench traces it as ranks.nullspace_q
     rank_q,
     regular_rep_kernel,
 )
@@ -482,6 +482,7 @@ def erank_span_dim(
     F,
     growth_steps: int = DEFAULT_GROWTH_STEPS,
     seed: int = 0,
+    max_primes: int = MAX_PRIMES,
 ) -> StabilizedDim:
     """dim over Q of the span of the window translates of the canonical
     generators inside the quotient: n|F| minus the dimension of the
@@ -502,9 +503,9 @@ def erank_span_dim(
         rng = derived_rng(seed, "erank-span", len(E), step)
         W = right_window_matrix(f, E)
         out_rows = [i for i, (_, w) in enumerate(W.row_index) if w not in finv_set]
-        rank_all = rank_q(W.data, rng=rng).rank
+        rank_all = rank_q(W.data, rng=rng, max_primes=max_primes).rank
         r_out = W.data.submatrix(out_rows, range(W.data.cols))
-        rank_out = rank_q(r_out, rng=rng).rank
+        rank_out = rank_q(r_out, rng=rng, max_primes=max_primes).rank
         return n * len(felems) - (rank_all - rank_out)
 
     return _stabilize(spec, E0, value, growth_steps)
@@ -623,9 +624,22 @@ def quotient_span_rank(
 ) -> StabilizedDim:
     """rank of <F^{-1} pi(B)> inside the quotient by the row module of f.
 
-    Computed as dim((V + N)/N) where V is the rational span of the window
-    translates of B and N is the part of the relation-row span supported in
-    the same coordinate window, grown from below until stabilization.
+    The value is dim((V + N)/N), where V is the rational span of the window
+    translates of B, and N is the part of the relation-row span supported in
+    the same coordinate window S, grown from below until stabilization.
+
+    On a growth window E, let W = right_window_matrix(f, E), C its rows
+    outside S and D its rows inside S, placed at V's columns.  Then
+    N = D.ker C, and both dimensions come from ranks alone:
+
+        dim N     = rank W - rank C,
+        dim(V+N)  = rank [[C, 0], [D, V^T]] - rank C,
+
+    so the value is rank [[C, 0], [D, V^T]] - rank W.  Proof of the second
+    line: (g, h) |-> D g + V^T h, restricted to ker [C 0], has image
+    V + D.ker C and kernel ker [[C, 0], [D, V^T]]; rank-nullity on
+    ker [C 0], of dimension cols(W) - rank C + rows(V), gives it.  The first
+    line is the case V = 0.
     """
     spec = f.spec
     f = _integralize_rows(f)
@@ -649,37 +663,19 @@ def quotient_span_rank(
     def value(E, step):
         rng = derived_rng(seed, "quotient-span", len(E), step)
         W = right_window_matrix(f, E)
-        out_rows = [i for i, (_, w) in enumerate(W.row_index) if w not in s_set]
         rank_all = rank_q(W.data, rng=rng, max_primes=max_primes).rank
-        r_out = W.data.submatrix(out_rows, range(W.data.cols))
-        rank_out = rank_q(r_out, rng=rng, max_primes=max_primes).rank
-        dim_n = rank_all - rank_out
-        basis = nullspace_q(r_out)
-        # Map each kernel vector through the rows supported in S to get a
-        # spanning set of N in V's column layout.
-        stacked = dict(V.entries)
-        row_base = V.rows
-        by_col: dict[int, list[tuple[int, int]]] = {}
-        for (i, j), v in W.data.entries.items():
-            if W.row_index[i][1] in s_set:
-                by_col.setdefault(j, []).append((i, v))
-        for g in basis:
-            img: dict[int, Fraction] = {}
-            for j, gj in enumerate(g):
-                if not gj:
-                    continue
-                for i, v in by_col.get(j, ()):  # i is a row of W supported in S
-                    k, w = W.row_index[i]
-                    col = k * width + s_pos[w]
-                    img[col] = img.get(col, Fraction(0)) + gj * v
-            scale = lcm(*[x.denominator for x in img.values()]) if img else 1
-            for col, x in img.items():
-                v = int(x * scale)
-                if v:
-                    stacked[(row_base, col)] = v
-            row_base += 1
-        stack = SparseIntMatrix(row_base, V.cols, {k: v for k, v in stacked.items() if v})
-        return rank_q(stack, rng=rng, max_primes=max_primes).rank - dim_n
+        # big = [[C, 0], [D, V^T]]: out rows of W first, then one row per
+        # coordinate of V, holding W's rows in S and V's columns.
+        out_rows = [i for i, (_, w) in enumerate(W.row_index) if w not in s_set]
+        n_out = len(out_rows)
+        big_row = {i: r for r, i in enumerate(out_rows)}
+        for i, (k, w) in enumerate(W.row_index):
+            if w in s_set:
+                big_row[i] = n_out + k * width + s_pos[w]
+        entries = {(big_row[i], j): v for (i, j), v in W.data.entries.items()}
+        entries.update({(n_out + c, W.data.cols + r): v for (r, c), v in V.entries.items()})
+        big = SparseIntMatrix(n_out + V.cols, W.data.cols + V.rows, entries)
+        return rank_q(big, rng=rng, max_primes=max_primes).rank - rank_all
 
     return _stabilize(spec, E0, value, growth_steps)
 
@@ -887,7 +883,9 @@ def run_submodularity_suite(
     return result
 
 
-def run_dual_rank_equality_suite(seed: int, cases: int = 50) -> SuiteResult:
+def run_dual_rank_equality_suite(
+    seed: int, cases: int = 50, max_primes: int = MAX_PRIMES
+) -> SuiteResult:
     """Randomized check that the span dimension and the dual-restriction
     dimension agree on every stabilized window."""
     spec = zd(1)
@@ -899,8 +897,12 @@ def run_dual_rank_equality_suite(seed: int, cases: int = 50) -> SuiteResult:
         L = rng.randint(1, 4)
         F = folner_set(spec, L)
         P = ModulePresentation(f)
-        span = erank_span_dim(P, F, growth_steps=DEFAULT_GROWTH_STEPS, seed=seed + i)
-        dual = erank_dual_restriction_dim(P, F, growth_steps=DEFAULT_GROWTH_STEPS, seed=seed + i)
+        span = erank_span_dim(
+            P, F, growth_steps=DEFAULT_GROWTH_STEPS, seed=seed + i, max_primes=max_primes
+        )
+        dual = erank_dual_restriction_dim(
+            P, F, growth_steps=DEFAULT_GROWTH_STEPS, seed=seed + i, max_primes=max_primes
+        )
         if not (span.stabilized and dual.stabilized):
             result.flagged += 1
         elif span.value != dual.value:

@@ -1,15 +1,23 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from folrank import exactla, ranks
 from folrank.errors import InputError
-from folrank.groupring import RingElem, RingMatrix
-from folrank.groups import finite_cyclic, folner_set, heisenberg, zd
+from folrank.exactla import SparseIntMatrix, nullspace_q, rank_q
+from folrank.groupring import RingElem, RingMatrix, right_window_matrix
+from folrank.groups import elements_of, finite_cyclic, folner_set, heisenberg, zd
 from folrank.ranks import (
     GeneratorList,
     ModulePresentation,
+    StabilizedDim,
+    _initial_erank_window,
+    _integralize_rows,
+    _rows_of,
+    _stabilize,
     derived_rng,
     window_kernel_density,
     erank_dual_restriction_dim,
@@ -19,6 +27,7 @@ from folrank.ranks import (
     oracle_value,
     per_window_identity_check,
     quotient_span_rank,
+    random_ring_elem,
     random_ring_matrix,
     rationality_snap,
     run_dual_rank_equality_suite,
@@ -27,6 +36,7 @@ from folrank.ranks import (
     run_superadditivity_suite,
     submodule_rank,
     submodule_rank_density,
+    submodule_rank_matrix,
     vnd_of_presentation,
 )
 
@@ -371,7 +381,144 @@ def test_quotient_span_rank_free_and_torsion():
     assert q.value == 0 and q.stabilized
 
 
+def _span_plus_image_by_nullspace(A, B, C, s: int, n: int) -> int:
+    """dim(rowspan A + B.ker C) from an explicit rational kernel basis."""
+    images = []
+    for g in nullspace_q(SparseIntMatrix.from_dense(C, cols=n)):
+        img = [sum(Fraction(B[r][j]) * g[j] for j in range(n)) for r in range(s)]
+        scale = lcm(*[x.denominator for x in img])
+        images.append([int(x * scale) for x in img])
+    return rank_q(SparseIntMatrix.from_dense(list(A) + images, cols=s)).rank
+
+
+def _matrices(draw, rows: int, cols: int, zero: bool):
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3))
+    return [[0 if zero else draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_block_rank_identity(data):
+    # dim(rowspan A + B.ker C) = rank [[C, 0], [B, A^T]] - rank C, the identity
+    # behind quotient_span_rank.
+    draw = data.draw
+    a, s = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    n, t = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    A = _matrices(draw, a, s, draw(st.booleans()))
+    B = _matrices(draw, s, n, draw(st.booleans()))
+    if draw(st.booleans()):
+        # C of full column rank: ker C = 0 and the value is rank A.
+        t = n + draw(st.integers(0, 1))
+        C = [[int(i == j) for j in range(n)] for i in range(n)] + _matrices(draw, t - n, n, False)
+    else:
+        C = _matrices(draw, t, n, draw(st.booleans()))
+    big = [row + [0] * a for row in C] + [B[r] + [A[i][r] for i in range(a)] for r in range(s)]
+    rank_c = rank_q(SparseIntMatrix.from_dense(C, cols=n)).rank
+    new = rank_q(SparseIntMatrix.from_dense(big)).rank - rank_c
+    assert new == _span_plus_image_by_nullspace(A, B, C, s, n)
+
+
+def _quotient_span_rank_reference(f, B, F, growth_steps, seed):
+    """quotient_span_rank from an explicit rational kernel basis of the out
+    rows, mapped into V's layout and stacked with V."""
+    spec = f.spec
+    f = _integralize_rows(f)
+    rows = _rows_of(B)
+    felems = elements_of(F)
+    V = submodule_rank_matrix(rows, F, spec)
+    if V.cols == 0:
+        return StabilizedDim(0, True, 0, 0)
+    if f.rows == 0 or f.is_zero():
+        return StabilizedDim(rank_q(V).rank, True, 0, 0)
+    inv, mul = spec.inverse, spec.mul
+    support_cols = sorted(
+        {mul(inv(s), u) for s in felems for row in rows for e in row for u in e.coeffs}
+    )
+    s_set = set(support_cols)
+    s_pos = {g: i for i, g in enumerate(support_cols)}
+    width = len(support_cols)
+    E0 = _initial_erank_window(spec, support_cols, sorted(f.support()))
+
+    def value(E, step):
+        rng = derived_rng(seed, "quotient-span", len(E), step)
+        W = right_window_matrix(f, E)
+        out_rows = [i for i, (_, w) in enumerate(W.row_index) if w not in s_set]
+        rank_all = rank_q(W.data, rng=rng).rank
+        r_out = W.data.submatrix(out_rows, range(W.data.cols))
+        dim_n = rank_all - rank_q(r_out, rng=rng).rank
+        stacked = dict(V.entries)
+        row_base = V.rows
+        for g in nullspace_q(r_out):
+            img: dict[int, Fraction] = {}
+            for (i, j), v in W.data.entries.items():
+                k, w = W.row_index[i]
+                if w in s_set and g[j]:
+                    col = k * width + s_pos[w]
+                    img[col] = img.get(col, Fraction(0)) + g[j] * v
+            scale = lcm(*[x.denominator for x in img.values()]) if img else 1
+            for col, x in img.items():
+                if x:
+                    stacked[(row_base, col)] = int(x * scale)
+            row_base += 1
+        return rank_q(SparseIntMatrix(row_base, V.cols, stacked), rng=rng).rank - dim_n
+
+    return _stabilize(spec, E0, value, growth_steps)
+
+
+def _superadditivity_case(seed: int, i: int):
+    """The f, A2 and F of case i of run_superadditivity_suite."""
+    rng = derived_rng(seed, "superadd", i)
+    spec = (Z, Z2)[i % 2]
+    m, n = rng.randint(1, 2), rng.randint(1, 2)
+    f = random_ring_matrix(rng, spec, m, n, radius=1, coeff_bound=2, max_terms=2)
+    a1 = []
+    for _ in range(rng.randint(1, 2)):
+        combo = [RingElem.zero(spec)] * n
+        for row in f.entries:
+            c = random_ring_elem(rng, spec, radius=1, coeff_bound=2, max_terms=2)
+            combo = [x + c * y for x, y in zip(combo, row)]
+        a1.append(tuple(combo))
+    a3 = [
+        tuple(random_ring_elem(rng, spec, radius=1, coeff_bound=2, max_terms=2) for _ in range(n))
+        for _ in range(rng.randint(1, 2))
+    ]
+    return f, a1 + a3, folner_set(spec, rng.randint(2, 3))
+
+
+def test_quotient_span_rank_matches_nullspace_reference():
+    for i in range(20):
+        f, A, F = _superadditivity_case(5, i)
+        for growth_steps in (6, 14):
+            new = quotient_span_rank(f, A, F, growth_steps=growth_steps, seed=i)
+            assert new == _quotient_span_rank_reference(f, A, F, growth_steps, seed=i), i
+    # Fraction coefficients in f and in A: row integralization and row scaling.
+    half = Fraction(1, 2)
+    f = RingMatrix(Z2, [[RingElem.from_terms(Z2, [((0, 0), half), ((1, 0), Fraction(-1, 3))])]])
+    A = [(RingElem.from_terms(Z2, [((0, 0), Fraction(2, 5)), ((0, 1), 1)]),), (f.entries[0][0],)]
+    F = folner_set(Z2, 2)
+    for growth_steps in (6, 14):
+        new = quotient_span_rank(f, A, F, growth_steps=growth_steps, seed=3)
+        assert new == _quotient_span_rank_reference(f, A, F, growth_steps, seed=3)
+
+
 # -- randomized suites (small smoke runs; acceptance runs the full sizes) ------------------
+
+
+def test_max_primes_reaches_every_rank_call(monkeypatch):
+    seen = []
+
+    def recording_rank_q(M, rng=None, max_primes=ranks.MAX_PRIMES, **kw):
+        seen.append(max_primes)
+        return exactla.rank_q(M, rng=rng, max_primes=max_primes, **kw)
+
+    monkeypatch.setattr(ranks, "rank_q", recording_rank_q)
+    P = ModulePresentation(one_plus_2T())
+    F = folner_set(Z, 3)
+    erank_span_dim(P, F, max_primes=5)
+    erank_dual_restriction_dim(P, F, max_primes=5)
+    quotient_span_rank(P.relations, [(zp((0, 1)),)], F, max_primes=5)
+    run_dual_rank_equality_suite(4, cases=3, max_primes=5)
+    assert seen and set(seen) == {5}
 
 
 def test_suites_small():
