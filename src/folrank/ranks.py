@@ -482,7 +482,6 @@ def erank_span_dim(
     F,
     growth_steps: int = DEFAULT_GROWTH_STEPS,
     seed: int = 0,
-    max_primes: int = MAX_PRIMES,
 ) -> StabilizedDim:
     """dim over Q of the span of the window translates of the canonical
     generators inside the quotient: n|F| minus the dimension of the
@@ -503,9 +502,9 @@ def erank_span_dim(
         rng = derived_rng(seed, "erank-span", len(E), step)
         W = right_window_matrix(f, E)
         out_rows = [i for i, (_, w) in enumerate(W.row_index) if w not in finv_set]
-        rank_all = rank_q(W.data, rng=rng, max_primes=max_primes).rank
+        rank_all = rank_q(W.data, rng=rng).rank
         r_out = W.data.submatrix(out_rows, range(W.data.cols))
-        rank_out = rank_q(r_out, rng=rng, max_primes=max_primes).rank
+        rank_out = rank_q(r_out, rng=rng).rank
         return n * len(felems) - (rank_all - rank_out)
 
     return _stabilize(spec, E0, value, growth_steps)
@@ -883,9 +882,7 @@ def run_submodularity_suite(
     return result
 
 
-def run_dual_rank_equality_suite(
-    seed: int, cases: int = 50, max_primes: int = MAX_PRIMES
-) -> SuiteResult:
+def run_dual_rank_equality_suite(seed: int, cases: int = 50) -> SuiteResult:
     """Randomized check that the span dimension and the dual-restriction
     dimension agree on every stabilized window."""
     spec = zd(1)
@@ -897,12 +894,8 @@ def run_dual_rank_equality_suite(
         L = rng.randint(1, 4)
         F = folner_set(spec, L)
         P = ModulePresentation(f)
-        span = erank_span_dim(
-            P, F, growth_steps=DEFAULT_GROWTH_STEPS, seed=seed + i, max_primes=max_primes
-        )
-        dual = erank_dual_restriction_dim(
-            P, F, growth_steps=DEFAULT_GROWTH_STEPS, seed=seed + i, max_primes=max_primes
-        )
+        span = erank_span_dim(P, F, growth_steps=DEFAULT_GROWTH_STEPS, seed=seed + i)
+        dual = erank_dual_restriction_dim(P, F, growth_steps=DEFAULT_GROWTH_STEPS, seed=seed + i)
         if not (span.stabilized and dual.stabilized):
             result.flagged += 1
         elif span.value != dual.value:
