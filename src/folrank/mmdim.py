@@ -11,7 +11,9 @@ lower bounds from two explicit packings: an eps-grid over the free
 coordinates of the real solution space of the interior system (certified,
 counted without enumeration) and a greedy packing of sampled rational
 solutions (torsion points and random kernel combinations).  All distances
-use the max-over-coordinates circle metric.
+use the max-over-coordinates circle metric.  The greedy packing holds its
+kept points as rows of one array, so each sample costs one reduction
+against all of them rather than one numpy call per kept point.
 """
 
 from __future__ import annotations
@@ -272,19 +274,20 @@ def _solution_samples(
                     return
 
     # Random fill: rational-kernel combinations plus torsion offsets.
+    float_basis = [np.array([float(x) for x in bvec]) for bvec in rational_basis]
+    int_bases = [(p, np.array(basis)) for p, basis in torsion_bases]
     while produced < budget:
         point = np.zeros(ncols)
-        if rational_basis:
-            for bvec in rational_basis:
-                lam = rng.randint(-4 * q, 4 * q) / (2.0 * q)
-                if lam:
-                    point += lam * np.array([float(x) for x in bvec])
-        if torsion_bases and rng.random() < 0.5:
-            p, basis = torsion_bases[rng.randrange(len(torsion_bases))]
+        for bvec in float_basis:
+            lam = rng.randint(-4 * q, 4 * q) / (2.0 * q)
+            if lam:
+                point += lam * bvec
+        if int_bases and rng.random() < 0.5:
+            p, basis = int_bases[rng.randrange(len(int_bases))]
             for bvec in basis:
                 lam = rng.randrange(p)
                 if lam:
-                    point += lam * np.array(bvec) / p
+                    point += lam * bvec / p
         yield point % 1.0
         produced += 1
 
@@ -295,21 +298,23 @@ def separated_lower_count(
     """Size of a greedy eps-separated packing among sampled solution points.
 
     A sample is kept iff its max circle distance to every kept point is at
-    least eps.  Deterministic for a fixed seed.
+    least eps, tested against all kept rows in one reduction.  Deterministic
+    for a fixed seed.
     """
     if budget < 1:
         raise InputError("sample budget must be >= 1")
     rng = derived_rng(seed, "packing", len(elements_of(F)), repr(eps))
-    kept: list[np.ndarray] = []
-    for point in _solution_samples(f, F, eps, budget, rng):
-        ok = True
-        for other in kept:
-            if _theta_arrays(point, other) < eps:
-                ok = False
-                break
-        if ok:
-            kept.append(point)
-    return max(1, len(kept))
+    samples = _solution_samples(f, F, eps, budget, rng)
+    first = next(samples)  # the stream fills the budget, and the first sample is always kept
+    kept = np.empty((budget, first.size))
+    kept[0] = first
+    k = 1
+    for point in samples:
+        d = np.abs(point - kept[:k]) % 1.0
+        if not (np.minimum(d, 1.0 - d).max(axis=1, initial=0.0) < eps).any():
+            kept[k] = point
+            k += 1
+    return k
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from folrank.errors import InputError
 from folrank.groupring import RingElem, RingMatrix
-from folrank.groups import folner_set, zd
+from folrank.groups import elements_of, folner_set, zd
 from folrank.mmdim import (
     SolenoidBoxPoint,
+    _solution_samples,
+    _theta_arrays,
     interior_set,
     kernel_grid_packing,
     mmdim_estimate,
@@ -19,6 +21,7 @@ from folrank.mmdim import (
     theta,
     theta_pseudometric,
 )
+from folrank.ranks import derived_rng
 
 Z = zd(1)
 
@@ -34,6 +37,7 @@ def mat(elem):
 ZERO = mat(RingElem.zero(Z))
 TWO = mat(zp((0, 2)))
 ONE_PLUS_2T = mat(zp((0, 1), (1, 2)))
+THREE_MINUS_T = mat(zp((0, 3), (1, -1)))
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 
@@ -152,6 +156,82 @@ def test_lower_count_torsion_exact():
 def test_lower_count_above_half_eps():
     count = separated_lower_count(TWO, folner_set(Z, 1), 0.6, budget=50, seed=3)
     assert count == 1
+    # No two points of the circle are more than 1/2 apart.
+    for f in (ZERO, ONE_PLUS_2T, THREE_MINUS_T):
+        assert separated_lower_count(f, folner_set(Z, 4), 0.6, budget=80, seed=1) == 1
+
+
+def _scalar_lower_count(f, F, eps, budget, seed):
+    """The greedy packing one kept point at a time: the oracle for the
+    batched loop in separated_lower_count."""
+    rng = derived_rng(seed, "packing", len(elements_of(F)), repr(eps))
+    kept = []
+    for point in _solution_samples(f, F, eps, budget, rng):
+        ok = True
+        for other in kept:
+            if _theta_arrays(point, other) < eps:
+                ok = False
+                break
+        if ok:
+            kept.append(point)
+    return max(1, len(kept))
+
+
+laurent = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=3).map(
+    lambda terms: mat(zp(*terms.items()))
+)
+
+
+@settings(max_examples=60)
+@given(
+    f=st.sampled_from([ZERO, TWO, ONE_PLUS_2T, THREE_MINUS_T]) | laurent,
+    L=st.integers(1, 6),
+    eps=st.sampled_from([0.6, 0.5, 0.25, 0.125, 2**-5]),
+    seed=st.integers(0, 50),
+    budget=st.integers(1, 120),
+)
+def test_lower_count_matches_scalar_packing(f, L, eps, seed, budget):
+    F = folner_set(Z, L)
+    want = _scalar_lower_count(f, F, eps, budget, seed)
+    assert separated_lower_count(f, F, eps, budget=budget, seed=seed) == want
+
+
+def test_lower_count_without_coordinates():
+    F = folner_set(Z, 3)
+    assert separated_lower_count(RingMatrix(Z, [], cols=0), F, 0.25, budget=20, seed=0) == 1
+
+
+def test_lower_count_keeps_distance_exactly_eps():
+    # The solutions of 2x = 0 on one site are 0 and 1/2, at distance exactly 1/2.
+    assert separated_lower_count(TWO, folner_set(Z, 1), 0.5, budget=50, seed=0) == 2
+
+
+# (L, eps) -> (count at seed 0, count at seed 1), budget 200.
+PINNED_COUNTS = {
+    "zero": (ZERO, {
+        (2, 0.25): (16, 16), (2, 0.125): (64, 64),
+        (4, 0.25): (53, 43), (4, 0.125): (170, 171),
+        (6, 0.25): (128, 137), (6, 0.125): (198, 199),
+    }),
+    "3-T": (THREE_MINUS_T, {
+        (2, 0.25): (9, 8), (2, 0.125): (17, 17),
+        (4, 0.25): (41, 37), (4, 0.125): (61, 61),
+        (6, 0.25): (52, 53), (6, 0.125): (75, 72),
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+def test_lower_count_pinned_values(name):
+    # Seed-dependent counts: the sample stream and the keep rule must not drift.
+    f, table = PINNED_COUNTS[name]
+    got = {
+        (L, eps): tuple(
+            separated_lower_count(f, folner_set(Z, L), eps, budget=200, seed=seed) for seed in (0, 1)
+        )
+        for L, eps in table
+    }
+    assert got == table
 
 
 def test_grid_packing_dimensions():
@@ -175,12 +255,14 @@ def test_volume_comparison_sup_ball(k, eps):
     # Greedy eps-separated packings of the sup-norm unit ball of R^k stay
     # under (1 + 2/eps)^k.
     rng = random.Random(100 * k + int(1 / eps))
-    kept = []
+    kept = np.empty((4000, k))
+    n = 0
     for _ in range(4000):
         x = np.array([rng.uniform(-1, 1) for _ in range(k)])
-        if all(np.abs(x - y).max() >= eps for y in kept):
-            kept.append(x)
-    assert len(kept) <= (1 + 2 / eps) ** k
+        if (np.abs(x - kept[:n]).max(axis=1) >= eps).all():
+            kept[n] = x
+            n += 1
+    assert n <= (1 + 2 / eps) ** k
 
 
 # -- the estimator ----------------------------------------------------------------
