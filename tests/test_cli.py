@@ -178,9 +178,14 @@ def test_jobspec_file_input(tmp_path):
 def test_max_primes_budget_stays_inside_its_job(tmp_path, monkeypatch):
     # Never certify, so every rank_q call runs through its whole prime budget.
     tried = []
-    kernel = exactla._clipped_rank_mod_p
+    kernel = exactla._ranks_mod_primes
     monkeypatch.setattr(exactla, "_spot_check", lambda M, primes, rng: False)
-    monkeypatch.setattr(exactla, "_clipped_rank_mod_p", lambda lay, p: tried.append(p) or kernel(lay, p))
+
+    def hook(lay, primes):
+        tried.extend(primes)
+        return kernel(lay, primes)
+
+    monkeypatch.setattr(exactla, "_ranks_mod_primes", hook)
     matrix = json.loads((FIXTURES / "xy_minus_one.json").read_text())
     job = {"command": "vnd", "matrix": matrix, "schedule": [8], "budgets": {"max_primes": 3}}
     path = tmp_path / "job.json"

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +10,9 @@ from folrank.errors import InputError, UnsupportedGroupError
 from folrank.exactla import (
     RankCertificate,
     SparseIntMatrix,
-    _clipped_rank_mod_p,
+    _dense_rank_mod_p,
     _plan_layout,
+    _ranks_mod_primes,
     bareiss_rank,
     generic_rank_laurent,
     kernel_dim_q,
@@ -23,10 +26,17 @@ from folrank.groupring import RingElem, RingMatrix, window_matrix
 from folrank.groups import finite_cyclic, folner_set, zd
 
 Z2 = zd(2)
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+P31 = 2_147_483_647
+SMALL_PRIMES = (3, 5, 7, 11, 13)
 
 
 def M(dense):
     return SparseIntMatrix.from_dense(dense)
+
+
+def ranks(dense, primes):
+    return _ranks_mod_primes(_plan_layout(M(dense)), primes)
 
 
 def xy_minus_one():
@@ -79,7 +89,8 @@ def test_fraction_free_matches_modular_up_to_cutoff():
         ff = bareiss_rank(dense)
         mat = M(dense)
         p = random_prime(rng)
-        assert _clipped_rank_mod_p(_plan_layout(mat), p) == ff
+        assert _ranks_mod_primes(_plan_layout(mat), [p]) == [ff]
+        assert _ranks_mod_primes(_plan_layout(mat), [p, P31, 1_000_000_007]) == [ff] * 3
         assert rank_q(mat).rank == ff
 
 
@@ -94,17 +105,19 @@ def test_fraction_free_matches_modular(rows, cols, seed):
     dense = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
     ff = bareiss_rank(dense)
     mat = M(dense)
-    for _ in range(2):
-        p = random_prime(rng)
-        assert _clipped_rank_mod_p(_plan_layout(mat), p) <= ff
+    primes = [random_prime(rng) for _ in range(2)]
+    for p in primes:
+        assert _ranks_mod_primes(_plan_layout(mat), [p]) <= [ff]
+    assert max(_ranks_mod_primes(_plan_layout(mat), primes)) <= ff
     # A single 31-bit prime is wrong only if it divides a fixed minor;
     # two in a row disagreeing with fraction-free would be astronomically
     # unlikely, so insist on exact agreement for at least one of them.
     p = random_prime(random.Random(seed + 1))
-    assert _clipped_rank_mod_p(_plan_layout(mat), p) == ff
+    assert _ranks_mod_primes(_plan_layout(mat), [p]) == [ff]
+    assert _ranks_mod_primes(_plan_layout(mat), [*primes, p])[2] == ff
 
 
-# -- profile-clipped kernel on sparse, structured inputs -----------------------
+# -- stacked live-front kernel on sparse, structured inputs --------------------
 
 
 @st.composite
@@ -133,8 +146,11 @@ def sparse_dense(draw):
 @settings(max_examples=200, deadline=None)
 @given(dense=sparse_dense(), seed=st.integers(0, 10**6))
 def test_clipped_kernel_matches_bareiss_on_sparse(dense, seed):
-    p = random_prime(random.Random(seed))
-    assert _clipped_rank_mod_p(_plan_layout(M(dense)), p) == bareiss_rank(dense)
+    rng = random.Random(seed)
+    p, q = random_prime(rng), random_prime(rng)
+    want = bareiss_rank(dense)
+    assert ranks(dense, [p]) == [want]
+    assert ranks(dense, [p, q]) == [want, want]
 
 
 def test_clipped_kernel_fill_in_past_row_end():
@@ -143,13 +159,100 @@ def test_clipped_kernel_fill_in_past_row_end():
     # column 2, so the rank is 2.  Keeping row 1's old end gives 3.
     dense = [[1, 1, 1], [1, 0, 0], [0, 1, 1]]
     assert bareiss_rank(dense) == 2
-    assert _clipped_rank_mod_p(_plan_layout(M(dense)), 2_147_483_647) == 2
+    assert ranks(dense, [P31]) == [2]
+    assert ranks(dense, [P31, 1_000_000_007, 13]) == [2, 2, 2]
 
 
 def test_clipped_kernel_swaps_pivot():
     # After column 0, row 1 is zero in column 1 and row 2 holds the pivot.
     dense = [[1, 1, 0], [1, 1, 1], [0, 1, 0]]
-    assert _clipped_rank_mod_p(_plan_layout(M(dense)), 2_147_483_647) == 3
+    assert ranks(dense, [P31]) == [3]
+    assert ranks(dense, [P31, 1_000_000_007, 13]) == [3, 3, 3]
+
+
+@st.composite
+def integer_matrices(draw):
+    """Sparse, banded, dense and rank-deficient integer matrices, with zero
+    rows and columns; entries are often multiples of the small primes."""
+    rows, cols = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    kind = draw(st.sampled_from(("sparse", "banded", "dense", "deficient")))
+    dense_entry = st.integers(-30, 30)
+    sparse_entry = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, 3, 5, 7, 11, 13, 15))
+    entry = dense_entry if kind == "dense" else sparse_entry
+    dense = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    if kind == "banded":
+        lo, width = draw(st.integers(-3, 3)), draw(st.integers(0, 3))
+        dense = [
+            [x if lo <= j - i <= lo + width else 0 for j, x in enumerate(row)] for i, row in enumerate(dense)
+        ]
+    if kind == "deficient":
+        for _ in range(draw(st.integers(1, 4))):
+            i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+            mult = draw(st.sampled_from((1, -2, 3)))
+            dense[i] = [x + mult * y for x, y in zip(dense[i], dense[j])]
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            dense[draw(st.integers(0, rows - 1))] = [0] * cols
+        else:
+            k = draw(st.integers(0, cols - 1))
+            for row in dense:
+                row[k] = 0
+    return dense
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dense=integer_matrices(),
+    primes=st.lists(st.sampled_from((*SMALL_PRIMES, P31)), min_size=1, max_size=4, unique=True),
+)
+def test_kernel_matches_dense_rank_mod_each_prime(dense, primes):
+    # Small primes often divide a pivot for one prime but not another, so
+    # the pivots diverge and each prime is eliminated alone.
+    want = [_dense_rank_mod_p([list(row) for row in dense], p) for p in primes]
+    assert ranks(dense, primes) == want
+
+
+def test_kernel_diverging_pivots():
+    # Modulo 3 the first pivot vanishes and row 1 must be the pivot.
+    assert ranks([[3, 0], [0, 1]], [3, 5]) == [1, 2]
+    assert ranks([[3, 0], [0, 1]], [5, 3]) == [2, 1]
+
+
+def test_kernel_row_outgrows_buffer():
+    # A bidiagonal run keeps the live block a few columns wide.  The last row
+    # starts with row 20 and reaches column 39, so it enters a buffer too
+    # narrow for it; it then stays live and moves with every later buffer.
+    n = 40
+    dense = [[1 if j in (i, i + 1) else 0 for j in range(n)] for i in range(n - 1)]
+    dense.append([0] * 20 + [j % 7 + 1 for j in range(20, n)])
+    for primes in ([P31], [P31, 13, 11]):
+        assert ranks(dense, primes) == [_dense_rank_mod_p([list(r) for r in dense], p) for p in primes]
+    assert ranks(dense, [P31]) == [bareiss_rank(dense)] == [n]
+
+
+def test_kernel_jumps_over_rank_deficient_run():
+    # Ten equal rows leave nine zero live rows after the first pivot, so the
+    # column scan runs past the buffer and must jump to the rows that start
+    # at column 30, then carry the dead rows along.
+    n = 60
+    dense = [[2, -1, 3] + [0] * (n - 3) for _ in range(10)]
+    dense += [[0] * (30 + i) + [1, 4] + [0] * (n - 32 - i) for i in range(20)]
+    dense += [[0] * 55 + [1, 1, 1, 1, 1], [0] * (n - 1) + [5]]
+    want = bareiss_rank(dense)
+    assert want == 23
+    assert ranks(dense, [P31]) == [want]
+    assert ranks(dense, [P31, 1_000_000_007, 11]) == [want] * 3
+    assert ranks(dense, [5, 3]) == [22, 23]
+
+
+def test_kernel_drops_dead_rows():
+    # Rows 1 and 2 are equal, so one of them is zero after its column and is
+    # dropped as dead when the live block moves; the live rows behind it
+    # must keep their own last columns, or the rank comes out as 3.
+    dense = [[-1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 2], [-1, 0, 0, 2, 0]]
+    assert bareiss_rank(dense) == 4
+    assert ranks(dense, [P31]) == [4]
+    assert ranks(dense, [P31, 13, 5]) == [4, 4, 4]
 
 
 def test_layout_orders_profile():
@@ -174,6 +277,36 @@ def test_rank_q_window_above_cutoff_permuted_and_transposed():
         cert = rank_q(mat, rng=random.Random(2))
         assert cert.method == "modular-multi-prime"
         assert cert.rank == want
+
+
+# (rank, method, primes) and the next 32 rng bits after the call, recorded
+# with the one-prime-at-a-time protocol; seed None is the default rng.
+_DEFAULT_PRIMES = (1238646971, 1520959051, 1616303123)
+_SEED_PRIMES = {
+    0: (1277389331, 2110515739, 1468844309),
+    1: (1362286843, 1524616343, 1275303751),
+    7: (1921618823, 1953574603, 1534802663),
+}
+_PINNED_WINDOWS = {
+    ("xy_minus_one", 8): (79, {0: 2561032557, 1: 3664843848, 7: 3758686919}),
+    ("two_over_z2", 16): (256, {0: 3034658173, 1: 3846467028, 7: 1066984055}),
+    ("heisenberg_ab", 2): (338, {0: 1246955724, 1: 2062559164, 7: 1048386555}),
+}
+
+
+@pytest.mark.parametrize("fixture, L", sorted(_PINNED_WINDOWS))
+def test_rank_q_certificates_pinned(fixture, L):
+    f = RingMatrix.from_json(json.loads((FIXTURES / f"{fixture}.json").read_text()))
+    W = window_matrix(f, folner_set(f.spec, L)).data
+    assert max(W.rows, W.cols) > 64
+    rank, next_bits = _PINNED_WINDOWS[fixture, L]
+    cert = rank_q(W)
+    assert (cert.rank, cert.method, cert.primes) == (rank, "modular-multi-prime", _DEFAULT_PRIMES)
+    for seed, primes in _SEED_PRIMES.items():
+        rng = random.Random(seed)
+        cert = rank_q(W, rng=rng)
+        assert (cert.rank, cert.method, cert.primes) == (rank, "modular-multi-prime", primes)
+        assert rng.getrandbits(32) == next_bits[seed]
 
 
 @settings(max_examples=30, deadline=None)
