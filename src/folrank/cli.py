@@ -2,8 +2,7 @@
 
 JSON in, JSON + CSV out.  All rationals in reports are exact decimal
 strings "p/q"; the only floats are the labeled metric-mean-dimension slope
-columns.  Reports are byte-identical across reruns of the same job,
-regardless of FOLRANK_THREADS.
+columns.  Reports are byte-identical across reruns of the same job.
 """
 
 from __future__ import annotations

@@ -1,23 +1,28 @@
 """Exact rank and kernel dimension of integer matrices at window scale.
 
-Small matrices (max dimension <= 64) go through fraction-free Bareiss
-elimination over Python integers.  Large windows use Gaussian elimination
-modulo random 31-bit primes with numpy int64 arithmetic; the rank is
-certified by requiring three distinct agreeing primes plus a fraction-free
-spot check on a random minor.
+A ``SparseIntMatrix`` holds coordinate (COO) arrays: int64 rows and
+columns, and int64 values, or Python ints in an object array when a value
+exceeds int64.  Submatrices, dense copies and block matrices are masks,
+scatters and concatenations of these arrays.  Small matrices (max dimension
+<= 64) go through fraction-free Bareiss elimination over Python integers.
+Large windows use Gaussian elimination modulo random 31-bit primes with
+numpy int64 arithmetic, on the residues ``vals % p``; the rank is certified
+by three distinct agreeing primes plus a fraction-free spot check on a
+random minor.
 
 Window matrices are very sparse and nearly banded, so the modular
 elimination works on a profile.  Once per ``rank_q`` call, a layout that
-does not depend on the prime is planned from the sparse entries: columns
-are ordered by the first row that touches them, rows by their leading column
-in that order, and each row keeps its last nonzero column.
+does not depend on the prime is planned from the COO arrays: columns are
+ordered by the first row that touches them, rows by their leading column in
+that order, and each row keeps its last nonzero column.
 ``_ranks_mod_primes`` then eliminates all primes in one pass over a buffer
 that holds only the live block of rows, so memory follows the width of the
 profile, not m*n.  Rank modulo p does not depend on the order of rows and
-columns, so the reordering changes no result.  On a 2-vCPU host, three
-primes on the Z^2 L=64 window (4224x8192) take 0.09-0.16 s and add about
-1 MB of peak memory; one zero-filled m*n array per prime took 0.43-0.71 s
-and 262 MB there.
+columns, so the reordering changes no result.  On a 2-vCPU host, on the
+Z^2 L=64 window (4224x8192, 16,384 nonzeros), planning the layout takes
+1.0 ms (5.0 ms from a dict of entries), and three primes take 0.09-0.16 s
+and about 1 MB of peak memory (0.43-0.71 s and 262 MB with one zero-filled
+m*n array per prime).
 
 The error analysis for one random prime p: a wrong (too small) rank needs p
 to divide a fixed nonzero maximal minor D of the matrix; D has at most
@@ -27,7 +32,7 @@ dimension <= ~4000 that gives a per-prime failure probability below 2e-5,
 hence below 2^-46 for three independent agreeing primes.  The default
 budgets admit larger windows (the Z^2 window at L=64 has 8,192 columns);
 those fall outside this argument, and no bound is stated for them until the
-bound is computed from the matrix itself (ROADMAP item 5).  Requiring three
+bound is computed from the matrix itself (ROADMAP item 2).  Requiring three
 agreements instead of two compensates for using 31-bit primes (which keep
 products inside int64) rather than 62-bit ones.
 """
@@ -54,61 +59,78 @@ SPOT_CHECK_SIZE = 32
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@dataclass(frozen=True)
+def int_array(values) -> np.ndarray:
+    """Integers as an int64 array, or as an object array of Python ints when
+    one of them does not fit int64."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+@dataclass(frozen=True, eq=False)
 class SparseIntMatrix:
-    """Sparse integer matrix: mapping (row, col) -> nonzero arbitrary-precision int."""
+    """Sparse integer matrix in coordinate (COO) form: ``vals[t]`` sits at row
+    ``ii[t]``, column ``jj[t]``.  Indices are int64; values are nonzero int64,
+    or Python ints in an object array when one exceeds int64.  No position is
+    stored twice, and the order of the entries carries no meaning."""
 
     rows: int
     cols: int
-    entries: dict
+    ii: np.ndarray = ()
+    jj: np.ndarray = ()
+    vals: np.ndarray = ()
 
     def __post_init__(self):
-        for (i, j), v in self.entries.items():
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise InputError(f"entry index ({i},{j}) out of range")
-            if v == 0:
+        ii, jj = np.asarray(self.ii, dtype=np.int64), np.asarray(self.jj, dtype=np.int64)
+        vals = int_array(self.vals)
+        for name, value in (("ii", ii), ("jj", jj), ("vals", vals)):
+            object.__setattr__(self, name, value)
+        if not ii.ndim == jj.ndim == vals.ndim == 1 or not ii.size == jj.size == vals.size:
+            raise InputError("row, column and value arrays differ in shape")
+        if ii.size:
+            # Viewed as uint64, a negative index exceeds every bound.
+            if ii.view(np.uint64).max() >= self.rows or jj.view(np.uint64).max() >= self.cols:
+                raise InputError(f"entry index out of range for a {self.rows}x{self.cols} matrix")
+            if not vals.all():
                 raise InputError("stored zero entry")
+            at = np.sort(ii * self.cols + jj)
+            if (at[1:] == at[:-1]).any():
+                raise InputError("an entry position is stored twice")
 
     @classmethod
     def from_dense(cls, dense: Sequence[Sequence[int]], cols: int | None = None) -> "SparseIntMatrix":
-        rows = len(dense)
-        if rows:
-            cols = len(dense[0])
-        elif cols is None:
-            cols = 0
-        entries = {}
-        for i, row in enumerate(dense):
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = int(v)
-        return cls(rows, cols, entries)
+        widths = {len(row) for row in dense}
+        if len(widths) > 1:
+            raise InputError(f"ragged dense rows: widths {sorted(widths)}")
+        width = widths.pop() if widths else (cols or 0)
+        if cols is not None and cols != width:
+            raise InputError(f"cols={cols} but rows have {width} entries")
+        found = [(i, j, int(v)) for i, row in enumerate(dense) for j, v in enumerate(row) if v]
+        ii, jj, vals = zip(*found) if found else ((), (), ())
+        return cls(len(dense), width, ii, jj, vals)
 
     def to_dense(self) -> list[list[int]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
+        out = np.zeros((self.rows, self.cols), dtype=self.vals.dtype)
+        out[self.ii, self.jj] = self.vals
+        return out.tolist()
 
     def transpose(self) -> "SparseIntMatrix":
-        return SparseIntMatrix(
-            self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
-        )
-
-    def max_abs(self) -> int:
-        return max((abs(v) for v in self.entries.values()), default=0)
+        return SparseIntMatrix(self.cols, self.rows, self.jj, self.ii, self.vals)
 
     def nnz(self) -> int:
-        return len(self.entries)
+        return self.vals.size
 
     def submatrix(self, row_ids: Sequence[int], col_ids: Sequence[int]) -> "SparseIntMatrix":
-        rpos = {r: i for i, r in enumerate(row_ids)}
-        cpos = {c: j for j, c in enumerate(col_ids)}
-        entries = {
-            (rpos[i], cpos[j]): v
-            for (i, j), v in self.entries.items()
-            if i in rpos and j in cpos
-        }
-        return SparseIntMatrix(len(row_ids), len(col_ids), entries)
+        """Rows ``row_ids`` and columns ``col_ids``, in that order."""
+        row_ids, col_ids = np.asarray(row_ids, dtype=np.int64), np.asarray(col_ids, dtype=np.int64)
+        rpos = np.full(self.rows, -1, dtype=np.int64)
+        rpos[row_ids] = np.arange(row_ids.size)
+        cpos = np.full(self.cols, -1, dtype=np.int64)
+        cpos[col_ids] = np.arange(col_ids.size)
+        ii, jj = rpos[self.ii], cpos[self.jj]
+        keep = (ii >= 0) & (jj >= 0)
+        return SparseIntMatrix(row_ids.size, col_ids.size, ii[keep], jj[keep], self.vals[keep])
 
 
 @dataclass(frozen=True)
@@ -206,7 +228,7 @@ class _Layout:
     cols: int
     ii: np.ndarray
     jj: np.ndarray
-    values: list
+    values: np.ndarray
     start: list
     first: list
     last: np.ndarray
@@ -214,9 +236,7 @@ class _Layout:
 
 def _plan_layout(M: SparseIntMatrix) -> _Layout:
     m, n = M.rows, M.cols
-    nnz = len(M.entries)
-    ii = np.fromiter((i for (i, _) in M.entries), dtype=np.int64, count=nnz)
-    jj = np.fromiter((j for (_, j) in M.entries), dtype=np.int64, count=nnz)
+    ii, jj = M.ii, M.jj
     # Columns by the first row that touches them; untouched columns go last.
     first_row = np.full(n, m, dtype=np.int64)
     np.minimum.at(first_row, jj, ii)
@@ -232,11 +252,9 @@ def _plan_layout(M: SparseIntMatrix) -> _Layout:
     row_pos = np.empty(m, dtype=np.int64)
     row_pos[order] = np.arange(m)
     by_row = np.argsort(row_pos[ii], kind="stable")
-    ii, jj, values = row_pos[ii[by_row]], jj[by_row], list(M.entries.values())
+    ii, jj = row_pos[ii[by_row]], jj[by_row]
     start = np.searchsorted(ii, np.arange(m + 1)).tolist()
-    return _Layout(
-        m, n, ii, jj, [values[k] for k in by_row.tolist()], start, lead[order].tolist(), tail[order]
-    )
+    return _Layout(m, n, ii, jj, M.vals[by_row], start, lead[order].tolist(), tail[order])
 
 
 def _ranks_mod_primes(layout: _Layout, primes: Sequence[int]) -> list[int]:
@@ -264,7 +282,7 @@ def _ranks_mod_primes(layout: _Layout, primes: Sequence[int]) -> list[int]:
     """
     m, n, k = layout.rows, layout.cols, len(primes)
     ps = np.array(primes, dtype=np.int64).reshape(k, 1, 1)
-    res = np.array([[v % p for v in layout.values] for p in primes], dtype=np.int64)
+    res = (layout.values % np.array(primes, dtype=layout.values.dtype)[:, None]).astype(np.int64)
     first, start, last = layout.first, layout.start, layout.last.tolist()
     buf = np.zeros((k, 0, 0), dtype=np.int64)
     r0 = c0 = fed = dead = 0
@@ -366,7 +384,7 @@ def rank_q(
     ``SMALL_DIM_CUTOFF`` are done fraction-free; larger ones go through the
     modular multi-prime protocol described in the module docstring.
     """
-    if M.rows == 0 or M.cols == 0 or not M.entries:
+    if M.rows == 0 or M.cols == 0 or not M.nnz():
         return RankCertificate(0, "fraction-free")
     if max(M.rows, M.cols) <= SMALL_DIM_CUTOFF:
         return RankCertificate(bareiss_rank(M.to_dense()), "fraction-free")

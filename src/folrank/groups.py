@@ -5,6 +5,13 @@ and the discrete Heisenberg group H3(Z).  Elements are reduced integer
 coordinate tuples.  Every window is enumerated in a fixed lexicographic
 order so that all derived matrix layouts are reproducible across runs and
 platforms.
+
+Each group law is an integer polynomial map on coordinates, so it also acts
+on arrays of elements (``GroupSpec.mul_array``): Z^d adds, finite factors
+add modulo their orders, Heisenberg is (a+a', b+b', c+c'+ab').  Coordinate
+arrays are int64 while every coordinate is below 2^31 in absolute value and
+exact Python ints otherwise; abelian laws only add, and a Heisenberg result
+is checked again since ab' can reach 2^62.
 """
 
 from __future__ import annotations
@@ -15,6 +22,8 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import BudgetExceededError, InputError
 
 GroupElement = tuple[int, ...]
@@ -22,6 +31,14 @@ GroupElement = tuple[int, ...]
 DEFAULT_MAX_WINDOW_ELEMENTS = 200_000
 
 FAMILIES = ("Zd", "FiniteCyclicProduct", "FiniteTimesZd", "Heisenberg")
+
+_INT64_SAFE = 1 << 31
+
+
+def _fit(a: np.ndarray) -> np.ndarray:
+    """``a`` as int64 if every entry is below 2^31 in absolute value, else exact."""
+    safe = not a.size or -_INT64_SAFE < a.min() and a.max() < _INT64_SAFE
+    return a.astype(np.int64 if safe else object, copy=False)
 
 
 @dataclass(frozen=True)
@@ -128,6 +145,38 @@ class GroupSpec:
             return (-a, -b, -c + a * b)
         return self.reduce(tuple(-x for x in g))
 
+    def coords(self, elems: Sequence[GroupElement]) -> np.ndarray:
+        """Elements as the rows of a coordinate array, in the given order."""
+        try:
+            try:
+                a = np.array(elems, dtype=np.int64)
+            except OverflowError:
+                a = np.array(elems, dtype=object)
+            return _fit(a.reshape(len(elems), self.coord_len))
+        except ValueError:
+            raise InputError("group elements do not match the group's coordinate layout") from None
+
+    def mul_array(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """``mul`` on coordinate arrays, row by row, broadcast over the
+        leading axes."""
+        out = g + h
+        if self.family == "Heisenberg":
+            out[..., 2] += g[..., 0] * h[..., 1]
+            return _fit(out)
+        if self.orders:
+            out[..., : len(self.orders)] %= self.orders
+        return out
+
+    def inverse_array(self, g: np.ndarray) -> np.ndarray:
+        """``inverse`` on the rows of a coordinate array."""
+        out = -g
+        if self.family == "Heisenberg":
+            out[..., 2] += g[..., 0] * g[..., 1]
+            return _fit(out)
+        if self.orders:
+            out[..., : len(self.orders)] %= self.orders
+        return out
+
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -188,9 +237,6 @@ class FolnerSet:
 
     def __contains__(self, g: GroupElement) -> bool:
         return g in self.index
-
-    def position(self, g: GroupElement) -> int:
-        return self.index[g]
 
 
 def window_size(spec: GroupSpec, L: int) -> int:

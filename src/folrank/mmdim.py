@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InputError
 from .exactla import MAX_PRIMES, SparseIntMatrix, rank_q
-from .groupring import RingMatrix, window_matrix
+from .groupring import RingMatrix, positions, window_matrix
 from .groups import FolnerSet, GroupElement, elements_of, folner_set
 from .ranks import derived_rng
 
@@ -60,9 +60,8 @@ def interior_set(f: RingMatrix, F) -> tuple[GroupElement, ...]:
 def interior_constraint_matrix(f: RingMatrix, F) -> SparseIntMatrix:
     """The window operator rows restricted to output positions in F'."""
     W = window_matrix(f, F)
-    fset = set(interior_set(f, F))
-    keep = [i for i, (_, t) in enumerate(W.row_index) if t in fset]
-    return W.data.submatrix(keep, range(W.data.cols))
+    inside = positions(W.row_coords, f.spec.coords(interior_set(f, F))) >= 0
+    return W.data.submatrix(np.flatnonzero(np.tile(inside, W.row_blocks)), np.arange(W.data.cols))
 
 
 @dataclass(frozen=True)
@@ -117,8 +116,8 @@ def separated_upper_bound(
     felems = elements_of(F)
     W = window_matrix(f, F)
     kdim = W.data.cols - rank_q(W.data, rng=rng, max_primes=max_primes).rank
-    fprime = set(interior_set(f, felems))
-    boundary = len(W.row_elems) - len(fprime & set(W.row_elems))
+    fprime = interior_set(f, felems)
+    boundary = int((positions(W.row_coords, f.spec.coords(fprime)) < 0).sum())
     m = f.rows
     exponent = m * boundary + kdim
     return exponent * math.log1p(2.0 / eps) + m * len(fprime) * math.log(float(f.norm1()) + 1.0)

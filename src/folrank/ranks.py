@@ -20,13 +20,13 @@ estimate, labeled as a heuristic.
 from __future__ import annotations
 
 import hashlib
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from operator import itemgetter
 from typing import Sequence
+
+import numpy as np
 
 from .errors import BudgetExceededError, InputError, UnsupportedGroupError
 from .exactla import (
@@ -39,7 +39,16 @@ from .exactla import (
     rank_q,
     regular_rep_kernel,
 )
-from .groupring import RingElem, RingMatrix, right_window_matrix, window_matrix
+from .groupring import (
+    RingElem,
+    RingMatrix,
+    positions,
+    right_window_matrix,
+    terms_of,
+    unique_rows,
+    window_matrix,
+    window_operator,
+)
 from .groups import (
     DEFAULT_MAX_WINDOW_ELEMENTS,
     FolnerSet,
@@ -60,22 +69,6 @@ def derived_rng(seed: int, *tags) -> random.Random:
     """A deterministic per-task generator; independent of scheduling order."""
     h = hashlib.sha256(repr((int(seed),) + tuple(tags)).encode()).digest()
     return random.Random(int.from_bytes(h[:8], "big"))
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("FOLRANK_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    items = list(items)
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -147,44 +140,24 @@ def _rows_of(A) -> tuple[tuple[RingElem, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
+def _generator_window(A, F, spec: GroupSpec) -> tuple[SparseIntMatrix, np.ndarray]:
+    """submodule_rank_matrix, and the sorted elements of F^{-1}.support(A)."""
+    rows = _rows_of(A)
+    if not rows:
+        return SparseIntMatrix(0, 0), spec.coords(())
+    t = A.terms() if isinstance(A, RingMatrix) else terms_of(spec, rows, len(rows[0]))
+    anchors = spec.inverse_array(spec.coords(elements_of(F)))
+    return window_operator(spec, t, anchors, left=True, anchor_rows=True)
+
+
 def submodule_rank_matrix(
     A, F: "FolnerSet | Sequence[GroupElement]", spec: GroupSpec
 ) -> SparseIntMatrix:
     """Integer matrix whose rows are the coefficient vectors of s^{-1} a
-    for s in F and a in A; columns indexed by coordinate x F^{-1}.support(A)."""
-    rows = _rows_of(A)
-    felems = elements_of(F)
-    if not rows or not felems:
-        return SparseIntMatrix(0, 0, {})
-    n = len(rows[0])
-    inv, mul = spec.inverse, spec.mul
-    support_cols = sorted(
-        {mul(inv(s), u) for s in felems for row in rows for e in row for u in e.coeffs}
-    )
-    if not support_cols:
-        return SparseIntMatrix(len(felems) * len(rows), 0, {})
-    pos = {g: i for i, g in enumerate(support_cols)}
-    width = len(support_cols)
-    acc: dict[tuple[int, int], object] = {}
-    r = 0
-    for s in felems:
-        sinv = inv(s)
-        for row in rows:
-            for k, e in enumerate(row):
-                for u, c in e.coeffs.items():
-                    key = (r, k * width + pos[mul(sinv, u)])
-                    acc[key] = acc.get(key, 0) + c
-            r += 1
-    by_row: dict[int, int] = {}
-    for (i, _), c in acc.items():
-        if isinstance(c, Fraction):
-            by_row[i] = lcm(by_row.get(i, 1), c.denominator)
-    entries = {}
-    for (i, j), c in acc.items():
-        v = int(c * by_row.get(i, 1))
-        if v:
-            entries[(i, j)] = v
-    return SparseIntMatrix(r, n * width, entries)
+    for s in F and a in A; columns indexed by coordinate x F^{-1}.support(A).
+    Row (s, a) sits at index(s) * |A| + index(a); a row of A with fractions is
+    scaled by the lcm of its denominators."""
+    return _generator_window(A, F, spec)[0]
 
 
 def submodule_rank(
@@ -226,7 +199,7 @@ def per_window_identity_check(
     """rank(<F^{-1} rows(f)>) == m|F| - dim ker(window of f*): two independent
     computations of the same number; inequality is a genuine failure."""
     felems = elements_of(F)
-    lhs, _ = submodule_rank(f.entries, F, f.spec, rng=rng, max_primes=max_primes)
+    lhs, _ = submodule_rank(f, F, f.spec, rng=rng, max_primes=max_primes)
     W = window_matrix(f.star(), F)
     rhs = f.rows * len(felems) - kernel_dim_q(W.data, rng=rng, max_primes=max_primes)
     return lhs == rhs
@@ -336,6 +309,22 @@ def _truncate_schedule(spec: GroupSpec, schedule: Sequence[int], max_elements: i
     return kept, truncated
 
 
+def _series(P: ModulePresentation, schedule, quantity, tolerance, max_window_elements, record, estimate):
+    """The one series driver: one record per scheduled window that fits the
+    budget, each density checked against [0, n], then the limit estimate
+    (``estimate`` of the densities) and the convergence status."""
+    schedule = _validate_schedule(schedule)
+    kept, truncated = _truncate_schedule(P.spec, schedule, max_window_elements)
+    records = []
+    for L in kept:
+        records.append(record(L, folner_set(P.spec, L, max_window_elements)))
+        if not 0 <= records[-1].density <= P.n:
+            raise InputError(f"density {records[-1].density} escaped [0, {P.n}]")
+    value = estimate([r.density for r in records])
+    status = "exhausted-budget" if truncated else _series_status(records, tolerance, value, P.spec)
+    return DensitySeries(quantity, tuple(records), tolerance, value, min(r.density for r in records), status)
+
+
 def mrank_of_presentation(
     P: ModulePresentation,
     schedule: Sequence[int],
@@ -347,37 +336,16 @@ def mrank_of_presentation(
     """Mean-rank series of the presented module: density n - rank(<F^{-1}A>)/|F|
     with A the relation rows.  The limit estimate is n minus the running
     minimum of the submodule densities (the submodule limit is an infimum)."""
-    schedule = _validate_schedule(schedule)
-    kept, truncated = _truncate_schedule(P.spec, schedule, max_window_elements)
-    n = P.n
-    rows = P.relation_rows()
 
-    def one(L: int) -> SeriesRecord:
-        F = folner_set(P.spec, L, max_window_elements)
+    def record(L: int, F) -> SeriesRecord:
         if P.m == 0:
-            return SeriesRecord(L, len(F), 0, Fraction(n))
-        rank, cert = submodule_rank(
-            rows, F, P.spec, rng=derived_rng(seed, "mrank", L), max_primes=max_primes
-        )
-        density = n - Fraction(rank, len(F))
-        if not 0 <= density <= n:
-            raise InputError(f"density {density} escaped [0, {n}]")
-        return SeriesRecord(L, len(F), rank, density, cert)
+            return SeriesRecord(L, len(F), 0, Fraction(P.n))
+        rng = derived_rng(seed, "mrank", L)
+        rank, cert = submodule_rank(P.relations, F, P.spec, rng=rng, max_primes=max_primes)
+        return SeriesRecord(L, len(F), rank, P.n - Fraction(rank, len(F)), cert)
 
-    records = tuple(_pmap(one, kept))
-    submodule_min = min(Fraction(r.numerator, r.f_size) for r in records)
-    estimate = n - submodule_min
-    status = _series_status(records, tolerance, estimate, P.spec)
-    if truncated:
-        status = "exhausted-budget"
-    return DensitySeries(
-        "mrank-submodule",
-        records,
-        tolerance,
-        estimate,
-        min(r.density for r in records),
-        status,
-    )
+    # n - min rank/|F| is the largest density.
+    return _series(P, schedule, "mrank-submodule", tolerance, max_window_elements, record, max)
 
 
 def vnd_of_presentation(
@@ -391,33 +359,12 @@ def vnd_of_presentation(
     """Kernel-density series dim(ker f on F)/|F|.  The limit estimate is the
     last computed density; kernel densities are not one-sided bounds, so the
     running minimum is reported but not used as the estimate."""
-    schedule = _validate_schedule(schedule)
-    kept, truncated = _truncate_schedule(P.spec, schedule, max_window_elements)
-    n = P.n
 
-    def one(L: int) -> SeriesRecord:
-        F = folner_set(P.spec, L, max_window_elements)
-        dim, cert = window_kernel_dim(
-            P, F, rng=derived_rng(seed, "vnd", L), max_primes=max_primes
-        )
-        density = Fraction(dim, len(F))
-        if not 0 <= density <= n:
-            raise InputError(f"density {density} escaped [0, {n}]")
-        return SeriesRecord(L, len(F), dim, density, cert)
+    def record(L: int, F) -> SeriesRecord:
+        dim, cert = window_kernel_dim(P, F, rng=derived_rng(seed, "vnd", L), max_primes=max_primes)
+        return SeriesRecord(L, len(F), dim, Fraction(dim, len(F)), cert)
 
-    records = tuple(_pmap(one, kept))
-    estimate = records[-1].density
-    status = _series_status(records, tolerance, estimate, P.spec)
-    if truncated:
-        status = "exhausted-budget"
-    return DensitySeries(
-        "vnd-kernel-density",
-        records,
-        tolerance,
-        estimate,
-        min(r.density for r in records),
-        status,
-    )
+    return _series(P, schedule, "vnd-kernel-density", tolerance, max_window_elements, record, itemgetter(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -433,23 +380,6 @@ class StabilizedDim:
     stabilized: bool
     steps: int
     window_size: int
-
-
-def _integralize_rows(f: RingMatrix) -> RingMatrix:
-    """Scale each row by its denominator lcm.  Row scaling by a nonzero
-    rational changes neither the row module over the fraction field nor the
-    dual solution space, and makes the window matrices integral."""
-    if f.is_integral():
-        return f
-    rows = []
-    for row in f.entries:
-        scale = 1
-        for e in row:
-            for c in e.coeffs.values():
-                if isinstance(c, Fraction):
-                    scale = lcm(scale, c.denominator)
-        rows.append(tuple(e * scale for e in row))
-    return RingMatrix(f.spec, rows, cols=f.cols)
 
 
 def _stabilize(spec: GroupSpec, E0, value_fn, growth_steps: int) -> StabilizedDim:
@@ -487,62 +417,57 @@ def erank_span_dim(
     generators inside the quotient: n|F| minus the dimension of the
     relation-row span supported in F^{-1}, the latter grown window by window
     from below until it stabilizes."""
-    spec = P.spec
-    felems = elements_of(F)
-    n = P.n
+
+    def window(E):
+        W = right_window_matrix(P.relations, E)
+        return W.data, W.row_coords, W.row_blocks, True
+
+    return _restriction_dim(P, F, growth_steps, seed, "erank-span", window)
+
+
+def _restriction_dim(P, F, growth_steps, seed, tag, window, max_primes=MAX_PRIMES) -> StabilizedDim:
+    """n|F| - rank M_E + rank(M_E without its F^{-1} part), grown over E.
+
+    ``window(E)`` gives M_E, the elements of one axis of M_E, how many
+    coordinate blocks that axis has, and whether it is the row axis."""
+    spec, felems = P.spec, elements_of(F)
     if P.m == 0 or P.relations.is_zero():
-        return StabilizedDim(n * len(felems), True, 0, 0)
+        return StabilizedDim(P.n * len(felems), True, 0, 0)
     finv = inverse_set(spec, felems)
-    finv_set = set(finv)
-    f = _integralize_rows(P.relations)
-    K = sorted(f.support())
-    E0 = _initial_erank_window(spec, finv, K)
+    finv_coords = spec.coords(finv)
 
     def value(E, step):
-        rng = derived_rng(seed, "erank-span", len(E), step)
-        W = right_window_matrix(f, E)
-        out_rows = [i for i, (_, w) in enumerate(W.row_index) if w not in finv_set]
-        rank_all = rank_q(W.data, rng=rng).rank
-        r_out = W.data.submatrix(out_rows, range(W.data.cols))
-        rank_out = rank_q(r_out, rng=rng).rank
-        return n * len(felems) - (rank_all - rank_out)
+        rng = derived_rng(seed, tag, len(E), step)
+        M, elems, blocks, rows = window(E)
+        keep = np.flatnonzero(np.tile(positions(elems, finv_coords) < 0, blocks))
+        kept = M.submatrix(keep, np.arange(M.cols)) if rows else M.submatrix(np.arange(M.rows), keep)
+        rank = rank_q(M, rng=rng, max_primes=max_primes).rank
+        return P.n * len(felems) - rank + rank_q(kept, rng=rng, max_primes=max_primes).rank
 
+    E0 = _initial_erank_window(spec, finv, sorted(P.relations.support()))
     return _stabilize(spec, E0, value, growth_steps)
 
 
 def _dual_constraint_matrix(f: RingMatrix, E) -> tuple[SparseIntMatrix, list]:
-    """Linear constraints cutting out dual solutions h: E -> Q^{n x 1}.
+    """Linear constraints cutting out dual solutions h: E -> Q^{n x 1}, for E
+    of distinct elements.
 
-    One row per (u, j) with u.K inside E: sum_{k,s} f_{j,k,s} h_{u.s, k} = 0.
-    Columns are (k, w) for w in E, coordinate-major.  Returns the matrix and
-    the column index map.
+    One row per (u, j) with u.K inside E: sum_{k,s} f_{j,k,s} h_{u.s, k} = 0,
+    at index(u) * m + j with u in sorted order.  Columns are (k, w) for w in
+    E, coordinate-major.  Returns the matrix and the column index map.
     """
-    spec = f.spec
-    E = tuple(E)
-    eset = set(E)
-    epos = {w: i for i, w in enumerate(E)}
-    m, n = f.rows, f.cols
-    K = sorted(f.support())
+    spec, n, E = f.spec, f.cols, tuple(E)
     col_index = [(k, w) for k in range(n) for w in E]
-    if not K:
-        return SparseIntMatrix(0, n * len(E), {}), col_index
-    inv, mul = spec.inverse, spec.mul
-    candidates = set(E)
-    for w in E:
-        for k in K:
-            candidates.add(mul(w, inv(k)))
-    interior = sorted(u for u in candidates if all(mul(u, k) in eset for k in K))
-    acc: dict[tuple[int, int], object] = {}
-    r = 0
-    for u in interior:
-        for j in range(m):
-            for k in range(n):
-                for s, c in f.entries[j][k].coeffs.items():
-                    col = k * len(E) + epos[mul(u, s)]
-                    acc[(r, col)] = acc.get((r, col), 0) + c
-            r += 1
-    entries = {k: int(v) for k, v in acc.items() if v}
-    return SparseIntMatrix(r, n * len(E), entries), col_index
+    K, Ec = f.terms().support, spec.coords(E)
+    if not len(K):
+        return SparseIntMatrix(0, n * len(E)), col_index
+    # w.k^{-1} is one-to-one in w, so u occurs in E.K^{-1} once for each k
+    # with u.k in E: u.K lies inside E when u occurs |K| times.
+    cand = spec.mul_array(Ec[:, None], spec.inverse_array(K)[None])
+    cand, at = unique_rows(cand.reshape(len(E) * len(K), spec.coord_len))
+    interior = cand[np.bincount(at, minlength=len(cand)) == len(K)]
+    C, _ = window_operator(spec, f.terms(), interior, left=True, anchor_rows=True, targets=Ec)
+    return C, col_index
 
 
 def erank_dual_restriction_dim(
@@ -558,27 +483,11 @@ def erank_dual_restriction_dim(
     restricted to F^{-1} has dimension n|F| - rank(C_E) + rank(C_E without
     the F^{-1} columns); the value is nonincreasing in E and stabilizes at
     the true restriction dimension."""
-    spec = P.spec
-    felems = elements_of(F)
-    n = P.n
-    if P.m == 0 or P.relations.is_zero():
-        return StabilizedDim(n * len(felems), True, 0, 0)
-    finv = inverse_set(spec, felems)
-    finv_set = set(finv)
-    f = _integralize_rows(P.relations)
-    K = sorted(f.support())
-    E0 = _initial_erank_window(spec, finv, K)
 
-    def value(E, step):
-        rng = derived_rng(seed, "erank-dual", len(E), step)
-        C, col_index = _dual_constraint_matrix(f, E)
-        rank_c = rank_q(C, rng=rng, max_primes=max_primes).rank
-        keep = [i for i, (_, w) in enumerate(col_index) if w not in finv_set]
-        c_drop = C.submatrix(range(C.rows), keep)
-        rank_drop = rank_q(c_drop, rng=rng, max_primes=max_primes).rank
-        return n * len(felems) - rank_c + rank_drop
+    def window(E):
+        return _dual_constraint_matrix(P.relations, E)[0], P.spec.coords(E), P.n, False
 
-    return _stabilize(spec, E0, value, growth_steps)
+    return _restriction_dim(P, F, growth_steps, seed, "erank-dual", window, max_primes)
 
 
 def erank_of_presentation(
@@ -591,26 +500,12 @@ def erank_of_presentation(
     max_primes: int = MAX_PRIMES,
 ) -> DensitySeries:
     """Series of dual-restriction dimensions over |F|; running-minimum estimate."""
-    schedule = _validate_schedule(schedule)
-    kept, truncated = _truncate_schedule(P.spec, schedule, max_window_elements)
-    n = P.n
 
-    def one(L: int) -> SeriesRecord:
-        F = folner_set(P.spec, L, max_window_elements)
-        sd = erank_dual_restriction_dim(
-            P, F, growth_steps=growth_steps, seed=seed, max_primes=max_primes
-        )
-        density = Fraction(sd.value, len(F))
-        if not 0 <= density <= n:
-            raise InputError(f"density {density} escaped [0, {n}]")
-        return SeriesRecord(L, len(F), sd.value, density, None, sd.stabilized)
+    def record(L: int, F) -> SeriesRecord:
+        sd = erank_dual_restriction_dim(P, F, growth_steps=growth_steps, seed=seed, max_primes=max_primes)
+        return SeriesRecord(L, len(F), sd.value, Fraction(sd.value, len(F)), None, sd.stabilized)
 
-    records = tuple(_pmap(one, kept))
-    estimate = min(r.density for r in records)
-    status = _series_status(records, tolerance, estimate, P.spec)
-    if truncated:
-        status = "exhausted-budget"
-    return DensitySeries("erank", records, tolerance, estimate, estimate, status)
+    return _series(P, schedule, "erank", tolerance, max_window_elements, record, min)
 
 
 def quotient_span_rank(
@@ -641,23 +536,13 @@ def quotient_span_rank(
     line is the case V = 0.
     """
     spec = f.spec
-    f = _integralize_rows(f)
-    rows = _rows_of(B)
-    felems = elements_of(F)
-    V = submodule_rank_matrix(rows, F, spec)
+    V, S = _generator_window(B, F, spec)
     if V.cols == 0:
         return StabilizedDim(0, True, 0, 0)
     if f.rows == 0 or f.is_zero():
         return StabilizedDim(rank_q(V, max_primes=max_primes).rank, True, 0, 0)
-    inv, mul = spec.inverse, spec.mul
-    support_cols = sorted(
-        {mul(inv(s), u) for s in felems for row in rows for e in row for u in e.coeffs}
-    )
-    s_set = set(support_cols)
-    s_pos = {g: i for i, g in enumerate(support_cols)}
-    width = len(support_cols)
-    K = sorted(f.support())
-    E0 = _initial_erank_window(spec, support_cols, K)
+    width = len(S)
+    E0 = _initial_erank_window(spec, [tuple(g) for g in S.tolist()], sorted(f.support()))
 
     def value(E, step):
         rng = derived_rng(seed, "quotient-span", len(E), step)
@@ -665,15 +550,15 @@ def quotient_span_rank(
         rank_all = rank_q(W.data, rng=rng, max_primes=max_primes).rank
         # big = [[C, 0], [D, V^T]]: out rows of W first, then one row per
         # coordinate of V, holding W's rows in S and V's columns.
-        out_rows = [i for i, (_, w) in enumerate(W.row_index) if w not in s_set]
-        n_out = len(out_rows)
-        big_row = {i: r for r, i in enumerate(out_rows)}
-        for i, (k, w) in enumerate(W.row_index):
-            if w in s_set:
-                big_row[i] = n_out + k * width + s_pos[w]
-        entries = {(big_row[i], j): v for (i, j), v in W.data.entries.items()}
-        entries.update({(n_out + c, W.data.cols + r): v for (r, c), v in V.entries.items()})
-        big = SparseIntMatrix(n_out + V.cols, W.data.cols + V.rows, entries)
+        in_s = np.tile(positions(W.row_coords, S), W.row_blocks)
+        block = np.repeat(np.arange(W.row_blocks), len(W.row_coords))
+        out = in_s < 0
+        n_out = int(out.sum())
+        big_row = np.where(out, np.cumsum(out) - 1, n_out + block * width + in_s)
+        ii = np.concatenate([big_row[W.data.ii], n_out + V.jj])
+        jj = np.concatenate([W.data.jj, W.data.cols + V.ii])
+        vals = np.concatenate([W.data.vals, V.vals])
+        big = SparseIntMatrix(n_out + V.cols, W.data.cols + V.rows, ii, jj, vals)
         return rank_q(big, rng=rng, max_primes=max_primes).rank - rank_all
 
     return _stabilize(spec, E0, value, growth_steps)
@@ -767,14 +652,6 @@ def random_ring_matrix(
     return RingMatrix(spec, rows, cols=n)
 
 
-def _row_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _row_scale(c: RingElem, row):
-    return tuple(c * e for e in row)
-
-
 def run_identity_suite(
     seed: int,
     cases: int = 100,
@@ -817,13 +694,14 @@ def run_superadditivity_suite(
             combo = tuple(RingElem.zero(spec) for _ in range(n))
             for row in rows:
                 c = random_ring_elem(rng, spec, radius=1, coeff_bound=2, max_terms=2)
-                combo = _row_add(combo, _row_scale(c, row))
+                combo = tuple(x + c * e for x, e in zip(combo, row))
             a1.append(combo)
         a3 = [
             tuple(random_ring_elem(rng, spec, radius=1, coeff_bound=2, max_terms=2) for _ in range(n))
             for _ in range(rng.randint(1, 2))
         ]
-        a2 = a1 + a3
+        # As matrices, so that each caches its terms across the calls below.
+        a1, a2 = RingMatrix(spec, a1), RingMatrix(spec, a1 + a3)
         L = rng.randint(2, 3)
         F = folner_set(spec, L)
         r2, _ = submodule_rank(
@@ -861,6 +739,7 @@ def run_submodularity_suite(
             tuple(random_ring_elem(rng, spec, radius=1, coeff_bound=2, max_terms=2) for _ in range(n))
             for _ in range(rng.randint(1, 2))
         ]
+        A = RingMatrix(spec, A)  # a matrix caches its terms across the calls below
         box = folner_set(spec, 4 if spec.d > 1 else 8).elements
         cap = min(6, len(box))
         f1 = tuple(sorted(rng.sample(box, rng.randint(1, cap))))

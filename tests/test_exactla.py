@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -52,12 +53,40 @@ def test_rank_examples():
     assert rank_q(M([[1, 0], [2, 1], [0, 2]])).rank == 2
     assert rank_q(M([[1, 0, 0], [0, 1, 0], [0, 0, 1]])).rank == 3
     assert rank_q(M([[0, 0], [0, 0]])).rank == 0
-    assert rank_q(SparseIntMatrix(0, 5, {})).rank == 0
+    assert rank_q(SparseIntMatrix(0, 5)).rank == 0
+
+
+def test_from_dense_rejects_ragged_rows_and_a_disagreeing_cols():
+    with pytest.raises(InputError, match="ragged"):
+        SparseIntMatrix.from_dense([[1, 2, 3], [4]], cols=5)
+    with pytest.raises(InputError, match="ragged"):
+        SparseIntMatrix.from_dense([[1, 2, 3], [4]])
+    with pytest.raises(InputError, match="cols=5"):
+        SparseIntMatrix.from_dense([[1, 2, 3], [4, 5, 6]], cols=5)
+    M = SparseIntMatrix.from_dense([[0, 2, 0], [4, 0, 0]], cols=3)
+    assert (M.rows, M.cols, M.nnz()) == (2, 3, 2) and M.to_dense() == [[0, 2, 0], [4, 0, 0]]
+    assert (SparseIntMatrix.from_dense([], cols=4).rows, SparseIntMatrix.from_dense([], cols=4).cols) == (0, 4)
+
+
+def test_sparse_matrix_validation():
+    with pytest.raises(InputError, match="out of range"):
+        SparseIntMatrix(2, 2, [2], [0], [1])
+    with pytest.raises(InputError, match="out of range"):
+        SparseIntMatrix(2, 2, [0], [-1], [1])
+    with pytest.raises(InputError, match="zero"):
+        SparseIntMatrix(2, 2, [0], [0], [0])
+    with pytest.raises(InputError, match="twice"):
+        SparseIntMatrix(2, 2, [1, 1], [0, 0], [1, 2])
+    with pytest.raises(InputError, match="shape"):
+        SparseIntMatrix(2, 2, [1, 0], [0], [1])
+    big = SparseIntMatrix(2, 2, [0, 1], [1, 0], [2**64, -3])
+    assert big.vals.dtype == object and big.to_dense() == [[0, 2**64], [-3, 0]]
+    assert SparseIntMatrix(2, 2, [0], [1], [5]).vals.dtype == np.int64
 
 
 def test_kernel_dim_examples():
     assert kernel_dim_q(M([[1, 0], [2, 1], [0, 2]])) == 0
-    assert kernel_dim_q(SparseIntMatrix(3, 2, {})) == 2
+    assert kernel_dim_q(SparseIntMatrix(3, 2)) == 2
     assert kernel_dim_q(M([[1, 1], [1, 1]])) == 1
 
 

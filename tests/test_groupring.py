@@ -87,7 +87,7 @@ def test_window_matrix_example():
 def test_window_matrix_zero():
     z = RingMatrix(Z, [[RingElem.zero(Z)]])
     W = window_matrix(z, folner_set(Z, 3))
-    assert W.data.entries == {}
+    assert W.data.ii.size == W.data.jj.size == W.data.vals.size == 0
     assert W.shape == (3, 3)  # K.F falls back to F for zero support
 
 
@@ -168,7 +168,7 @@ def test_window_naturality(spec, data):
     W = window_matrix(f, F)
     vec = coefficient_vector(x, felems)
     applied = [0] * W.data.rows
-    for (i, j), v in W.data.entries.items():
+    for i, j, v in zip(W.data.ii.tolist(), W.data.jj.tolist(), W.data.vals.tolist()):
         applied[i] += v * vec[j]
     fx = f @ x
     expected = [0] * W.data.rows
@@ -225,7 +225,7 @@ def test_right_window_matrix_consistency():
     for idx, (j, u) in enumerate(W.col_index):
         vec[idx] = g.coeffs.get(u, 0)
     out = [0] * W.data.rows
-    for (i, j), v in W.data.entries.items():
+    for i, j, v in zip(W.data.ii.tolist(), W.data.jj.tolist(), W.data.vals.tolist()):
         out[i] += v * vec[j]
     gf = RingMatrix(Z, [[g]]) @ f
     pos = {w: i for i, w in enumerate(W.row_elems)}

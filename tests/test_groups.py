@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -153,6 +154,44 @@ def test_group_axioms(spec, data):
 
 
 # -- Folner behavior ---------------------------------------------------------
+
+
+# Coordinates around 0, around the int64 switch at 2^31 and past int64.
+array_coord = st.one_of(
+    st.integers(-6, 6),
+    st.integers(2**31 - 3, 2**31 + 3).map(lambda x: x * (-1) ** (x % 2)),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_array_law_matches_mul_and_inverse(spec, data):
+    elems = st.tuples(*[array_coord] * spec.coord_len)
+    gs = data.draw(st.lists(elems, max_size=5))
+    hs = data.draw(st.lists(elems, min_size=len(gs), max_size=len(gs)))
+    G, H = spec.coords(gs), spec.coords(hs)
+    assert G.shape == (len(gs), spec.coord_len)
+    assert [tuple(x) for x in spec.mul_array(G, H).tolist()] == [spec.mul(g, h) for g, h in zip(gs, hs)]
+    assert [tuple(x) for x in spec.inverse_array(G).tolist()] == [spec.inverse(g) for g in gs]
+    # Broadcasting: every g times every h, g along the first axis.
+    table = spec.mul_array(G[:, None], H[None]).tolist()
+    assert [[tuple(x) for x in row] for row in table] == [[spec.mul(g, h) for h in hs] for g in gs]
+
+
+def test_coords_switch_to_exact_ints_past_2_31():
+    Z = zd(1)
+    assert Z.coords([(2**31 - 1,), (-(2**31) + 1,)]).dtype == np.int64
+    assert Z.coords([(2**31,)]).dtype == object
+    assert Z.coords([(-(2**31),)]).dtype == object
+    assert Z.coords([(2**80,)]).tolist() == [[2**80]]
+    H = heisenberg()
+    # ab' = 2^62 would overflow a further int64 product; the result is exact.
+    big = H.mul_array(H.coords([(2**31 - 1, 0, 0)]), H.coords([(0, 2**31 - 1, 0)]))
+    assert big.dtype == object and big.tolist() == [[2**31 - 1, 2**31 - 1, (2**31 - 1) ** 2]]
+    with pytest.raises(InputError):
+        H.coords([(1, 2)])
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)

@@ -15,7 +15,6 @@ from folrank.ranks import (
     ModulePresentation,
     StabilizedDim,
     _initial_erank_window,
-    _integralize_rows,
     _rows_of,
     _stabilize,
     derived_rng,
@@ -422,7 +421,6 @@ def _quotient_span_rank_reference(f, B, F, growth_steps, seed):
     """quotient_span_rank from an explicit rational kernel basis of the out
     rows, mapped into V's layout and stacked with V."""
     spec = f.spec
-    f = _integralize_rows(f)
     rows = _rows_of(B)
     felems = elements_of(F)
     V = submodule_rank_matrix(rows, F, spec)
@@ -446,11 +444,11 @@ def _quotient_span_rank_reference(f, B, F, growth_steps, seed):
         rank_all = rank_q(W.data, rng=rng).rank
         r_out = W.data.submatrix(out_rows, range(W.data.cols))
         dim_n = rank_all - rank_q(r_out, rng=rng).rank
-        stacked = dict(V.entries)
+        stacked = dict(zip(zip(V.ii.tolist(), V.jj.tolist()), V.vals.tolist()))
         row_base = V.rows
         for g in nullspace_q(r_out):
             img: dict[int, Fraction] = {}
-            for (i, j), v in W.data.entries.items():
+            for i, j, v in zip(W.data.ii.tolist(), W.data.jj.tolist(), W.data.vals.tolist()):
                 k, w = W.row_index[i]
                 if w in s_set and g[j]:
                     col = k * width + s_pos[w]
@@ -460,7 +458,9 @@ def _quotient_span_rank_reference(f, B, F, growth_steps, seed):
                 if x:
                     stacked[(row_base, col)] = int(x * scale)
             row_base += 1
-        return rank_q(SparseIntMatrix(row_base, V.cols, stacked), rng=rng).rank - dim_n
+        ii, jj = zip(*stacked) if stacked else ((), ())
+        stacked_matrix = SparseIntMatrix(row_base, V.cols, ii, jj, list(stacked.values()))
+        return rank_q(stacked_matrix, rng=rng).rank - dim_n
 
     return _stabilize(spec, E0, value, growth_steps)
 
