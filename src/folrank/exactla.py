@@ -10,6 +10,22 @@ numpy int64 arithmetic, on the residues ``vals % p``; the rank is certified
 by three distinct agreeing primes plus a fraction-free spot check on a
 random minor.
 
+Before either elimination, ``_peel`` removes singletons over Q (as in
+structured Gaussian elimination, LaMacchia-Odlyzko 1990).  A column or row
+with one nonzero adds 1 to the rank and goes with that entry's row or
+column; zero rows and columns go too.  So rank M = k + rank core, and only
+the core is eliminated.  Window operators are full of singletons: every
+column at a window's boundary is one, and removing it exposes the next.
+The choice between the two eliminations, the primes drawn and the spot
+check's minor still follow M's own size and rng draws.  Job seed 1,
+in-process: on ``verify-suite --cases 100`` the 179 modular calls have
+15,622 rows and their cores 360 (160 cores are empty), and the 1,309
+Bareiss inputs shrink from 281,138 cells to 3,022; on the seven-fixture
+tour the modular rows drop from 20,735 to 2,464.  The ``two_over_z2``
+``mrank`` matrices (diagonal, 256x256 to 4096x4096) peel away completely;
+the Z^2 window of ``xy_minus_one`` loses only its boundary (4224x8192 ->
+4096x8064 at L=64), and Heisenberg L=4 goes 3427x5346 -> 2633x4552.
+
 Window matrices are very sparse and nearly banded, so the modular
 elimination works on a profile.  Once per ``rank_q`` call, a layout that
 does not depend on the prime is planned from the COO arrays: columns are
@@ -24,12 +40,14 @@ Z^2 L=64 window (4224x8192, 16,384 nonzeros), planning the layout takes
 and about 1 MB of peak memory (0.43-0.71 s and 262 MB with one zero-filled
 m*n array per prime).
 
-The error analysis for one random prime p: a wrong (too small) rank needs p
-to divide a fixed nonzero maximal minor D of the matrix; D has at most
-log2(|D|)/30 prime divisors above 2^30 and there are ~9.8e7 primes in
-[2^30, 2^31).  For matrices with entries bounded by a few hundred and
-dimension <= ~4000 that gives a per-prime failure probability below 2e-5,
-hence below 2^-46 for three independent agreeing primes.  The default
+The agreeing primes certify the rank of the core, to which the peel adds k.
+The peel is exact over Q, so a singleton entry that a prime divides changes
+nothing.  The error analysis for one random prime p: a wrong (too small)
+core rank needs p to divide a fixed nonzero maximal minor D of the core; D
+has at most log2(|D|)/30 prime divisors above 2^30 and there are ~9.8e7
+primes in [2^30, 2^31).  For matrices with entries bounded by a few hundred
+and dimension <= ~4000 that gives a per-prime failure probability below
+2e-5, hence below 2^-46 for three independent agreeing primes.  The default
 budgets admit larger windows (the Z^2 window at L=64 has 8,192 columns);
 those fall outside this argument, and no bound is stated for them until the
 bound is computed from the matrix itself (ROADMAP item 2).  Requiring three
@@ -213,6 +231,76 @@ def bareiss_rank(dense: Sequence[Sequence[int]]) -> int:
     return r
 
 
+def _peel(M: SparseIntMatrix) -> tuple[int, SparseIntMatrix]:
+    """Singleton rows and columns peeled off: rank M = k + rank core over Q.
+
+    A column j whose only nonzero sits in row i adds 1 to the rank: column
+    operations with it clear the rest of row i, which leaves row i and
+    column j apart from everything else.  So both go, and likewise for a row
+    with one nonzero.  Removing them can leave new singletons, which a
+    worklist takes in turn; zero rows and columns go too.  The live counts
+    of rows and columns are kept up to date, so each entry is visited a
+    bounded number of times: the pass is O(nnz) plus two sorts, and it does
+    no arithmetic on the values.  Every row and column of the core has at
+    least two nonzeros, and the core keeps M's relative order of rows and
+    columns.
+    """
+    ii, jj = M.ii, M.jj
+    rcnt, ccnt = np.bincount(ii, minlength=M.rows), np.bincount(jj, minlength=M.cols)
+    # Columns as j >= 0, rows as ~i < 0.
+    todo = (ccnt == 1).nonzero()[0].tolist() + (~(rcnt == 1).nonzero()[0]).tolist()
+    k = 0
+    if todo:
+        # Counts, each row's columns and each column's rows are arrays read
+        # and written through memoryviews: no Python int is kept per entry.
+        rc, cc = memoryview(rcnt), memoryview(ccnt)
+        row_cols = memoryview(jj[np.argsort(ii, kind="stable")])
+        col_rows = memoryview(ii[np.argsort(jj, kind="stable")])
+        row_at, col_at = np.zeros(M.rows + 1, dtype=np.int64), np.zeros(M.cols + 1, dtype=np.int64)
+        np.cumsum(rcnt, out=row_at[1:])
+        np.cumsum(ccnt, out=col_at[1:])
+        row_at, col_at = memoryview(row_at), memoryview(col_at)
+        pop, push = todo.pop, todo.append
+        while todo:
+            x = pop()
+            if x >= 0:
+                # Column x and the one live row i that meets it.
+                if cc[x] != 1:
+                    continue
+                for i in col_rows[col_at[x] : col_at[x + 1]]:
+                    if rc[i]:
+                        break
+                cc[x] = rc[i] = 0
+                for j in row_cols[row_at[i] : row_at[i + 1]]:
+                    c = cc[j]
+                    if c:
+                        cc[j] = c - 1
+                        if c == 2:
+                            push(j)
+            else:
+                i = ~x
+                if rc[i] != 1:
+                    continue
+                for j in row_cols[row_at[i] : row_at[i + 1]]:
+                    if cc[j]:
+                        break
+                rc[i] = cc[j] = 0
+                for t in col_rows[col_at[j] : col_at[j + 1]]:
+                    c = rc[t]
+                    if c:
+                        rc[t] = c - 1
+                        if c == 2:
+                            push(~t)
+            k += 1
+    (rows,), (cols,) = rcnt.nonzero(), ccnt.nonzero()
+    if rows.size == M.rows and cols.size == M.cols:
+        return 0, M
+    if not rows.size:
+        # A row left in the core meets a column left in it, and conversely.
+        return k, SparseIntMatrix(0, 0)
+    return k, M.submatrix(rows, cols)
+
+
 @dataclass(frozen=True)
 class _Layout:
     """Where each entry of a sparse matrix goes in the profile order.
@@ -370,9 +458,9 @@ def _spot_check(M: SparseIntMatrix, primes: Sequence[int], rng: random.Random) -
         return True
     row_ids = sorted(rng.sample(range(M.rows), k))
     col_ids = sorted(rng.sample(range(M.cols), k))
-    minor = M.submatrix(row_ids, col_ids)
-    want = bareiss_rank(minor.to_dense())
-    return all(r == want for r in _ranks_mod_primes(_plan_layout(minor), primes))
+    _, core = _peel(M.submatrix(row_ids, col_ids))
+    want = bareiss_rank(core.to_dense())
+    return all(r == want for r in _ranks_mod_primes(_plan_layout(core), primes))
 
 
 def rank_q(
@@ -380,18 +468,23 @@ def rank_q(
 ) -> RankCertificate:
     """Exact rank over the rationals with a certificate.
 
-    Empty matrices have rank 0.  Matrices with max dimension up to
-    ``SMALL_DIM_CUTOFF`` are done fraction-free; larger ones go through the
-    modular multi-prime protocol described in the module docstring.
+    Empty matrices have rank 0.  Otherwise the singletons are peeled off
+    first (``_peel``): rank M = k + rank core, and only the core is
+    eliminated.  Matrices with max dimension up to ``SMALL_DIM_CUTOFF`` are
+    done fraction-free; larger ones go through the modular multi-prime
+    protocol described in the module docstring, whose agreeing primes
+    certify the core's rank.  The choice of path and the primes drawn depend
+    on M's own size, not the core's.
     """
     if M.rows == 0 or M.cols == 0 or not M.nnz():
         return RankCertificate(0, "fraction-free")
+    peeled, core = _peel(M)
     if max(M.rows, M.cols) <= SMALL_DIM_CUTOFF:
-        return RankCertificate(bareiss_rank(M.to_dense()), "fraction-free")
+        return RankCertificate(peeled + bareiss_rank(core.to_dense()), "fraction-free")
     rng = rng if rng is not None else random.Random(0xF01)
     seen: dict[int, int] = {}
     by_rank: dict[int, list[int]] = {}
-    layout = _plan_layout(M)
+    layout = _plan_layout(core)
     # No agreement is possible before the AGREEMENTS_NEEDED-th prime, so the
     # first that many are drawn together and eliminated in one pass.
     batch = min(AGREEMENTS_NEEDED, max_primes)
@@ -402,14 +495,14 @@ def rank_q(
             if p not in seen and p not in primes:
                 primes.append(p)
         for p, r in zip(primes, _ranks_mod_primes(layout, primes)):
-            seen[p] = r
-            by_rank.setdefault(r, []).append(p)
+            seen[p] = peeled + r
+            by_rank.setdefault(peeled + r, []).append(p)
         best = max(by_rank)
         if len(by_rank[best]) >= AGREEMENTS_NEEDED and _spot_check(M, by_rank[best], rng):
             return RankCertificate(best, "modular-multi-prime", tuple(by_rank[best]))
         batch = 1
     # Pathologically unlucky primes: fall back to the exact slow path.
-    return RankCertificate(bareiss_rank(M.to_dense()), "fraction-free")
+    return RankCertificate(peeled + bareiss_rank(core.to_dense()), "fraction-free")
 
 
 def kernel_dim_q(M: SparseIntMatrix, rng: random.Random | None = None, **kw) -> int:

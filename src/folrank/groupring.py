@@ -23,15 +23,14 @@ multiplication per pair, and the Heisenberg L=4 window in 3 ms, from 27-34 ms.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import lcm, prod
+from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InputError
 from .exactla import SparseIntMatrix, int_array
-from .groups import FolnerSet, GroupElement, GroupSpec, elements_of
+from .groups import FolnerSet, GroupElement, GroupSpec, elements_of, positions, unique_rows
 
 def _norm_coeff(c) -> "int | Fraction":
     if isinstance(c, Fraction):
@@ -320,39 +319,6 @@ def terms_of(spec: GroupSpec, rows: Sequence[Sequence[RingElem]], n: int) -> Ter
     j, k, g, vals = zip(*found) if found else ((), (), (), ())
     j, k, g = (np.array(x, dtype=np.int64) for x in (j, k, [pos[u] for u in g]))
     return Terms(len(rows), n, j, k, g, int_array(vals), spec.coords(support))
-
-
-def _keys(*arrays: np.ndarray) -> list[np.ndarray]:
-    """Mixed-radix keys of the rows of coordinate arrays, on one radix: keys
-    compare like the rows' tuples.  int64 while the radix fits, else exact."""
-    lo = reduce(np.minimum, [a.min(axis=0, initial=0) for a in arrays])
-    hi = reduce(np.maximum, [a.max(axis=0, initial=0) for a in arrays])
-    span = (hi - lo + 1).tolist()
-    dtype = np.int64 if prod(span) < 1 << 63 else object
-    strides = np.array([prod(span[i + 1 :]) for i in range(len(span))], dtype=dtype)
-    return [(a - lo).astype(dtype, copy=False) @ strides for a in arrays]
-
-
-def unique_rows(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of P in lexicographic order, and where each row of P is among them."""
-    (key,) = _keys(P)
-    order = np.argsort(key, kind="stable")
-    first = np.empty(len(key), dtype=bool)
-    first[:1] = True
-    np.not_equal(key[order[1:]], key[order[:-1]], out=first[1:])
-    inverse = np.empty(len(key), dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    return P[order[first]], inverse
-
-
-def positions(X: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """For every row of X its position among the rows of S, or -1."""
-    if not len(S):
-        return np.full(len(X), -1, dtype=np.int64)
-    kx, ks = _keys(X, S)
-    order = np.argsort(ks, kind="stable")
-    at = order[np.searchsorted(ks[order], kx).clip(max=len(ks) - 1)]
-    return np.where((ks[at] == kx).astype(bool), at, -1)
 
 
 def window_operator(

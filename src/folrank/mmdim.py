@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import InputError
 from .exactla import MAX_PRIMES, SparseIntMatrix, rank_q
-from .groupring import RingMatrix, positions, window_matrix
-from .groups import FolnerSet, GroupElement, elements_of, folner_set
+from .groupring import RingMatrix, window_matrix
+from .groups import FolnerSet, GroupElement, elements_of, folner_set, positions
 from .ranks import derived_rng
 
 CONGRUENCE_TOL = 2.0**-40

@@ -42,10 +42,8 @@ from .exactla import (
 from .groupring import (
     RingElem,
     RingMatrix,
-    positions,
     right_window_matrix,
     terms_of,
-    unique_rows,
     window_matrix,
     window_operator,
 )
@@ -58,6 +56,9 @@ from .groups import (
     elements_of,
     folner_set,
     inverse_set,
+    positions,
+    unique_rows,
+    with_products,
     zd,
 )
 
@@ -399,12 +400,7 @@ def _stabilize(spec: GroupSpec, E0, value_fn, growth_steps: int) -> StabilizedDi
 
 
 def _initial_erank_window(spec: GroupSpec, finv, K) -> tuple:
-    out = set(finv)
-    inv = spec.inverse
-    for s in finv:
-        for k in K:
-            out.add(spec.mul(s, inv(k)))
-    return tuple(sorted(out))
+    return with_products(spec, finv, [spec.inverse(k) for k in K])
 
 
 def erank_span_dim(
@@ -448,26 +444,24 @@ def _restriction_dim(P, F, growth_steps, seed, tag, window, max_primes=MAX_PRIME
     return _stabilize(spec, E0, value, growth_steps)
 
 
-def _dual_constraint_matrix(f: RingMatrix, E) -> tuple[SparseIntMatrix, list]:
+def _dual_constraint_matrix(f: RingMatrix, E) -> SparseIntMatrix:
     """Linear constraints cutting out dual solutions h: E -> Q^{n x 1}, for E
     of distinct elements.
 
     One row per (u, j) with u.K inside E: sum_{k,s} f_{j,k,s} h_{u.s, k} = 0,
     at index(u) * m + j with u in sorted order.  Columns are (k, w) for w in
-    E, coordinate-major.  Returns the matrix and the column index map.
+    E, coordinate-major.
     """
     spec, n, E = f.spec, f.cols, tuple(E)
-    col_index = [(k, w) for k in range(n) for w in E]
     K, Ec = f.terms().support, spec.coords(E)
     if not len(K):
-        return SparseIntMatrix(0, n * len(E)), col_index
+        return SparseIntMatrix(0, n * len(E))
     # w.k^{-1} is one-to-one in w, so u occurs in E.K^{-1} once for each k
     # with u.k in E: u.K lies inside E when u occurs |K| times.
     cand = spec.mul_array(Ec[:, None], spec.inverse_array(K)[None])
     cand, at = unique_rows(cand.reshape(len(E) * len(K), spec.coord_len))
     interior = cand[np.bincount(at, minlength=len(cand)) == len(K)]
-    C, _ = window_operator(spec, f.terms(), interior, left=True, anchor_rows=True, targets=Ec)
-    return C, col_index
+    return window_operator(spec, f.terms(), interior, left=True, anchor_rows=True, targets=Ec)[0]
 
 
 def erank_dual_restriction_dim(
@@ -485,7 +479,7 @@ def erank_dual_restriction_dim(
     the true restriction dimension."""
 
     def window(E):
-        return _dual_constraint_matrix(P.relations, E)[0], P.spec.coords(E), P.n, False
+        return _dual_constraint_matrix(P.relations, E), P.spec.coords(E), P.n, False
 
     return _restriction_dim(P, F, growth_steps, seed, "erank-dual", window, max_primes)
 

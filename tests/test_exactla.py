@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from folrank import exactla
 from folrank.errors import InputError, UnsupportedGroupError
 from folrank.exactla import (
     RankCertificate,
     SparseIntMatrix,
     _dense_rank_mod_p,
+    _peel,
     _plan_layout,
     _ranks_mod_primes,
     bareiss_rank,
@@ -170,6 +172,95 @@ def sparse_dense(draw):
             for row in dense:
                 row[k] = 0
     return dense
+
+
+@st.composite
+def peelable(draw):
+    """sparse_dense matrices with a bordered singleton chain, repeated
+    columns and entries past 2^63.
+
+    The chain adds t rows and t columns: chain column s meets chain rows
+    s - 1 and s, and the last chain row meets an old column, so peeling
+    chain column 0 exposes chain column 1, and so on."""
+    dense = draw(sparse_dense())
+    cols = len(dense[0])
+    t = draw(st.integers(0, 6))
+    link = draw(st.integers(0, cols - 1))
+    for row in dense:
+        row += [draw(st.sampled_from((0, 0, 0, 0, 1))) for _ in range(t)]
+    for s in range(t):
+        dense.append([0] * (cols + t))
+        dense[-1][cols + s] = draw(st.sampled_from((1, -2, 5)))
+        if s + 1 < t:
+            dense[-1][cols + s + 1] = 1
+    if t:
+        dense[-1][link] = 3
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, cols + t - 1)), draw(st.integers(0, cols + t - 1))
+        for row in dense:
+            row[i] = row[j]
+    big = st.sampled_from((2**63, -(2**63) - 5, 2**64 + 1, 3 * 2**70))
+    for row in dense:
+        for j, x in enumerate(row):
+            if x and draw(st.integers(0, 4)) == 0:
+                row[j] = draw(big)
+    return dense
+
+
+def _live_counts(A):
+    return np.bincount(A.ii, minlength=A.rows), np.bincount(A.jj, minlength=A.cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense=peelable())
+def test_peel_keeps_the_rank(dense):
+    A = M(dense)
+    k, core = _peel(A)
+    assert k + bareiss_rank(core.to_dense()) == bareiss_rank(dense)
+    # Every singleton and zero row and column is gone.
+    for counts in _live_counts(core):
+        assert counts.min(initial=2) >= 2
+    assert core.rows <= A.rows - k and core.cols <= A.cols - k
+
+
+def test_peel_removes_a_bidiagonal_window():
+    n = 4096
+    ii, jj = np.r_[np.arange(n), np.arange(n - 1)], np.r_[np.arange(n), np.arange(1, n)]
+    B = SparseIntMatrix(n, n, ii, jj, np.r_[np.full(n, 2), np.full(n - 1, -1)])
+    k, core = _peel(B)
+    assert (k, core.rows, core.cols, core.nnz()) == (n, 0, 0, 0)
+    assert rank_q(B, rng=random.Random(0)).rank == n
+
+
+def test_peel_is_over_q_when_a_prime_divides_the_singleton():
+    # The window has rank 79; a new row and column meet only at p, the
+    # first prime that Random(0) draws, so the rank is 80.  Modulo p that
+    # entry vanishes, but the peel takes it over Q, so p still agrees.
+    p = random_prime(random.Random(0))
+    W = window_matrix(xy_minus_one(), folner_set(Z2, 8)).data
+    A = SparseIntMatrix(W.rows + 1, W.cols + 1, np.r_[W.ii, W.rows], np.r_[W.jj, W.cols], np.r_[W.vals, p])
+    cert = rank_q(A, rng=random.Random(0))
+    assert cert.rank == bareiss_rank(A.to_dense()) == 80
+    assert cert.method == "modular-multi-prime" and cert.primes[0] == p
+
+
+@pytest.mark.parametrize("fixture, L", [("xy_minus_one", 8), ("two_over_z2", 16)])
+def test_kernel_sees_only_peeled_cores(fixture, L, monkeypatch):
+    f = RingMatrix.from_json(json.loads((FIXTURES / f"{fixture}.json").read_text()))
+    W = window_matrix(f, folner_set(f.spec, L)).data
+    seen = []
+    kernel = exactla._ranks_mod_primes
+
+    def checked(layout, primes):
+        seen.append((layout.rows, layout.cols))
+        rows = np.diff(layout.start)
+        cols = np.bincount(layout.jj, minlength=layout.cols)
+        assert rows.min(initial=2) >= 2 and cols.min(initial=2) >= 2
+        return kernel(layout, primes)
+
+    monkeypatch.setattr(exactla, "_ranks_mod_primes", checked)
+    assert rank_q(W, rng=random.Random(3)).rank == bareiss_rank(W.to_dense())
+    assert seen
 
 
 @settings(max_examples=200, deadline=None)

@@ -180,6 +180,34 @@ def test_array_law_matches_mul_and_inverse(spec, data):
     assert [[tuple(x) for x in row] for row in table] == [[spec.mul(g, h) for h in hs] for g in gs]
 
 
+def _grown_per_pair(spec, E, S):
+    return tuple(sorted(set(E) | {spec.mul(s, b) for s in E for b in S}))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_window_growth_matches_per_pair_loop(spec, data):
+    from folrank.ranks import _initial_erank_window
+
+    elems = st.tuples(*[array_coord] * spec.coord_len)
+    E = data.draw(st.lists(elems, max_size=6))
+    K = data.draw(st.lists(elems, max_size=4))
+    ball = unit_ball(spec)
+    assert dilate(spec, E) == _grown_per_pair(spec, E, ball)
+    assert dilate(spec, E, K) == _grown_per_pair(spec, E, K)
+    assert _initial_erank_window(spec, E, K) == _grown_per_pair(spec, E, [spec.inverse(k) for k in K])
+
+
+@pytest.mark.parametrize("spec, L", [(zd(2), 30), (heisenberg(), 2), (finite_times_zd((2,), 1), 700)])
+def test_window_growth_in_several_batches(spec, L):
+    # |E| * |ball| exceeds the rows one sort takes, so S goes in batches.
+    E = folner_set(spec, L).elements
+    ball = unit_ball(spec)
+    assert len(E) * len(ball) > 1 << 12
+    assert dilate(spec, E) == _grown_per_pair(spec, E, ball)
+
+
 def test_coords_switch_to_exact_ints_past_2_31():
     Z = zd(1)
     assert Z.coords([(2**31 - 1,), (-(2**31) + 1,)]).dtype == np.int64

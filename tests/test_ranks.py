@@ -241,8 +241,9 @@ def test_erank_dims_nonincreasing_in_window():
     E = _initial_erank_window(Z, finv, sorted(f.support()))
     finv_set = set(finv)
     for _ in range(5):
-        C, cols = _dual_constraint_matrix(f, E)
-        keep = [i for i, (_, w) in enumerate(cols) if w not in finv_set]
+        C = _dual_constraint_matrix(f, E)
+        # Columns are (k, w) for k < 2 and w in E, coordinate-major.
+        keep = [k * len(E) + i for k in range(2) for i, w in enumerate(E) if w not in finv_set]
         v = 2 * len(F) - rank_q(C).rank + rank_q(C.submatrix(range(C.rows), keep)).rank
         values.append(v)
         E = dilate(Z, E)
