@@ -10,7 +10,16 @@ numpy int64 arithmetic, on the residues ``vals % p``; the rank is certified
 by three distinct agreeing primes plus a fraction-free spot check on a
 random minor.
 
-Before either elimination, ``_peel`` removes singletons over Q (as in
+The package has three eliminations.  ``bareiss_rank`` is the fraction-free
+rank over the integers, for small matrices, the spot check and the
+last-resort fallback.  ``_ranks_mod_primes`` ranks large sparse windows
+modulo several primes in one pass.  ``_rref`` is one dense reduced echelon
+over Q or modulo one prime; only its field arithmetic depends on p.  It
+gives the kernel bases of ``kernel_basis`` and ``nullspace_q`` (the rational
+and torsion solutions that mmdim samples) and the Laurent oracle's ranks at
+random points.
+
+Before either of the first two, ``_peel`` removes singletons over Q (as in
 structured Gaussian elimination, LaMacchia-Odlyzko 1990).  A column or row
 with one nonzero adds 1 to the rank and goes with that entry's row or
 column; zero rows and columns go too.  So rank M = k + rank core, and only
@@ -510,40 +519,60 @@ def kernel_dim_q(M: SparseIntMatrix, rng: random.Random | None = None, **kw) -> 
     return M.cols - rank_q(M, rng=rng, **kw).rank
 
 
-def nullspace_q(M: SparseIntMatrix) -> list[list[Fraction]]:
-    """Exact rational basis of the right kernel (dense rref; small matrices only)."""
-    m, n = M.rows, M.cols
-    a = [[Fraction(x) for x in row] for row in M.to_dense()]
+def _rref(a: list[list], p: int = 0) -> list[int]:
+    """Reduce the rows ``a`` in place to reduced row echelon form, over Q
+    (Fraction entries) when p == 0 and modulo the prime p otherwise; return
+    the pivot columns.  Rows are replaced, never edited, so a shallow copy
+    keeps the caller's matrix."""
+    a[:] = [[x % p for x in row] if p else [Fraction(x) for x in row] for row in a]
+    m = len(a)
+    n = len(a[0]) if m else 0
     pivots: list[int] = []
-    r = 0
     for c in range(n):
+        r = len(pivots)
         if r == m:
             break
-        piv = None
-        for i in range(r, m):
-            if a[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, m) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
+        inv = pow(a[r][c], -1, p) if p else 1 / a[r][c]
+        row = a[r] = [x * inv % p for x in a[r]] if p else [x * inv for x in a[r]]
         for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if f and i != r:
+                if p:
+                    a[i] = [(x - f * y) % p for x, y in zip(a[i], row)]
+                else:
+                    a[i] = [x - f * y for x, y in zip(a[i], row)]
         pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in set(pivots)]
+    return pivots
+
+
+def kernel_basis(rows: Sequence[Sequence[int]], cols: int, p: int = 0) -> list[list]:
+    """Right kernel of an integer matrix with ``cols`` columns, over Q when
+    p == 0 and modulo the prime p otherwise: one vector per free column of
+    the echelon form, 1 there and minus the reduced entry at each pivot
+    column.  A matrix with no rows gets the unit basis."""
+    a = list(rows)
+    pivots = _rref(a, p)
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
+    pivset = set(pivots)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -a[ri][fc]
+    for fc in range(cols):
+        if fc in pivset:
+            continue
+        v = [zero] * cols
+        v[fc] = one
+        for row, pc in zip(a, pivots):
+            v[pc] = -row[fc] % p if p else -row[fc]
         basis.append(v)
     return basis
+
+
+def nullspace_q(M: SparseIntMatrix) -> list[list[Fraction]]:
+    """Exact rational basis of the right kernel (dense rref; small matrices only)."""
+    return kernel_basis(M.to_dense(), M.cols)
 
 
 def _laurent_eval_mod(coeffs: dict, point: tuple[int, ...], p: int) -> int:
@@ -561,28 +590,7 @@ def _laurent_eval_mod(coeffs: dict, point: tuple[int, ...], p: int) -> int:
 
 
 def _dense_rank_mod_p(a: list[list[int]], p: int) -> int:
-    m = len(a)
-    n = len(a[0]) if m else 0
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        piv = None
-        for i in range(r, m):
-            if a[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [x * inv % p for x in a[r]]
-        for i in range(r + 1, m):
-            f = a[i][c] % p
-            if f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        r += 1
-    return r
+    return len(_rref(list(a), p))
 
 
 def _laurent_minor_rank(f: "RingMatrix") -> int:
@@ -632,22 +640,13 @@ def generic_rank_laurent(
     best = 0
     for _ in range(trials):
         point = tuple(rng.randrange(1, p) for _ in range(f.spec.d))
-        dense = [
-            [_laurent_eval_mod(f.entries[j][k].coeffs, point, p) for k in range(f.cols)]
-            for j in range(f.rows)
-        ]
-        best = max(best, _dense_rank_mod_p(dense, p))
+        best = max(best, point_rank_laurent(f, point, p))
     return best
 
 
 def point_rank_laurent(f: "RingMatrix", point: tuple[int, ...], p: int) -> int:
     """Rank of f evaluated at one point of the prime field F_p."""
-    if f.rows == 0 or f.cols == 0:
-        return 0
-    dense = [
-        [_laurent_eval_mod(f.entries[j][k].coeffs, point, p) for k in range(f.cols)]
-        for j in range(f.rows)
-    ]
+    dense = [[_laurent_eval_mod(e.coeffs, point, p) for e in row] for row in f.entries]
     return _dense_rank_mod_p(dense, p)
 
 

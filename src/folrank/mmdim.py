@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .exactla import MAX_PRIMES, SparseIntMatrix, rank_q
+from .exactla import MAX_PRIMES, SparseIntMatrix, kernel_basis, nullspace_q, rank_q
 from .groupring import RingMatrix, window_matrix
 from .groups import FolnerSet, GroupElement, elements_of, folner_set, positions
 from .ranks import derived_rng
@@ -147,72 +147,6 @@ def kernel_grid_packing(
     return _grid_modulus(eps) ** dim, dim
 
 
-def _rref_q(dense: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    m = len(dense)
-    n = len(dense[0]) if m else 0
-    a = [row[:] for row in dense]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        piv = None
-        for i in range(r, m):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                fci = a[i][c]
-                a[i] = [x - fci * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def _nullspace_mod_p(dense: list[list[int]], p: int) -> list[list[int]]:
-    m = len(dense)
-    n = len(dense[0]) if m else 0
-    a = [[x % p for x in row] for row in dense]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        piv = None
-        for i in range(r, m):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [x * inv % p for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                fci = a[i][c]
-                a[i] = [(x - fci * y) % p for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    pivset = set(pivots)
-    basis = []
-    for fc in range(n):
-        if fc in pivset:
-            continue
-        v = [0] * n
-        v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = (-a[ri][fc]) % p
-        basis.append(v)
-    return basis
-
-
 def _solution_samples(
     f: RingMatrix, F, eps: float, budget: int, rng: random.Random
 ) -> Iterable[np.ndarray]:
@@ -221,26 +155,16 @@ def _solution_samples(
     enumerated when small, then random combinations fill the budget."""
     C = interior_constraint_matrix(f, F)
     ncols = C.cols
-    dense = C.to_dense()
     produced = 0
 
     # Exact eps-grid over the free coordinates of the real solution space.
-    a, pivots = _rref_q([[Fraction(x) for x in row] for row in dense])
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    rational_basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -a[ri][fc]
-        rational_basis.append(v)
+    rational_basis = nullspace_q(C)
     q = _grid_modulus(eps)
-    if q ** len(free) <= min(budget, _ENUM_CAP):
+    if q ** len(rational_basis) <= min(budget, _ENUM_CAP):
         import itertools
 
         step = Fraction(1, q)
-        for combo in itertools.product(range(q), repeat=len(free)):
+        for combo in itertools.product(range(q), repeat=len(rational_basis)):
             vec = [Fraction(0)] * ncols
             for lam, basis_vec in zip(combo, rational_basis):
                 if lam:
@@ -253,9 +177,10 @@ def _solution_samples(
                 return
 
     # Torsion solutions modulo small primes.
+    dense = C.to_dense()
     torsion_bases = []
     for p in (2, 3, 5, 7):
-        basis = _nullspace_mod_p(dense, p) if ncols else []
+        basis = kernel_basis(dense, ncols, p)
         if basis:
             torsion_bases.append((p, basis))
         if basis and p ** len(basis) <= min(budget - produced, _ENUM_CAP):

@@ -16,8 +16,10 @@ from folrank.exactla import (
     _peel,
     _plan_layout,
     _ranks_mod_primes,
+    _rref,
     bareiss_rank,
     generic_rank_laurent,
+    kernel_basis,
     kernel_dim_q,
     nullspace_q,
     point_rank_laurent,
@@ -464,6 +466,119 @@ def test_nullspace_exact():
     v = basis[0]
     assert [sum(Fraction(row[j]) * v[j] for j in range(3)) for row in mat.to_dense()] == [0, 0]
 
+
+
+# -- the dense echelon: Q and every prime through one loop -------------------------
+
+
+def _ref_rational_basis(dense):
+    # The rational rref and basis block that mmdim carried before the shared
+    # echelon, kept as a reference for its sample stream.
+    m, n = len(dense), len(dense[0])
+    a = [[Fraction(x) for x in row] for row in dense]
+    pivots, r = [], 0
+    for c in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pv = a[r][c]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                fci = a[i][c]
+                a[i] = [x - fci * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    basis = []
+    for fc in [c for c in range(n) if c not in set(pivots)]:
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            v[pc] = -a[ri][fc]
+        basis.append(v)
+    return basis
+
+
+def _ref_nullspace_mod_p(dense, p):
+    # mmdim's former torsion kernel, likewise.
+    m, n = len(dense), len(dense[0])
+    a = [[x % p for x in row] for row in dense]
+    pivots, r = [], 0
+    for c in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                fci = a[i][c]
+                a[i] = [(x - fci * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [0] * n
+        v[fc] = 1
+        for ri, pc in enumerate(pivots):
+            v[pc] = (-a[ri][fc]) % p
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def small_matrices(draw):
+    """Small integer matrices, possibly with no rows or no columns, often
+    with zero rows and columns and entries divisible by small primes."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 4, 5, 6, 7, 10, 14, 15, 21, 35))
+    dense = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    if rows and draw(st.booleans()):
+        dense[draw(st.integers(0, rows - 1))] = [0] * cols
+    if cols and draw(st.booleans()):
+        k = draw(st.integers(0, cols - 1))
+        for row in dense:
+            row[k] = 0
+    return dense, cols
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix=small_matrices(), p=st.sampled_from((0, 2, 3, 5, 7, P31)))
+def test_shared_echelon_rank_and_kernel(matrix, p):
+    dense, cols = matrix
+    rank = len(_rref([list(row) for row in dense], p))
+    if p:
+        assert rank == _ranks_mod_primes(_plan_layout(SparseIntMatrix.from_dense(dense, cols)), [p])[0]
+        assert rank == _dense_rank_mod_p(dense, p)
+    else:
+        assert rank == bareiss_rank(dense)
+    basis = kernel_basis(dense, cols, p)
+    assert len(basis) == cols - rank
+    for v in basis:
+        for row in dense:
+            dot = sum(x * y for x, y in zip(row, v))
+            assert (dot % p if p else dot) == 0
+    if dense:
+        assert basis == (_ref_nullspace_mod_p(dense, p) if p else _ref_rational_basis(dense))
+    else:
+        assert basis == [[int(i == j) for j in range(cols)] for i in range(cols)]
+    if not p:
+        assert basis == nullspace_q(SparseIntMatrix.from_dense(dense, cols))
+
+
+def test_shared_echelon_leaves_its_input():
+    dense = [[2, 4], [1, 3]]
+    assert kernel_basis(dense, 2, 2) == [[1, 1]]
+    assert _dense_rank_mod_p(dense, 2) == 1
+    assert dense == [[2, 4], [1, 3]]
 
 # -- Laurent generic rank --------------------------------------------------------
 

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from folrank.errors import InputError
+from folrank.exactla import kernel_basis, nullspace_q
 from folrank.groupring import RingElem, RingMatrix
 from folrank.groups import elements_of, folner_set, zd
 from folrank.mmdim import (
     SolenoidBoxPoint,
     _solution_samples,
     _theta_arrays,
+    interior_constraint_matrix,
     interior_set,
     kernel_grid_packing,
     mmdim_estimate,
@@ -205,6 +207,20 @@ def test_lower_count_keeps_distance_exactly_eps():
     # The solutions of 2x = 0 on one site are 0 and 1/2, at distance exactly 1/2.
     assert separated_lower_count(TWO, folner_set(Z, 1), 0.5, budget=50, seed=0) == 2
 
+
+def test_empty_interior_samples_every_torsion_point():
+    # On one site, 3 - T has K = {0, 1} and an empty F', so C has no rows and
+    # every vector on the window is a solution, torsion points included.
+    F = folner_set(Z, 1)
+    C = interior_constraint_matrix(THREE_MINUS_T, F)
+    assert (C.rows, C.cols) == (0, 1)
+    assert nullspace_q(C) == [[1]]
+    for p in (2, 3, 5, 7):
+        assert kernel_basis(C.to_dense(), C.cols, p) == [[1]]
+    # Grid points k/4, then every j/p; in 420ths, the lcm of 4, 3, 5 and 7.
+    stream = _solution_samples(THREE_MINUS_T, F, 0.25, 30, random.Random(0))
+    got = {round(420 * float(x[0])) for x in stream}
+    assert {420 * j // p for p in (2, 3, 4, 5, 7) for j in range(p)} <= got
 
 # (L, eps) -> (count at seed 0, count at seed 1), budget 200.
 PINNED_COUNTS = {
