@@ -11,18 +11,20 @@ lower bounds from two explicit packings: an eps-grid over the free
 coordinates of the real solution space of the interior system (certified,
 counted without enumeration) and a greedy packing of sampled rational
 solutions (torsion points and random kernel combinations).  All distances
-use the max-over-coordinates circle metric.  The greedy packing holds its
-kept points as rows of one array, so each sample costs one reduction
-against all of them rather than one numpy call per kept point.
+use the max-over-coordinates circle metric.  The greedy packing draws all
+its samples into one (budget, columns) array and compacts the kept points
+to the front of that array in place, so each sample costs one reduction
+against all kept rows and no second array of that size is made.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .ranks import derived_rng
 
 CONGRUENCE_TOL = 2.0**-40
 _ENUM_CAP = 4096
+_FILL_ROWS = 64
 
 
 def theta(a: float, b: float) -> float:
@@ -147,22 +150,26 @@ def kernel_grid_packing(
     return _grid_modulus(eps) ** dim, dim
 
 
-def _solution_samples(
-    f: RingMatrix, F, eps: float, budget: int, rng: random.Random
-) -> Iterable[np.ndarray]:
-    """Deterministic stream of points of the interior solution set, flattened
-    to vectors in window-column layout: grid points and torsion solutions are
-    enumerated when small, then random combinations fill the budget."""
+def _solution_samples(f: RingMatrix, F, eps: float, budget: int, rng: random.Random) -> np.ndarray:
+    """Deterministic (budget, columns) array of points of the interior
+    solution set, flattened to window-column layout with entries in [0, 1]:
+    grid points and torsion solutions are enumerated when small, then random
+    combinations fill the budget.
+
+    The rng is drawn per fill row in a fixed order, and each row's float sum
+    is taken basis vector by basis vector, so every row is the point the
+    one-row-at-a-time construction gives; adding a zero term adds a signed
+    zero, which leaves the (never negative-zero) partial sum unchanged.
+    """
     C = interior_constraint_matrix(f, F)
     ncols = C.cols
+    rational_basis = nullspace_q(C)
+    points = np.zeros((budget, ncols))
     produced = 0
 
     # Exact eps-grid over the free coordinates of the real solution space.
-    rational_basis = nullspace_q(C)
     q = _grid_modulus(eps)
     if q ** len(rational_basis) <= min(budget, _ENUM_CAP):
-        import itertools
-
         step = Fraction(1, q)
         for combo in itertools.product(range(q), repeat=len(rational_basis)):
             vec = [Fraction(0)] * ncols
@@ -171,49 +178,69 @@ def _solution_samples(
                     for idx, b in enumerate(basis_vec):
                         if b:
                             vec[idx] += lam * step * b
-            yield np.array([float(x) % 1.0 for x in vec])
+            points[produced] = [float(x) % 1.0 for x in vec]
             produced += 1
-            if produced >= budget:
-                return
+        if produced >= budget:
+            return points
 
-    # Torsion solutions modulo small primes.
+    # Torsion solutions modulo small primes; entries are exact int64.
     dense = C.to_dense()
     torsion_bases = []
     for p in (2, 3, 5, 7):
         basis = kernel_basis(dense, ncols, p)
         if basis:
+            basis = np.array(basis, dtype=np.int64)
             torsion_bases.append((p, basis))
-        if basis and p ** len(basis) <= min(budget - produced, _ENUM_CAP):
-            import itertools
+        if len(basis) and p ** len(basis) <= min(budget - produced, _ENUM_CAP):
+            combos = np.array(list(itertools.product(range(p), repeat=len(basis))), dtype=np.int64)
+            points[produced : produced + len(combos)] = (combos @ basis) % p / p
+            produced += len(combos)
+            if produced >= budget:
+                return points
 
-            for combo in itertools.product(range(p), repeat=len(basis)):
-                vec = [0] * ncols
-                for lam, bvec in zip(combo, basis):
-                    if lam:
-                        for idx, b in enumerate(bvec):
-                            vec[idx] = (vec[idx] + lam * b) % p
-                yield np.array([v / p for v in vec])
-                produced += 1
-                if produced >= budget:
-                    return
-
-    # Random fill: rational-kernel combinations plus torsion offsets.
+    # Random fill: rational-kernel combinations plus torsion offsets, drawn
+    # and summed one block of rows at a time to keep temporaries small.
     float_basis = [np.array([float(x) for x in bvec]) for bvec in rational_basis]
-    int_bases = [(p, np.array(basis)) for p, basis in torsion_bases]
-    while produced < budget:
-        point = np.zeros(ncols)
-        for bvec in float_basis:
-            lam = rng.randint(-4 * q, 4 * q) / (2.0 * q)
-            if lam:
-                point += lam * bvec
-        if int_bases and rng.random() < 0.5:
-            p, basis = int_bases[rng.randrange(len(int_bases))]
-            for bvec in basis:
-                lam = rng.randrange(p)
-                if lam:
-                    point += lam * bvec / p
-        yield point % 1.0
-        produced += 1
+    for start in range(produced, budget, _FILL_ROWS):
+        block = points[start : start + _FILL_ROWS]
+        lams = []
+        offsets: list[tuple[list[int], list[list[int]]]] = [([], []) for _ in torsion_bases]
+        for row in range(len(block)):
+            lams.append([rng.randint(-4 * q, 4 * q) for _ in float_basis])
+            if torsion_bases and rng.random() < 0.5:
+                t = rng.randrange(len(torsion_bases))
+                p, basis = torsion_bases[t]
+                offsets[t][0].append(row)
+                offsets[t][1].append([rng.randrange(p) for _ in range(len(basis))])
+        for lam, bvec in zip(np.array(lams).T / (2.0 * q), float_basis):
+            block += lam[:, None] * bvec
+        for (p, basis), (rows, tlams) in zip(torsion_bases, offsets):
+            if rows:
+                sub = block[rows]
+                for lam, bvec in zip(np.array(tlams).T, basis):
+                    sub += lam[:, None] * bvec / p
+                block[rows] = sub
+    points[produced:] %= 1.0
+    return points
+
+
+def _greedy_count(points: np.ndarray, eps: float) -> int:
+    """Greedy eps-separated packing of the rows of ``points`` (entries in
+    [0, 1]), in row order.  Kept rows are moved to the front of ``points``
+    in place, so the array is overwritten; returns how many were kept.
+
+    Circle distance here is min(d, 1 - d) with d = |x - y| and no reduction
+    mod 1: d lies in [0, 1], and d % 1.0 is d for d < 1, while at d = 1
+    both forms give 0.  So every keep decision is the reduced metric's.
+    """
+    k = min(1, len(points))
+    for i in range(1, len(points)):
+        x = points[i]
+        d = np.abs(x - points[:k])
+        if not (np.minimum(d, 1.0 - d).max(axis=1, initial=0.0) < eps).any():
+            points[k] = x
+            k += 1
+    return k
 
 
 def separated_lower_count(
@@ -222,23 +249,16 @@ def separated_lower_count(
     """Size of a greedy eps-separated packing among sampled solution points.
 
     A sample is kept iff its max circle distance to every kept point is at
-    least eps, tested against all kept rows in one reduction.  Deterministic
-    for a fixed seed.
+    least eps, tested against all kept rows in one reduction.  The samples
+    are one (budget, columns) array and the kept points are compacted to
+    its front, so no second array of that size is made.  Every sample lies
+    in [0, 1], so the keep test skips the reduction mod 1 (see
+    `_greedy_count`).  Deterministic for a fixed seed.
     """
     if budget < 1:
         raise InputError("sample budget must be >= 1")
     rng = derived_rng(seed, "packing", len(elements_of(F)), repr(eps))
-    samples = _solution_samples(f, F, eps, budget, rng)
-    first = next(samples)  # the stream fills the budget, and the first sample is always kept
-    kept = np.empty((budget, first.size))
-    kept[0] = first
-    k = 1
-    for point in samples:
-        d = np.abs(point - kept[:k]) % 1.0
-        if not (np.minimum(d, 1.0 - d).max(axis=1, initial=0.0) < eps).any():
-            kept[k] = point
-            k += 1
-    return k
+    return _greedy_count(_solution_samples(f, F, eps, budget, rng), eps)
 
 
 @dataclass(frozen=True)
@@ -344,6 +364,13 @@ def mmdim_estimate(
     if not eps_schedule or not all(0.0 < e < 1.0 for e in eps_schedule):
         raise InputError("eps schedule must be nonempty with entries in (0, 1)")
     windows = {L: folner_set(f.spec, L) for L in window_indices}
+    l1, l2 = window_indices[-2], window_indices[-1]
+    df = len(windows[l2]) - len(windows[l1])
+    if df == 0:
+        raise InputError(
+            f"windows L={l1} and L={l2} both have {len(windows[l2])} elements, so the"
+            " slopes between them are undefined (every window of a finite group is the whole group)"
+        )
     reports = []
     by_pair: dict[tuple[float, int], PackingReport] = {}
     for eps in eps_schedule:
@@ -353,8 +380,6 @@ def mmdim_estimate(
             )
             reports.append(rep)
             by_pair[(eps, L)] = rep
-    l1, l2 = window_indices[-2], window_indices[-1]
-    df = len(windows[l2]) - len(windows[l1])
     lower_slopes: dict[float, float] = {}
     upper_slopes: dict[float, float] = {}
     for eps in eps_schedule:

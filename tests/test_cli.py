@@ -109,6 +109,34 @@ def test_mmdim_command(tmp_path):
     assert header == "L,F_size,epsilon,lower_count,upper_log,lower_slope,upper_slope"
 
 
+def test_mmdim_on_a_finite_group_is_an_input_error(tmp_path):
+    # Every window of a finite group is the whole group, so no slope exists.
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "folrank.cli",
+            "mmdim",
+            "--input",
+            str(FIXTURES / "zmod2_one_plus_t.json"),
+            "--L",
+            "1,2",
+            "--epsilon",
+            "2^-3",
+            "--out",
+            str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("input error: windows L=1 and L=2 both have 2 elements")
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_suite_command(tmp_path, capsys):
     code = run_cli(["verify-suite", "--seed", "7", "--cases", "8"], tmp_path)
     assert code == 0

@@ -1,16 +1,19 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from folrank.errors import InputError
 from folrank.exactla import kernel_basis, nullspace_q
 from folrank.groupring import RingElem, RingMatrix
-from folrank.groups import elements_of, folner_set, zd
+from folrank.groups import elements_of, finite_cyclic, folner_set, zd
 from folrank.mmdim import (
     SolenoidBoxPoint,
+    _greedy_count,
     _solution_samples,
     _theta_arrays,
     interior_constraint_matrix,
@@ -222,6 +225,126 @@ def test_empty_interior_samples_every_torsion_point():
     got = {round(420 * float(x[0])) for x in stream}
     assert {420 * j // p for p in (2, 3, 4, 5, 7) for j in range(p)} <= got
 
+def _streamed_samples(f, F, eps, budget, rng):
+    """The sample source one point at a time, as it was before it built one
+    array: the reference that pins _solution_samples bit for bit."""
+    C = interior_constraint_matrix(f, F)
+    ncols = C.cols
+    produced = 0
+    rational_basis = nullspace_q(C)
+    q = max(1, int(1.0 / eps + 1e-9))
+    if q ** len(rational_basis) <= min(budget, 4096):
+        step = Fraction(1, q)
+        for combo in itertools.product(range(q), repeat=len(rational_basis)):
+            vec = [Fraction(0)] * ncols
+            for lam, basis_vec in zip(combo, rational_basis):
+                if lam:
+                    for idx, b in enumerate(basis_vec):
+                        if b:
+                            vec[idx] += lam * step * b
+            yield np.array([float(x) % 1.0 for x in vec])
+            produced += 1
+            if produced >= budget:
+                return
+    dense = C.to_dense()
+    torsion_bases = []
+    for p in (2, 3, 5, 7):
+        basis = kernel_basis(dense, ncols, p)
+        if basis:
+            torsion_bases.append((p, basis))
+        if basis and p ** len(basis) <= min(budget - produced, 4096):
+            for combo in itertools.product(range(p), repeat=len(basis)):
+                vec = [0] * ncols
+                for lam, bvec in zip(combo, basis):
+                    if lam:
+                        for idx, b in enumerate(bvec):
+                            vec[idx] = (vec[idx] + lam * b) % p
+                yield np.array([v / p for v in vec])
+                produced += 1
+                if produced >= budget:
+                    return
+    float_basis = [np.array([float(x) for x in bvec]) for bvec in rational_basis]
+    int_bases = [(p, np.array(basis)) for p, basis in torsion_bases]
+    while produced < budget:
+        point = np.zeros(ncols)
+        for bvec in float_basis:
+            lam = rng.randint(-4 * q, 4 * q) / (2.0 * q)
+            if lam:
+                point += lam * bvec
+        if int_bases and rng.random() < 0.5:
+            p, basis = int_bases[rng.randrange(len(int_bases))]
+            for bvec in basis:
+                lam = rng.randrange(p)
+                if lam:
+                    point += lam * bvec / p
+        yield point % 1.0
+        produced += 1
+
+
+NO_COLUMNS = RingMatrix(Z, [], cols=0)
+# Scaled to 3 - 3T: constants span the rational kernel and every vector is
+# 3-torsion, so the random fill mixes kernel combinations and torsion offsets.
+HALVES = mat(zp((0, Fraction(3, 2)), (1, Fraction(-3, 2))))
+fractional = st.dictionaries(
+    st.integers(-2, 2),
+    st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3])),
+    max_size=3,
+).map(lambda terms: mat(zp(*terms.items())))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    f=st.sampled_from([ZERO, TWO, ONE_PLUS_2T, THREE_MINUS_T, NO_COLUMNS, HALVES]) | fractional,
+    L=st.integers(1, 6),
+    eps=st.sampled_from([0.6, 0.5, 0.3, 0.25, 0.125, 0.1, 2**-5]),
+    seed=st.integers(0, 50),
+    budget=st.integers(1, 150),
+)
+@example(f=ZERO, L=2, eps=0.25, seed=0, budget=40)  # rational grid, then random fill
+@example(f=TWO, L=5, eps=0.25, seed=0, budget=40)  # torsion enumeration, then random fill
+@example(f=HALVES, L=3, eps=0.1, seed=2, budget=150)  # both kinds of fill
+@example(f=THREE_MINUS_T, L=1, eps=0.3, seed=1, budget=60)  # empty interior
+@example(f=NO_COLUMNS, L=3, eps=0.3, seed=0, budget=5)  # zero columns
+def test_sample_array_matches_stream_bitwise(f, L, eps, seed, budget):
+    F = folner_set(Z, L)
+    rng_key = (seed, "packing", len(F), repr(eps))
+    got = _solution_samples(f, F, eps, budget, derived_rng(*rng_key))
+    want = list(_streamed_samples(f, F, eps, budget, derived_rng(*rng_key)))
+    assert got.shape == (budget, len(F) * f.cols) == (len(want), got.shape[1])
+    assert got.view(np.uint64).tolist() == [w.view(np.uint64).tolist() for w in want]
+    assert ((0.0 <= got) & (got <= 1.0)).all()
+
+
+def _greedy_reference(points, eps):
+    kept = []
+    for x in points:
+        if all(_theta_arrays(x, y) >= eps for y in kept):
+            kept.append(x)
+    return kept
+
+
+circle_entry = st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(0, 30), st.integers(0, 4)),
+    data=st.data(),
+    eps=st.sampled_from([1e-12, 0.1, 0.25, 0.3, 0.5]) | st.floats(0.01, 0.6),
+)
+def test_greedy_count_matches_reduced_metric(shape, data, eps):
+    entries = data.draw(st.lists(circle_entry, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    points = np.array(entries, dtype=float).reshape(shape)
+    want = _greedy_reference(points.copy(), eps)
+    assert _greedy_count(points, eps) == len(want)
+    assert points[: len(want)].tolist() == [w.tolist() for w in want]
+
+
+@pytest.mark.parametrize("eps", [1e-300, 1e-12, 0.25, 0.5, 0.6, 1.0 - 1e-16])
+def test_greedy_count_zero_and_one_coincide(eps):
+    assert _greedy_count(np.array([[0.0], [1.0]]), eps) == 1
+
+
 # (L, eps) -> (count at seed 0, count at seed 1), budget 200.
 PINNED_COUNTS = {
     "zero": (ZERO, {
@@ -299,6 +422,13 @@ def test_estimate_torsion_and_injective_contain_zero():
 def test_estimate_needs_two_windows():
     with pytest.raises(InputError):
         mmdim_estimate(ZERO, (8,), [0.25])
+
+
+def test_estimate_on_a_finite_group_names_its_equal_windows():
+    C2 = finite_cyclic(2)
+    f = RingMatrix(C2, [[RingElem.from_terms(C2, [((0,), 1), ((1,), 1)])]])
+    with pytest.raises(InputError, match="windows L=1 and L=2 both have 2 elements"):
+        mmdim_estimate(f, (1, 2), [0.125], budget=20)
 
 
 def test_estimate_csv_rows_have_expected_columns():
