@@ -35,6 +35,18 @@ tour the modular rows drop from 20,735 to 2,464.  The ``two_over_z2``
 the Z^2 window of ``xy_minus_one`` loses only its boundary (4224x8192 ->
 4096x8064 at L=64), and Heisenberg L=4 goes 3427x5346 -> 2633x4552.
 
+On the modular path ``_merge_doubletons`` then takes the next step of
+structured elimination.  A column with exactly two nonzeros, one of them
+±1, is a pivot that needs no division: subtracting a multiple of the ±1
+entry's row from the other row leaves a singleton, which adds 1 to the rank
+and goes.  Each round merges a batch of such columns that equals the same
+merges done one after another, and a peel follows; rounds stop at the
+first that merges nothing.  This is exact over Q, like the peel.  The
+windows of binomial presentations are signed incidence matrices, with +1
+and -1 in every column, and they merge away almost entirely: the Z^2 L=64
+core 4096x8064 ends at 2x75 after 15 rounds, and Heisenberg L=4 at 2x28
+after 13.
+
 Window matrices are very sparse and nearly banded, so the modular
 elimination works on a profile.  Once per ``rank_q`` call, a layout that
 does not depend on the prime is planned from the COO arrays: columns are
@@ -45,21 +57,27 @@ that holds only the live block of rows, so memory follows the width of the
 profile, not m*n.  Rank modulo p does not depend on the order of rows and
 columns, so the reordering changes no result.  On a 2-vCPU host, on the
 Z^2 L=64 window (4224x8192, 16,384 nonzeros), planning the layout takes
-1.0 ms (5.0 ms from a dict of entries), and three primes take 0.09-0.16 s
-and about 1 MB of peak memory (0.43-0.71 s and 262 MB with one zero-filled
-m*n array per prime).
+1.0 ms (5.0 ms from a dict of entries).  Three primes on its peeled
+4096x8064 core take 0.17-0.18 s in the kernel alone (0.43-0.71 s and 262 MB
+with one zero-filled m*n array per prime); the merges take 13-19 ms and
+leave a 2x75 core that the kernel finishes in under 1 ms.
 
-The agreeing primes certify the rank of the core, to which the peel adds k.
-The peel is exact over Q, so a singleton entry that a prime divides changes
-nothing.  The error analysis for one random prime p: a wrong (too small)
-core rank needs p to divide a fixed nonzero maximal minor D of the core; D
-has at most log2(|D|)/30 prime divisors above 2^30 and there are ~9.8e7
-primes in [2^30, 2^31).  For matrices with entries bounded by a few hundred
-and dimension <= ~4000 that gives a per-prime failure probability below
-2e-5, hence below 2^-46 for three independent agreeing primes.  The default
-budgets admit larger windows (the Z^2 window at L=64 has 8,192 columns);
-those fall outside this argument, and no bound is stated for them until the
-bound is computed from the matrix itself (ROADMAP item 2).  Requiring three
+The agreeing primes certify the rank of the core, to which the peel and
+the merges add k.  Both are exact over Q, so a singleton entry that a prime
+divides changes nothing.  A merge pivots on ±1, a unit modulo every prime,
+so a prime that gives the merged core too small a rank does so on the
+peeled core as well.  The error analysis for one random prime p: a wrong
+(too small) rank of the peeled core needs p to divide a fixed nonzero
+maximal minor D of it; D has at most log2(|D|)/30 prime divisors above 2^30
+and there are ~9.8e7 primes in [2^30, 2^31).  Merged entries can grow past
+M's, so merging stops before a round that could make an entry of 2^62 or
+more; values stay int64 and their residues exact.  For M with entries
+bounded by a few hundred and dimension <= ~4000 the analysis gives a
+per-prime failure probability below 2e-5, hence below 2^-46 for three
+independent agreeing primes.  The default budgets admit larger windows (the
+Z^2 window at L=64 has 8,192 columns); those fall outside this argument,
+and no bound is stated for them until the bound is computed from the matrix
+itself (ROADMAP item 2).  Requiring three
 agreements instead of two compensates for using 31-bit primes (which keep
 products inside int64) rather than 62-bit ones.
 """
@@ -84,6 +102,8 @@ MAX_PRIMES = 16
 SPOT_CHECK_SIZE = 32
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The least strong pseudoprime to bases 2, 3, 5 and 7 (Jaeschke 1993).
+_MR_SHORT_BOUND = 3_215_031_751
 
 
 def int_array(values) -> np.ndarray:
@@ -177,7 +197,9 @@ class RankCertificate:
 
 
 def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin for n < 3.3 * 10^24 with the fixed base set.
+    # Deterministic Miller-Rabin for n < 3.3 * 10^24 with the fixed base set;
+    # below _MR_SHORT_BOUND, which every 31-bit candidate is, its first four
+    # bases already decide.
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -188,7 +210,7 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:4] if n < _MR_SHORT_BOUND else _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -308,6 +330,75 @@ def _peel(M: SparseIntMatrix) -> tuple[int, SparseIntMatrix]:
         # A row left in the core meets a column left in it, and conversely.
         return k, SparseIntMatrix(0, 0)
     return k, M.submatrix(rows, cols)
+
+
+def _merge_doubletons(core: SparseIntMatrix) -> tuple[int, SparseIntMatrix]:
+    """Unit doubleton columns merged away over Q: rank core = k + rank result.
+
+    A column j with exactly two nonzeros, u = ±1 in row a and v in row b, is
+    a pivot that needs no division: row_b -= v*u*row_a clears (b, j), and
+    then row a and column j leave and add 1 to the rank, as a singleton does.
+    Each round tags every row leaf or center by a fixed hash of its position
+    and the round (no rng is drawn), and every leaf a that has such a column
+    j(a) whose other row b(a) is a center merges into b(a).  The leaves' rows
+    and the columns j(a) then form a diagonal ±1 block, since column j(a)
+    meets no leaf but a.  So a merge changes only center rows, leaves every
+    other leaf row and chosen column as it was, and adds 0 to every other
+    j(a): doing the round's merges one after another gives the same matrix
+    as summing all their row updates at once, which is what one round does.
+    A ``_peel`` follows each round, and merging stops at the first round that
+    merges nothing.  Values stay int64: merging also stops when they are
+    Python ints, or when a center's entry, its own value plus at most one
+    term per leaf in that column, could reach 2^62.  A merge pivots on a
+    unit modulo every prime, so it lowers the rank modulo p by 1, as over Q.
+    """
+    k = 0
+    for rnd in range(core.rows):
+        merges, core = _merge_round(core, rnd)
+        if not merges:
+            break
+        peeled, core = _peel(core)
+        k += merges + peeled
+    return k, core
+
+
+def _merge_round(M: SparseIntMatrix, rnd: int) -> tuple[int, SparseIntMatrix]:
+    """One round of ``_merge_doubletons``: the number of merges and the
+    matrix after them, with the leaf rows and chosen columns left empty.
+    Its arrays are freed before the peel that follows."""
+    ii, jj, vals = M.ii, M.jj, M.vals
+    if vals.dtype == object or not vals.size:
+        return 0, M
+    ccnt = np.bincount(jj, minlength=M.cols)
+    (two,) = (ccnt == 2).nonzero()
+    at = np.cumsum(ccnt)[two]
+    e0, e1 = np.argsort(jj, kind="stable")[[at - 2, at - 1]]
+    pos = np.arange(M.rows, dtype=np.uint64) + np.uint64(rnd << 32)
+    leaf = (pos * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(63)).astype(bool)
+    # Each doubleton as (entry in a leaf, entry in a center), if it has both.
+    ea, eb = np.where(leaf[ii[e0]], e0, e1), np.where(leaf[ii[e0]], e1, e0)
+    unit = leaf[ii[ea]] & ~leaf[ii[eb]] & (np.abs(vals[ea]) == 1)
+    a, first = np.unique(ii[ea[unit]], return_index=True)
+    ea, eb = ea[unit][first], eb[unit][first]
+    if not a.size:
+        return 0, M
+    big = max(int(vals.max()), -int(vals.min()))
+    far = max(int(vals[eb].max()), -int(vals[eb].min()))
+    if big * (1 + int(ccnt.max()) * far) >= 2**62:
+        return 0, M
+    # A leaf's entries move to its center, times -v*u; then equal positions sum.
+    to = np.arange(M.rows)
+    to[a] = ii[eb]
+    scale = np.ones(M.rows, dtype=np.int64)
+    scale[a] = -vals[ea] * vals[eb]
+    key = to[ii] * M.cols + jj
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    (heads,) = np.r_[True, key[1:] != key[:-1]].nonzero()
+    sums = np.add.reduceat((vals * scale[ii])[order], heads)
+    nz = sums != 0
+    key = key[heads[nz]]
+    return a.size, SparseIntMatrix(M.rows, M.cols, key // M.cols, key % M.cols, sums[nz])
 
 
 @dataclass(frozen=True)
@@ -480,16 +571,19 @@ def rank_q(
     Empty matrices have rank 0.  Otherwise the singletons are peeled off
     first (``_peel``): rank M = k + rank core, and only the core is
     eliminated.  Matrices with max dimension up to ``SMALL_DIM_CUTOFF`` are
-    done fraction-free; larger ones go through the modular multi-prime
-    protocol described in the module docstring, whose agreeing primes
-    certify the core's rank.  The choice of path and the primes drawn depend
-    on M's own size, not the core's.
+    done fraction-free.  Larger ones merge their unit doubletons
+    (``_merge_doubletons``, which adds to k) and go through the modular
+    multi-prime protocol described in the module docstring, whose agreeing
+    primes certify the core's rank.  The choice of path and the primes drawn
+    depend on M's own size, not the core's.
     """
     if M.rows == 0 or M.cols == 0 or not M.nnz():
         return RankCertificate(0, "fraction-free")
     peeled, core = _peel(M)
     if max(M.rows, M.cols) <= SMALL_DIM_CUTOFF:
         return RankCertificate(peeled + bareiss_rank(core.to_dense()), "fraction-free")
+    merged, core = _merge_doubletons(core)
+    peeled += merged
     rng = rng if rng is not None else random.Random(0xF01)
     seen: dict[int, int] = {}
     by_rank: dict[int, list[int]] = {}

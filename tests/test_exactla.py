@@ -13,6 +13,8 @@ from folrank.exactla import (
     RankCertificate,
     SparseIntMatrix,
     _dense_rank_mod_p,
+    _is_prime,
+    _merge_doubletons,
     _peel,
     _plan_layout,
     _ranks_mod_primes,
@@ -102,6 +104,26 @@ def test_certificate_invariants():
         RankCertificate(1, "modular-multi-prime", primes=(7,))
     with pytest.raises(InputError):
         RankCertificate(1, "lucky-guess")
+
+
+def test_is_prime_short_bases_match_all_bases(monkeypatch):
+    rng = random.Random(11)
+    bound = exactla._MR_SHORT_BOUND
+    cases = [rng.randrange(1, bound, 2) for _ in range(3000)]
+    # Strong pseudoprimes to base 2 (2047, 3277), to 2 and 3 (1373653) and
+    # to 2, 3 and 5 (25326001).
+    cases += [2047, 3277, 4033, 1_373_653, 25_326_001, 2_147_483_647, bound - 2]
+    short = [_is_prime(n) for n in cases]
+    monkeypatch.setattr(exactla, "_MR_SHORT_BOUND", 0)
+    assert short == [_is_prime(n) for n in cases]
+    assert any(short)
+
+
+@pytest.mark.parametrize("n", [25_326_001, 3_215_031_751, 2_152_302_898_747])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # 25326001 passes bases 2, 3, 5; 3215031751 passes 2, 3, 5, 7 (it is the
+    # short set's bound); 2152302898747 passes 2, 3, 5, 7, 11.
+    assert not _is_prime(n)
 
 
 def test_modular_path_used_for_large_and_agrees():
@@ -246,7 +268,87 @@ def test_peel_is_over_q_when_a_prime_divides_the_singleton():
     assert cert.method == "modular-multi-prime" and cert.primes[0] == p
 
 
-@pytest.mark.parametrize("fixture, L", [("xy_minus_one", 8), ("two_over_z2", 16)])
+@st.composite
+def doubleton_graphs(draw):
+    """Signed incidence matrices of random multigraphs (one column per edge,
+    so parallel edges give parallel columns that cancel), a star of leaves
+    on one center, doubleton entries that are not units, extra random
+    entries, and values past the int64 guard or past int64 itself."""
+    n = draw(st.integers(2, 9))
+    entry = st.sampled_from((1, 1, -1, -1, 2, -3))
+    dense = [[] for _ in range(n)]
+
+    def column(at):
+        for i, row in enumerate(dense):
+            row.append(at.get(i, 0))
+
+    for _ in range(draw(st.integers(0, 14))):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if a != b:
+            column({a: draw(entry), b: draw(entry)})
+    center = draw(st.integers(0, n - 1))
+    for leaf in draw(st.lists(st.integers(0, n - 1), max_size=5)):
+        if leaf != center:
+            column({leaf: draw(st.sampled_from((1, -1))), center: draw(entry)})
+    if not dense[0]:
+        column({0: 1, n - 1: -1})
+    cols = len(dense[0])
+    for _ in range(draw(st.integers(0, 4))):
+        dense[draw(st.integers(0, n - 1))][draw(st.integers(0, cols - 1))] = draw(entry)
+    big = st.sampled_from((2**61, -(2**62) + 7, 2**63 + 1))
+    if draw(st.integers(0, 4)) == 0:
+        dense[draw(st.integers(0, n - 1))][draw(st.integers(0, cols - 1))] = draw(big)
+    return dense
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense=doubleton_graphs())
+def test_merges_keep_the_rank(dense):
+    peeled, core = _peel(M(dense))
+    merged, rest = _merge_doubletons(core)
+    assert peeled + merged + bareiss_rank(rest.to_dense()) == bareiss_rank(dense)
+    for counts in _live_counts(rest):
+        assert counts.min(initial=2) >= 2
+    assert rest.rows <= core.rows - merged and rest.cols <= core.cols - merged
+
+
+def _cycle_with_chords(n, u=1, v=-1):
+    # Vertices 0..n-1 on a cycle plus chords i -- i + 2, u and v in each
+    # edge's column: every column is a doubleton and every row has four
+    # nonzeros, so nothing peels.
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 2) % n) for i in range(n)]
+    dense = [[0] * len(edges) for _ in range(n)]
+    for j, (a, b) in enumerate(edges):
+        dense[a][j], dense[b][j] = u, v
+    return dense
+
+
+def test_merges_shrink_an_incidence_matrix():
+    dense = _cycle_with_chords(40)
+    A = M(dense)
+    assert _peel(A) == (0, A)
+    k, core = _merge_doubletons(A)
+    assert k + bareiss_rank(core.to_dense()) == bareiss_rank(dense) == 39
+    assert core.rows <= 3
+    # A doubleton with no ±1 entry is no pivot.
+    B = M(_cycle_with_chords(40, 2, -3))
+    assert _merge_doubletons(B) == (0, B)
+
+
+@pytest.mark.parametrize("value", [2**61, -(2**61), 2**63, -(2**70)])
+def test_merges_skip_values_past_the_int64_guard(value):
+    # 2^61 * (1 + 2 * 1) >= 2^62 trips the guard; 2^63 and past make the
+    # values Python ints.  Either way nothing is merged.
+    dense = _cycle_with_chords(40)
+    dense[5][7] = value
+    A = M(dense)
+    assert _merge_doubletons(A) == (0, A)
+    assert rank_q(A, rng=random.Random(0)).rank == bareiss_rank(dense)
+
+
+@pytest.mark.parametrize(
+    "fixture, L", [("xy_minus_one", 8), ("two_over_z2", 16), ("heisenberg_ab", 2)]
+)
 def test_kernel_sees_only_peeled_cores(fixture, L, monkeypatch):
     f = RingMatrix.from_json(json.loads((FIXTURES / f"{fixture}.json").read_text()))
     W = window_matrix(f, folner_set(f.spec, L)).data
@@ -263,6 +365,9 @@ def test_kernel_sees_only_peeled_cores(fixture, L, monkeypatch):
     monkeypatch.setattr(exactla, "_ranks_mod_primes", checked)
     assert rank_q(W, rng=random.Random(3)).rank == bareiss_rank(W.to_dense())
     assert seen
+    if fixture == "xy_minus_one":
+        # Peeled, the 80x128 window is 64x112; merged, only a few rows are left.
+        assert seen[0][0] <= 4
 
 
 @settings(max_examples=200, deadline=None)
