@@ -13,15 +13,21 @@ import json
 import sys
 from pathlib import Path
 
+from folrank.cli import parse_epsilon
+from folrank.errors import InputError
 from folrank.groupring import RingMatrix
 from folrank.mmdim import mmdim_estimate
 
 
 def parse_eps(spec: str):
     if ":" in spec:
-        lo, hi = spec.split(":")
-        return [2.0**-k for k in range(int(lo), int(hi) + 1)]
-    return [float(x) for x in spec.split(",") if x]
+        lo, _, hi = spec.partition(":")
+        try:
+            exponents = range(int(lo), int(hi) + 1)
+        except ValueError as exc:
+            raise InputError(f"--eps: expected a dyadic range lo:hi, got {spec!r}") from exc
+        return [parse_epsilon(f"2^{-k}") for k in exponents]
+    return [parse_epsilon(x) for x in spec.split(",") if x]
 
 
 def main(argv=None) -> int:
@@ -33,14 +39,18 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    f = RingMatrix.from_json(json.loads(Path(args.input).read_text()))
-    est = mmdim_estimate(
-        f,
-        [int(x) for x in args.L.split(",") if x],
-        parse_eps(args.eps),
-        budget=args.budget,
-        seed=args.seed,
-    )
+    try:
+        f = RingMatrix.from_json(json.loads(Path(args.input).read_text()))
+        est = mmdim_estimate(
+            f,
+            [int(x) for x in args.L.split(",") if x],
+            parse_eps(args.eps),
+            budget=args.budget,
+            seed=args.seed,
+        )
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 1
     print(f"{'L':>4} {'|F|':>6} {'eps':>12} {'lower_count':>12} {'upper_log':>12} {'grid_dim':>9}")
     for r in est.reports:
         print(

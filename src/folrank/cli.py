@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,17 +92,23 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def parse_epsilon(text: str) -> float:
+    """A scale written as a rational ("1/8", "0.125") or a power ("2^-3").
+
+    Anything that is not a finite real float is an input error: a negative
+    base to a fractional power is complex, and a huge power overflows.
+    """
     text = text.strip()
-    if "^" in text:
-        base, _, expo = text.partition("^")
-        try:
-            return float(base) ** float(expo)
-        except ValueError as exc:
-            raise InputError(f"not an epsilon value: {text!r}") from exc
     try:
-        return float(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
+        if "^" in text:
+            base, _, expo = text.partition("^")
+            value = float(base) ** float(expo)
+        else:
+            value = float(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"not an epsilon value: {text!r}") from exc
+    if not isinstance(value, float) or not math.isfinite(value):
+        raise InputError(f"not a finite real epsilon value: {text!r}")
+    return value
 
 
 def _load_json(path: Path) -> object:

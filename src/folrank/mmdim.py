@@ -12,9 +12,10 @@ coordinates of the real solution space of the interior system (certified,
 counted without enumeration) and a greedy packing of sampled rational
 solutions (torsion points and random kernel combinations).  All distances
 use the max-over-coordinates circle metric.  The greedy packing draws all
-its samples into one (budget, columns) array and compacts the kept points
-to the front of that array in place, so each sample costs one reduction
-against all kept rows and no second array of that size is made.
+its samples into one (budget, columns) array and tests them a block of
+rows at a time, in a coordinate-major copy: one pass over the coordinates
+compares a whole block with every kept point and with itself, and only the
+keep decisions inside the block are made one row at a time.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .ranks import derived_rng
 CONGRUENCE_TOL = 2.0**-40
 _ENUM_CAP = 4096
 _FILL_ROWS = 64
+_PACK_ROWS = 64
 
 
 def theta(a: float, b: float) -> float:
@@ -110,12 +112,19 @@ def theta_pseudometric(x: SolenoidBoxPoint, y: SolenoidBoxPoint) -> float:
     return _theta_arrays(x.values, y.values)
 
 
+def _check_eps(eps: float) -> None:
+    """Every bound takes a scale 0 < eps < 1.  The grid modulus is about
+    1/eps and the random fill draws integers up to 4/eps, which must convert
+    to finite floats, so eps must be at least about 2.2e-308."""
+    if not (0.0 < eps < 1.0 and math.isfinite(4.0 / eps)):
+        raise InputError(f"eps must lie in (0, 1) with 4/eps finite, got {eps}")
+
+
 def separated_upper_bound(
     f: RingMatrix, F, eps: float, rng: random.Random | None = None, max_primes: int = MAX_PRIMES
 ) -> float:
     """log of the explicit separated-set counting bound at scale eps."""
-    if not 0.0 < eps < 1.0:
-        raise InputError(f"eps must lie in (0, 1), got {eps}")
+    _check_eps(eps)
     felems = elements_of(F)
     W = window_matrix(f, F)
     kdim = W.data.cols - rank_q(W.data, rng=rng, max_primes=max_primes).rank
@@ -145,6 +154,7 @@ def kernel_grid_packing(
     the grid step, so the packing is eps-separated; the count is exact
     without enumerating it.
     """
+    _check_eps(eps)
     C = interior_constraint_matrix(f, F)
     dim = C.cols - rank_q(C, rng=rng, max_primes=max_primes).rank
     return _grid_modulus(eps) ** dim, dim
@@ -212,7 +222,7 @@ def _solution_samples(f: RingMatrix, F, eps: float, budget: int, rng: random.Ran
                 p, basis = torsion_bases[t]
                 offsets[t][0].append(row)
                 offsets[t][1].append([rng.randrange(p) for _ in range(len(basis))])
-        for lam, bvec in zip(np.array(lams).T / (2.0 * q), float_basis):
+        for lam, bvec in zip(np.array(lams, dtype=float).T / (2.0 * q), float_basis):
             block += lam[:, None] * bvec
         for (p, basis), (rows, tlams) in zip(torsion_bases, offsets):
             if rows:
@@ -229,17 +239,40 @@ def _greedy_count(points: np.ndarray, eps: float) -> int:
     [0, 1]), in row order.  Kept rows are moved to the front of ``points``
     in place, so the array is overwritten; returns how many were kept.
 
+    A row is kept iff it is at least eps from every earlier kept row.  The
+    rows are taken _PACK_ROWS at a time from a (columns, samples) copy:
+    each block is first moved next to the kept rows, then one pass over the
+    coordinates marks, in a (block, kept + block) plane, which pairs are
+    closer than eps in every coordinate.  Only the keep decisions inside the
+    block are sequential, each one a test of a Python-int bitmask of the
+    block rows it is close to against those already kept.
+
     Circle distance here is min(d, 1 - d) with d = |x - y| and no reduction
     mod 1: d lies in [0, 1], and d % 1.0 is d for d < 1, while at d = 1
-    both forms give 0.  So every keep decision is the reduced metric's.
+    both forms give 0.  |x - y| = |y - x| exactly, and a max over the
+    coordinates is below eps iff every coordinate is, so every keep
+    decision is the one the reduced metric gives to the rows taken one at
+    a time in order.
     """
-    k = min(1, len(points))
-    for i in range(1, len(points)):
-        x = points[i]
-        d = np.abs(x - points[:k])
-        if not (np.minimum(d, 1.0 - d).max(axis=1, initial=0.0) < eps).any():
-            points[k] = x
-            k += 1
+    cols = np.ascontiguousarray(points.T)
+    k = 0
+    for start in range(0, cols.shape[1], _PACK_ROWS):
+        b = min(_PACK_ROWS, cols.shape[1] - start)
+        cols[:, k : k + b] = cols[:, start : start + b]
+        close = np.ones((b, k + b), dtype=bool)
+        for row in cols:
+            d = np.abs(row[k : k + b, None] - row[: k + b])
+            close &= np.minimum(d, 1.0 - d) < eps
+        near = close[:, :k].any(axis=1).tolist()
+        masks = np.packbits(close[:, k:], axis=1, bitorder="little")
+        kept_bits, chosen = 0, []
+        for i in range(b):
+            if not near[i] and not int.from_bytes(masks[i].tobytes(), "little") & kept_bits:
+                kept_bits |= 1 << i
+                chosen.append(k + i)
+        cols[:, k : k + len(chosen)] = cols[:, chosen]
+        k += len(chosen)
+    points[:k] = cols[:, :k].T
     return k
 
 
@@ -248,13 +281,15 @@ def separated_lower_count(
 ) -> int:
     """Size of a greedy eps-separated packing among sampled solution points.
 
-    A sample is kept iff its max circle distance to every kept point is at
-    least eps, tested against all kept rows in one reduction.  The samples
-    are one (budget, columns) array and the kept points are compacted to
-    its front, so no second array of that size is made.  Every sample lies
-    in [0, 1], so the keep test skips the reduction mod 1 (see
-    `_greedy_count`).  Deterministic for a fixed seed.
+    A sample is kept iff its max circle distance to every earlier kept
+    point is at least eps.  The samples are one (budget, columns) array,
+    copied once to coordinate-major order and tested a block of rows at a
+    time against all kept points at once; the other temporaries are
+    (block, kept + block) planes.  Every sample lies in [0, 1], so the keep
+    test skips the reduction mod 1 (see `_greedy_count`).  Deterministic
+    for a fixed seed.
     """
+    _check_eps(eps)
     if budget < 1:
         raise InputError("sample budget must be >= 1")
     rng = derived_rng(seed, "packing", len(elements_of(F)), repr(eps))
@@ -361,8 +396,10 @@ def mmdim_estimate(
     if len(window_indices) < 2:
         raise InputError("mmdim estimation needs at least two window indices")
     eps_schedule = sorted(set(float(e) for e in eps_schedule), reverse=True)
-    if not eps_schedule or not all(0.0 < e < 1.0 for e in eps_schedule):
-        raise InputError("eps schedule must be nonempty with entries in (0, 1)")
+    if not eps_schedule:
+        raise InputError("eps schedule must be nonempty")
+    for eps in eps_schedule:
+        _check_eps(eps)
     windows = {L: folner_set(f.spec, L) for L in window_indices}
     l1, l2 = window_indices[-2], window_indices[-1]
     df = len(windows[l2]) - len(windows[l1])

@@ -109,6 +109,20 @@ def test_mmdim_command(tmp_path):
     assert header == "L,F_size,epsilon,lower_count,upper_log,lower_slope,upper_slope"
 
 
+@pytest.mark.parametrize("text", ["-8^0.5", "10^400", "1e400", "nan", "inf", "1/0", "2^x"])
+def test_parse_epsilon_rejects_what_is_not_a_finite_real(text):
+    with pytest.raises(InputError):
+        parse_epsilon(text)
+
+
+@pytest.mark.parametrize("flag", ["--epsilon=-8^0.5", "--epsilon=10^400", "--epsilon=0", "--epsilon=2^-1074"])
+def test_mmdim_bad_epsilon_is_an_input_error(flag, tmp_path, capsys):
+    argv = ["mmdim", "--input", str(FIXTURES / "two_over_z.json"), "--L", "3,4", flag]
+    assert run_cli(argv, tmp_path) == 1
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not list(tmp_path.iterdir())
+
+
 def test_mmdim_on_a_finite_group_is_an_input_error(tmp_path):
     # Every window of a finite group is the whole group, so no slope exists.
     src = str(Path(cli_module.__file__).resolve().parents[1])

@@ -1,17 +1,21 @@
+import csv
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from folrank.cli import main as cli_main
 from folrank.errors import InputError
 from folrank.exactla import kernel_basis, nullspace_q
 from folrank.groupring import RingElem, RingMatrix
 from folrank.groups import elements_of, finite_cyclic, folner_set, zd
 from folrank.mmdim import (
+    _PACK_ROWS,
     SolenoidBoxPoint,
     _greedy_count,
     _solution_samples,
@@ -136,6 +140,28 @@ def test_upper_bound_eps_range():
         separated_upper_bound(TWO, folner_set(Z, 2), 1.5)
 
 
+# 2^-1074 and 2^-1023 are subnormal: 1/eps (resp. 4/eps) overflows, and the
+# grid modulus int(1/eps) or the random fill's float(4/eps) cannot be formed.
+BAD_EPS = [0.0, -0.0, -0.5, 1.0, 1.5, math.nan, math.inf, 2.0**-1074, 2.0**-1023]
+
+
+@pytest.mark.parametrize("eps", BAD_EPS, ids=repr)
+def test_every_bound_rejects_eps(eps):
+    F = folner_set(Z, 2)
+    for bound in (separated_upper_bound, kernel_grid_packing, separated_lower_count):
+        with pytest.raises(InputError, match="eps must lie in"):
+            bound(ONE_PLUS_2T, F, eps)
+    with pytest.raises(InputError, match="eps must lie in"):
+        mmdim_estimate(ONE_PLUS_2T, (2, 3), [0.25, eps], budget=10)
+
+
+@pytest.mark.parametrize("eps", [2.0**-1022 * 1.5, 1e-300, 1e-20, 1.0 - 2.0**-53])
+def test_extreme_eps_still_gives_bounds(eps):
+    # Huge grid moduli draw random integers past int64; they must stay floats.
+    est = mmdim_estimate(ONE_PLUS_2T, (2, 3), [eps], budget=20, seed=1)
+    assert all(r.lower_count >= 1 for r in est.reports)
+
+
 def test_upper_bound_one_plus_2T_components():
     F = folner_set(Z, 4)
     eps = 0.25
@@ -187,14 +213,17 @@ laurent = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=3).ma
 )
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(
     f=st.sampled_from([ZERO, TWO, ONE_PLUS_2T, THREE_MINUS_T]) | laurent,
     L=st.integers(1, 6),
     eps=st.sampled_from([0.6, 0.5, 0.25, 0.125, 2**-5]),
     seed=st.integers(0, 50),
-    budget=st.integers(1, 120),
+    budget=st.integers(1, 3 * _PACK_ROWS + 20),
 )
+@example(f=ZERO, L=6, eps=0.125, seed=0, budget=3 * _PACK_ROWS + 20)  # most rows kept
+@example(f=ONE_PLUS_2T, L=5, eps=2**-5, seed=3, budget=3 * _PACK_ROWS)  # exactly three blocks
+@example(f=TWO, L=6, eps=0.25, seed=1, budget=2 * _PACK_ROWS + 1)  # torsion grid, one-row block
 def test_lower_count_matches_scalar_packing(f, L, eps, seed, budget):
     F = folner_set(Z, L)
     want = _scalar_lower_count(f, F, eps, budget, seed)
@@ -345,6 +374,52 @@ def test_greedy_count_zero_and_one_coincide(eps):
     assert _greedy_count(np.array([[0.0], [1.0]]), eps) == 1
 
 
+def _per_sample_greedy(points, eps):
+    """The packing one sample at a time, each tested against all kept rows
+    in one reduction: the oracle for the blocked _greedy_count."""
+    kept = np.empty_like(points)
+    k = 0
+    for x in points:
+        d = np.abs(x - kept[:k])
+        if not (np.minimum(d, 1.0 - d).max(axis=1, initial=0.0) < eps).any():
+            kept[k] = x
+            k += 1
+    return kept[:k]
+
+
+def _synthetic(name, rng):
+    n = 3 * _PACK_ROWS + 17  # three full blocks and a short one
+    if name == "eps-grid":  # many pairs exactly eps (or 1 - eps) apart
+        return rng.integers(0, 9, size=(n, 3)) / 8
+    if name == "tenths":  # k/10 is inexact, so differences land on both sides of 0.1
+        return rng.integers(0, 11, size=(n, 2)) / 10
+    if name == "zero-one":  # d = 1 is distance 0
+        return rng.choice([0.0, 0.5, 1.0], size=(n, 4))
+    if name == "duplicates":
+        base = rng.random((_PACK_ROWS + 5, 2))
+        return base[rng.integers(0, len(base), size=n)]
+    if name == "uniform":  # keeps more rows than one block
+        return rng.random((n, 2))
+    if name == "no-columns":
+        return np.empty((n, 0))
+    if name == "one-row":
+        return rng.random((1, 5))
+    assert name == "no-rows"
+    return np.empty((0, 3))
+
+
+SYNTHETIC = ["eps-grid", "tenths", "zero-one", "duplicates", "uniform", "no-columns", "one-row", "no-rows"]
+
+
+@pytest.mark.parametrize("name", SYNTHETIC)
+@pytest.mark.parametrize("eps", [0.6, 0.5, 0.25, 0.125, 0.1, 2**-5, 2**-8])
+def test_greedy_count_matches_per_sample_loop(name, eps):
+    points = _synthetic(name, np.random.default_rng(SYNTHETIC.index(name)))
+    want = _per_sample_greedy(points, eps)
+    assert _greedy_count(points, eps) == len(want)
+    assert points[: len(want)].tolist() == want.tolist()
+
+
 # (L, eps) -> (count at seed 0, count at seed 1), budget 200.
 PINNED_COUNTS = {
     "zero": (ZERO, {
@@ -371,6 +446,26 @@ def test_lower_count_pinned_values(name):
         for L, eps in table
     }
     assert got == table
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+# The fixture-tour benchmark job `mmdim two_over_z --L 7,8 --epsilon
+# 2^-3,2^-4,2^-5,2^-6`: its CSV lower_count column, in row order (eps
+# descending, then L), at each of the job seeds 0-3.
+JOB_COUNTS = {seed: [128, 256] * 4 for seed in range(4)}
+
+
+@pytest.mark.parametrize("seed", sorted(JOB_COUNTS))
+def test_benchmark_job_lower_counts_pinned(seed, tmp_path):
+    argv = ["mmdim", "--input", str(FIXTURES / "two_over_z.json"), "--L", "7,8"]
+    argv += ["--epsilon", "2^-3,2^-4,2^-5,2^-6", "--seed", str(seed), "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
+    with open(tmp_path / "mmdim-two_over_z.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["L"], r["epsilon"]) for r in rows] == [
+        (L, repr(2.0**-k)) for k in (3, 4, 5, 6) for L in ("7", "8")
+    ]
+    assert [int(r["lower_count"]) for r in rows] == JOB_COUNTS[seed]
 
 
 def test_grid_packing_dimensions():

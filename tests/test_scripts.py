@@ -33,3 +33,12 @@ def test_mmdim_scan_prints_the_packing_table(capsys):
     table = [line.split() for line in lines[1:5]]
     assert [(r[0], r[2]) for r in table] == [("3", "0.250000"), ("4", "0.250000"), ("3", "0.125000"), ("4", "0.125000")]
     assert "estimate interval: [" in out
+
+
+def test_mmdim_scan_bad_eps_is_an_input_error(capsys):
+    script = load("mmdim_scan")
+    argv = ["--input", str(ROOT / "fixtures" / "two_over_z.json"), "--L", "3,4", "--eps", "0", "--budget", "20"]
+    assert script.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: eps must lie in (0, 1)")
+    assert captured.out == ""
