@@ -3,16 +3,18 @@
 A ``SparseIntMatrix`` holds coordinate (COO) arrays: int64 rows and
 columns, and int64 values, or Python ints in an object array when a value
 exceeds int64.  Submatrices, dense copies and block matrices are masks,
-scatters and concatenations of these arrays.  Small matrices (max dimension
-<= 64) go through fraction-free Bareiss elimination over Python integers.
-Large windows use Gaussian elimination modulo random 31-bit primes with
+scatters and concatenations of these arrays.  A rank starts with an exact
+peel of singletons over Q (below).  A core of max dimension <= 64 that is
+left, the empty core included, goes through fraction-free Bareiss
+elimination over Python integers: its rank is exact and no prime is drawn.
+Larger cores use Gaussian elimination modulo random 31-bit primes with
 numpy int64 arithmetic, on the residues ``vals % p``; the rank is certified
 by three distinct agreeing primes plus a fraction-free spot check on a
 random minor.
 
 The package has three eliminations.  ``bareiss_rank`` is the fraction-free
-rank over the integers, for small matrices, the spot check and the
-last-resort fallback.  ``_ranks_mod_primes`` ranks large sparse windows
+rank over the integers, for small cores, the spot check and the
+last-resort fallback.  ``_ranks_mod_primes`` ranks large sparse cores
 modulo several primes in one pass.  ``_rref`` is one dense reduced echelon
 over Q or modulo one prime; only its field arithmetic depends on p.  It
 gives the kernel bases of ``kernel_basis`` and ``nullspace_q`` (the rational
@@ -25,12 +27,15 @@ with one nonzero adds 1 to the rank and goes with that entry's row or
 column; zero rows and columns go too.  So rank M = k + rank core, and only
 the core is eliminated.  Window operators are full of singletons: every
 column at a window's boundary is one, and removing it exposes the next.
-The choice between the two eliminations, the primes drawn and the spot
-check's minor still follow M's own size and rng draws.  Job seed 1,
-in-process: on ``verify-suite --cases 100`` the 179 modular calls have
-15,622 rows and their cores 360 (160 cores are empty), and the 1,309
-Bareiss inputs shrink from 281,138 cells to 3,022; on the seven-fixture
-tour the modular rows drop from 20,735 to 2,464.  The ``two_over_z2``
+The choice between the two eliminations follows the core's size, not M's:
+most windows above the cutoff leave small or empty cores, and fraction-free
+Bareiss (Bareiss 1968) ranks those exactly for less than the modular
+protocol's fixed cost of primes, layout and spot check.  Job seed 1,
+in-process: on ``verify-suite --cases 100``, 179 matrices are above the
+cutoff, with 15,622 rows; their cores have 360 rows, 160 are empty and the
+largest is 48x43, so none goes modular and no prime is drawn.  On the
+seven-fixture tour 41 of the 46 matrices above the cutoff peel to empty
+cores, and the modular rows drop from 20,735 to 2,464.  The ``two_over_z2``
 ``mrank`` matrices (diagonal, 256x256 to 4096x4096) peel away completely;
 the Z^2 window of ``xy_minus_one`` loses only its boundary (4224x8192 ->
 4096x8064 at L=64), and Heisenberg L=4 goes 3427x5346 -> 2633x4552.
@@ -62,22 +67,23 @@ Z^2 L=64 window (4224x8192, 16,384 nonzeros), planning the layout takes
 with one zero-filled m*n array per prime); the merges take 13-19 ms and
 leave a 2x75 core that the kernel finishes in under 1 ms.
 
-The agreeing primes certify the rank of the core, to which the peel and
-the merges add k.  Both are exact over Q, so a singleton entry that a prime
-divides changes nothing.  A merge pivots on ±1, a unit modulo every prime,
-so a prime that gives the merged core too small a rank does so on the
-peeled core as well.  The error analysis for one random prime p: a wrong
-(too small) rank of the peeled core needs p to divide a fixed nonzero
-maximal minor D of it; D has at most log2(|D|)/30 prime divisors above 2^30
-and there are ~9.8e7 primes in [2^30, 2^31).  Merged entries can grow past
-M's, so merging stops before a round that could make an entry of 2^62 or
-more; values stay int64 and their residues exact.  For M with entries
-bounded by a few hundred and dimension <= ~4000 the analysis gives a
-per-prime failure probability below 2e-5, hence below 2^-46 for three
-independent agreeing primes.  The default budgets admit larger windows (the
-Z^2 window at L=64 has 8,192 columns); those fall outside this argument,
-and no bound is stated for them until the bound is computed from the matrix
-itself (ROADMAP item 2).  Requiring three
+Cores of max dimension <= 64 are ranked exactly, and what follows applies
+only to larger ones.  There the agreeing primes certify the rank of the
+core, to which the peel and the merges add k.  Both are exact over Q, so a
+singleton entry that a prime divides changes nothing.  A merge pivots on
+±1, a unit modulo every prime, so a prime that gives the merged core too
+small a rank does so on the peeled core as well.  The error analysis for one
+random prime p: a wrong (too small) rank of the peeled core needs p to
+divide a fixed nonzero maximal minor D of it; D has at most log2(|D|)/30
+prime divisors above 2^30 and there are ~9.8e7 primes in [2^30, 2^31).
+Merged entries can grow past M's, so merging stops before a round that
+could make an entry of 2^62 or more; values stay int64 and their residues
+exact.  For M with entries bounded by a few hundred and dimension <= ~4000
+the analysis gives a per-prime failure probability below 2e-5, hence below
+2^-46 for three independent agreeing primes.  The default budgets admit
+larger windows (the Z^2 window at L=64 has 8,192 columns); those fall
+outside this argument, and no bound is stated for them until the bound is
+computed from the matrix itself (ROADMAP item 2).  Requiring three
 agreements instead of two compensates for using 31-bit primes (which keep
 products inside int64) rather than 62-bit ones.
 """
@@ -177,7 +183,17 @@ class SparseIntMatrix:
         cpos[col_ids] = np.arange(col_ids.size)
         ii, jj = rpos[self.ii], cpos[self.jj]
         keep = (ii >= 0) & (jj >= 0)
-        return SparseIntMatrix(row_ids.size, col_ids.size, ii[keep], jj[keep], self.vals[keep])
+        vals = int_array(self.vals[keep])  # int64 again once every big value is masked out
+        return SparseIntMatrix._unchecked(row_ids.size, col_ids.size, ii[keep], jj[keep], vals)
+
+    @classmethod
+    def _unchecked(cls, rows: int, cols: int, ii, jj, vals) -> "SparseIntMatrix":
+        """A matrix from arrays that already pass the constructor's checks,
+        such as a mask of a checked matrix, stored without checking again."""
+        M = object.__new__(cls)
+        for name, value in zip(("rows", "cols", "ii", "jj", "vals"), (rows, cols, ii, jj, vals)):
+            object.__setattr__(M, name, value)
+        return M
 
 
 @dataclass(frozen=True)
@@ -262,6 +278,10 @@ def bareiss_rank(dense: Sequence[Sequence[int]]) -> int:
     return r
 
 
+# The core of every matrix that peels away; with no entries it cannot change.
+_EMPTY = SparseIntMatrix(0, 0)
+
+
 def _peel(M: SparseIntMatrix) -> tuple[int, SparseIntMatrix]:
     """Singleton rows and columns peeled off: rank M = k + rank core over Q.
 
@@ -328,7 +348,7 @@ def _peel(M: SparseIntMatrix) -> tuple[int, SparseIntMatrix]:
         return 0, M
     if not rows.size:
         # A row left in the core meets a column left in it, and conversely.
-        return k, SparseIntMatrix(0, 0)
+        return k, _EMPTY
     return k, M.submatrix(rows, cols)
 
 
@@ -568,19 +588,19 @@ def rank_q(
 ) -> RankCertificate:
     """Exact rank over the rationals with a certificate.
 
-    Empty matrices have rank 0.  Otherwise the singletons are peeled off
-    first (``_peel``): rank M = k + rank core, and only the core is
-    eliminated.  Matrices with max dimension up to ``SMALL_DIM_CUTOFF`` are
-    done fraction-free.  Larger ones merge their unit doubletons
-    (``_merge_doubletons``, which adds to k) and go through the modular
-    multi-prime protocol described in the module docstring, whose agreeing
-    primes certify the core's rank.  The choice of path and the primes drawn
-    depend on M's own size, not the core's.
+    A matrix with no nonzero entry has rank 0.  Otherwise the singletons
+    are peeled off first (``_peel``): rank M = k + rank core, and only the
+    core is eliminated.  A core with max dimension up to
+    ``SMALL_DIM_CUTOFF``, the empty core included, is done fraction-free:
+    the rank is exact, no prime is drawn and ``rng`` is not touched.  Larger
+    cores merge their unit doubletons (``_merge_doubletons``, which adds to
+    k) and go through the modular multi-prime protocol described in the
+    module docstring, whose agreeing primes certify the core's rank.
     """
-    if M.rows == 0 or M.cols == 0 or not M.nnz():
+    if not M.nnz():
         return RankCertificate(0, "fraction-free")
     peeled, core = _peel(M)
-    if max(M.rows, M.cols) <= SMALL_DIM_CUTOFF:
+    if max(core.rows, core.cols) <= SMALL_DIM_CUTOFF:
         return RankCertificate(peeled + bareiss_rank(core.to_dense()), "fraction-free")
     merged, core = _merge_doubletons(core)
     peeled += merged

@@ -143,9 +143,10 @@ class RingElem:
 
 
 class RingMatrix:
-    """An m x n matrix over the group ring, with cached support and l1 norm."""
+    """An m x n matrix over the group ring, with cached support, l1 norm,
+    terms and star."""
 
-    __slots__ = ("spec", "rows", "cols", "entries", "_support", "_norm1", "_terms")
+    __slots__ = ("spec", "rows", "cols", "entries", "_support", "_norm1", "_terms", "_star")
 
     def __init__(self, spec: GroupSpec, entries: Sequence[Sequence[RingElem]], cols: int | None = None):
         self.spec = spec
@@ -170,6 +171,7 @@ class RingMatrix:
         self._support = None
         self._norm1 = None
         self._terms = None
+        self._star = None
 
     @classmethod
     def zero(cls, spec: GroupSpec, rows: int, cols: int) -> "RingMatrix":
@@ -200,11 +202,14 @@ class RingMatrix:
         return all(e.is_zero() for row in self.entries for e in row)
 
     def star(self) -> "RingMatrix":
-        """The n x m involuted matrix: (f*)_{k,j} has coefficients f_{j,k} at inverses."""
-        starred = [
-            [self.entries[j][k].star() for j in range(self.rows)] for k in range(self.cols)
-        ]
-        return RingMatrix(self.spec, starred, cols=self.rows)
+        """The n x m involuted matrix: (f*)_{k,j} has coefficients f_{j,k} at
+        inverses.  Built once per matrix."""
+        if self._star is None:
+            starred = [
+                [self.entries[j][k].star() for j in range(self.rows)] for k in range(self.cols)
+            ]
+            self._star = RingMatrix(self.spec, starred, cols=self.rows)
+        return self._star
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         if self.spec != other.spec:

@@ -247,6 +247,26 @@ def test_peel_keeps_the_rank(dense):
     assert core.rows <= A.rows - k and core.cols <= A.cols - k
 
 
+def _rebuilt(A):
+    # Through the checking constructor, which raises on a broken invariant
+    # and would convert arrays of the wrong dtype.
+    B = SparseIntMatrix(A.rows, A.cols, A.ii, A.jj, A.vals)
+    assert [x.dtype for x in (B.ii, B.jj, B.vals)] == [x.dtype for x in (A.ii, A.jj, A.vals)]
+    return B
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense=peelable(), data=st.data())
+def test_submatrix_and_peel_outputs_pass_the_constructor_check(dense, data):
+    A = M(dense)
+    rows = data.draw(st.lists(st.integers(0, A.rows - 1), unique=True))
+    cols = data.draw(st.lists(st.integers(0, A.cols - 1), unique=True))
+    S = A.submatrix(rows, cols)
+    assert _rebuilt(S).to_dense() == [[dense[i][j] for j in cols] for i in rows]
+    for B in (A, S):
+        _rebuilt(_peel(B)[1])
+
+
 def test_peel_removes_a_bidiagonal_window():
     n = 4096
     ii, jj = np.r_[np.arange(n), np.arange(n - 1)], np.r_[np.arange(n), np.arange(1, n)]
@@ -364,7 +384,8 @@ def test_kernel_sees_only_peeled_cores(fixture, L, monkeypatch):
 
     monkeypatch.setattr(exactla, "_ranks_mod_primes", checked)
     assert rank_q(W, rng=random.Random(3)).rank == bareiss_rank(W.to_dense())
-    assert seen
+    # The diagonal two_over_z2 window peels away: no core reaches the kernel.
+    assert bool(seen) == (fixture != "two_over_z2")
     if fixture == "xy_minus_one":
         # Peeled, the 80x128 window is 64x112; merged, only a few rows are left.
         assert seen[0][0] <= 4
@@ -516,7 +537,9 @@ _SEED_PRIMES = {
 }
 _PINNED_WINDOWS = {
     ("xy_minus_one", 8): (79, {0: 2561032557, 1: 3664843848, 7: 3758686919}),
-    ("two_over_z2", 16): (256, {0: 3034658173, 1: 3846467028, 7: 1066984055}),
+    # Diagonal (256x256): the peel leaves an empty core, whose rank is exact
+    # without primes, so none is drawn and the rng is left as it was.
+    ("two_over_z2", 16): (256, None),
     ("heisenberg_ab", 2): (338, {0: 1246955724, 1: 2062559164, 7: 1048386555}),
 }
 
@@ -527,13 +550,53 @@ def test_rank_q_certificates_pinned(fixture, L):
     W = window_matrix(f, folner_set(f.spec, L)).data
     assert max(W.rows, W.cols) > 64
     rank, next_bits = _PINNED_WINDOWS[fixture, L]
+    if next_bits is None:
+        want = dict.fromkeys([None, *_SEED_PRIMES], (rank, "fraction-free", ()))
+        next_bits = {seed: random.Random(seed).getrandbits(32) for seed in _SEED_PRIMES}
+    else:
+        want = {None: (rank, "modular-multi-prime", _DEFAULT_PRIMES)}
+        want.update((seed, (rank, "modular-multi-prime", primes)) for seed, primes in _SEED_PRIMES.items())
     cert = rank_q(W)
-    assert (cert.rank, cert.method, cert.primes) == (rank, "modular-multi-prime", _DEFAULT_PRIMES)
-    for seed, primes in _SEED_PRIMES.items():
+    assert (cert.rank, cert.method, cert.primes) == want[None]
+    for seed in _SEED_PRIMES:
         rng = random.Random(seed)
         cert = rank_q(W, rng=rng)
-        assert (cert.rank, cert.method, cert.primes) == (rank, "modular-multi-prime", primes)
+        assert (cert.rank, cert.method, cert.primes) == want[seed]
         assert rng.getrandbits(32) == next_bits[seed]
+
+
+@st.composite
+def small_cores_above_cutoff(draw):
+    """A dense block of at most 12x12 among singleton columns and rows, more
+    than SMALL_DIM_CUTOFF wide in all, and transposed half the time.  Every
+    extra row has one nonzero, and every extra column one more outside the
+    extra rows, so the peel leaves a core inside the block."""
+    r, c = draw(st.integers(1, 12)), draw(st.integers(0, 12))
+    extra = draw(st.integers(0, 6))
+    width = draw(st.integers(exactla.SMALL_DIM_CUTOFF + 1, exactla.SMALL_DIM_CUTOFF + 12))
+    entry = st.integers(-9, 9)
+    dense = [[draw(entry) for _ in range(c)] + [0] * (width - c) for _ in range(r)]
+    dense += [[0] * width for _ in range(extra)]
+    nonzero = st.sampled_from((1, -1, 2, -3, 7))
+    for j in range(c, width):
+        dense[draw(st.integers(0, len(dense) - 1))][j] = draw(nonzero)
+    for row in dense[r:]:
+        row[draw(st.integers(0, width - 1))] = draw(nonzero)
+    if draw(st.booleans()):
+        dense = [list(col) for col in zip(*dense)]
+    return dense
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense=small_cores_above_cutoff(), seed=st.integers(0, 10**6))
+def test_rank_q_small_core_above_cutoff_is_fraction_free(dense, seed):
+    A = M(dense)
+    _, core = _peel(A)
+    assert max(A.rows, A.cols) > exactla.SMALL_DIM_CUTOFF >= max(core.rows, core.cols)
+    rng = random.Random(seed)
+    cert = rank_q(A, rng=rng)
+    assert (cert.rank, cert.method, cert.primes) == (bareiss_rank(dense), "fraction-free", ())
+    assert rng.getrandbits(32) == random.Random(seed).getrandbits(32)
 
 
 @settings(max_examples=30, deadline=None)

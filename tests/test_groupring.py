@@ -66,6 +66,15 @@ def test_involution_examples():
     assert gs.star() == g
 
 
+def test_star_is_built_once():
+    h = RingElem.from_terms(H3, [((1, 0, 0), 2), ((0, 1, 1), -1)])
+    for f in (one_plus_2T(), xy_minus_one(), RingMatrix(H3, [[h, RingElem.one(H3)]]), RingMatrix(Z, [], cols=2)):
+        fs = f.star()
+        assert f.star() is fs
+        fresh = [[f.entries[j][k].star() for j in range(f.rows)] for k in range(f.cols)]
+        assert fs == RingMatrix(f.spec, fresh, cols=f.rows)
+
+
 def test_norm_and_support_examples():
     f = one_plus_2T()
     assert f.norm1() == 3
