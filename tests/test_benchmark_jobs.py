@@ -6,8 +6,14 @@ output check.
 fields, as failed.  This runs each job of every workload at job seed 0 and
 applies the same check, so a change that alters a report fails here before
 a benchmark run.
+
+The `large-windows` jobs also keep their certificate primes at job seed 0.
+The recorded values ignore primes, so these pins are what holds the
+structured elimination and the modular protocol to the same certificates
+on the largest windows.
 """
 
+import json
 import runpy
 from pathlib import Path
 
@@ -19,6 +25,22 @@ JOBS = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
 # run_path compiles the source itself and writes no bytecode beside it.
 _jobs = runpy.run_path(str(JOBS))
 _EXPECTED = _jobs["load_expected"]()
+# (L, primes) of every series record, recorded at job seed 0.
+_LARGE_WINDOW_PRIMES = {
+    "vnd-xy_minus_one": {
+        16: [1793502331, 1378375811, 1105508219],
+        32: [1515823357, 1328472199, 1519845787],
+        48: [1193298707, 1355518889, 2122997423],
+        64: [1381598447, 1736248061, 1854353209],
+    },
+    # Diagonal windows peel away: their ranks need no prime.
+    "mrank-two_over_z2": {16: [], 32: [], 48: [], 64: []},
+    "vnd-heisenberg_ab": {
+        3: [1566273179, 1588535149, 2138165903],
+        4: [1186530043, 1518669179, 1124202971],
+    },
+}
+
 _CASES = [(workload, job) for workload, jobs in _jobs["WORKLOADS"].items() for job in jobs]
 
 
@@ -26,3 +48,6 @@ _CASES = [(workload, job) for workload, jobs in _jobs["WORKLOADS"].items() for j
 def test_benchmark_job_passes_its_check(workload, job, tmp_path):
     code = main(job.argv(0, tmp_path))
     assert _jobs["check_job"](job, _EXPECTED[workload][job.name], code, tmp_path) == []
+    if workload == "large-windows":
+        report = json.loads((tmp_path / f"{job.name}.json").read_text(encoding="utf-8"))
+        assert {r["L"]: r["primes"] for r in report["series"]} == _LARGE_WINDOW_PRIMES[job.name]

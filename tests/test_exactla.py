@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from folrank import exactla
 from folrank.errors import InputError, UnsupportedGroupError
@@ -15,6 +15,7 @@ from folrank.exactla import (
     _dense_rank_mod_p,
     _is_prime,
     _merge_doubletons,
+    _merge_round,
     _peel,
     _plan_layout,
     _ranks_mod_primes,
@@ -31,6 +32,7 @@ from folrank.exactla import (
 )
 from folrank.groupring import RingElem, RingMatrix, window_matrix
 from folrank.groups import finite_cyclic, folner_set, zd
+from folrank.ranks import submodule_rank_matrix
 
 Z2 = zd(2)
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -288,6 +290,109 @@ def test_peel_is_over_q_when_a_prime_divides_the_singleton():
     assert cert.method == "modular-multi-prime" and cert.primes[0] == p
 
 
+def _peel_by_worklist(M):
+    # Reference for _peel: the worklist alone, with no sweep first.
+    ii, jj = M.ii, M.jj
+    rcnt, ccnt = np.bincount(ii, minlength=M.rows), np.bincount(jj, minlength=M.cols)
+    # Columns as j >= 0, rows as ~i < 0.
+    todo = (ccnt == 1).nonzero()[0].tolist() + (~(rcnt == 1).nonzero()[0]).tolist()
+    k = 0
+    if todo:
+        # Counts, each row's columns and each column's rows are arrays read
+        # and written through memoryviews: no Python int is kept per entry.
+        rc, cc = memoryview(rcnt), memoryview(ccnt)
+        row_cols = memoryview(jj[np.argsort(ii, kind="stable")])
+        col_rows = memoryview(ii[np.argsort(jj, kind="stable")])
+        row_at, col_at = np.zeros(M.rows + 1, dtype=np.int64), np.zeros(M.cols + 1, dtype=np.int64)
+        np.cumsum(rcnt, out=row_at[1:])
+        np.cumsum(ccnt, out=col_at[1:])
+        row_at, col_at = memoryview(row_at), memoryview(col_at)
+        pop, push = todo.pop, todo.append
+        while todo:
+            x = pop()
+            if x >= 0:
+                # Column x and the one live row i that meets it.
+                if cc[x] != 1:
+                    continue
+                for i in col_rows[col_at[x] : col_at[x + 1]]:
+                    if rc[i]:
+                        break
+                cc[x] = rc[i] = 0
+                for j in row_cols[row_at[i] : row_at[i + 1]]:
+                    c = cc[j]
+                    if c:
+                        cc[j] = c - 1
+                        if c == 2:
+                            push(j)
+            else:
+                i = ~x
+                if rc[i] != 1:
+                    continue
+                for j in row_cols[row_at[i] : row_at[i + 1]]:
+                    if cc[j]:
+                        break
+                rc[i] = cc[j] = 0
+                for t in col_rows[col_at[j] : col_at[j + 1]]:
+                    c = rc[t]
+                    if c:
+                        rc[t] = c - 1
+                        if c == 2:
+                            push(~t)
+            k += 1
+    (rows,), (cols,) = rcnt.nonzero(), ccnt.nonzero()
+    if rows.size == M.rows and cols.size == M.cols:
+        return 0, M
+    if not rows.size:
+        # A row left in the core meets a column left in it, and conversely.
+        return k, exactla._EMPTY
+    return k, M.submatrix(rows, cols)
+
+
+def _same_matrix(A, B):
+    assert (A.rows, A.cols) == (B.rows, B.cols)
+    for x, y in ((A.ii, B.ii), (A.jj, B.jj), (A.vals, B.vals)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense=peelable())
+# Two singleton columns on one row, then two singleton rows on one column.
+@example(dense=[[1, 2, 1, 1], [0, 0, 1, 1], [0, 0, 1, 2]])
+@example(dense=[[1, 0, 0], [2, 0, 0], [1, 1, 1], [1, 1, 2]])
+# An entry that is a singleton row and a singleton column at once.
+@example(dense=[[7, 0, 0], [0, 1, 1], [0, 1, 1]])
+# Bidiagonal chains, each way round, and a chain with no singleton row.
+@example(dense=[[2, -1, 0, 0], [0, 2, -1, 0], [0, 0, 2, -1], [0, 0, 0, 2]])
+@example(dense=[[2, 0, 0, 0], [-1, 2, 0, 0], [0, -1, 2, 0], [0, 0, -1, 2]])
+@example(dense=[[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
+# Zero rows and columns, with and without a singleton.
+@example(dense=[[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0]])
+@example(dense=[[0, 0, 0], [0, 3, 0], [0, 0, 0]])
+# Python-int values, in the core and in the peeled part.
+@example(dense=[[1, 1, 0], [0, 2**70, 1], [0, 1, 3]])
+@example(dense=[[2**70, 1, 0], [0, 1, 1], [0, 1, 1]])
+def test_peel_sweep_matches_the_worklist(dense):
+    A = M(dense)
+    k, core = _peel(A)
+    want_k, want = _peel_by_worklist(A)
+    assert k == want_k
+    _same_matrix(core, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense=peelable(), data=st.data())
+def test_peel_is_confluent(dense, data):
+    # Permuting rows and columns changes the order in which singletons are
+    # met, and neither k nor the core.
+    A = M(dense)
+    rows = data.draw(st.permutations(range(A.rows)))
+    cols = data.draw(st.permutations(range(A.cols)))
+    k, core = _peel(A)
+    k2, core2 = _peel(A.submatrix(rows, cols))
+    assert (k2, core2.rows, core2.cols) == (k, core.rows, core.cols)
+    assert sorted(core2.vals.tolist()) == sorted(core.vals.tolist())
+
+
 @st.composite
 def doubleton_graphs(draw):
     """Signed incidence matrices of random multigraphs (one column per edge,
@@ -366,6 +471,59 @@ def test_merges_skip_values_past_the_int64_guard(value):
     assert rank_q(A, rng=random.Random(0)).rank == bareiss_rank(dense)
 
 
+def _merge_round_by_argsort(M, rnd):
+    # Reference for _merge_round: doubleton entries paired by a stable
+    # argsort, and each leaf's column chosen by np.unique.
+    ii, jj, vals = M.ii, M.jj, M.vals
+    if vals.dtype == object or not vals.size:
+        return 0, M
+    ccnt = np.bincount(jj, minlength=M.cols)
+    (two,) = (ccnt == 2).nonzero()
+    at = np.cumsum(ccnt)[two]
+    e0, e1 = np.argsort(jj, kind="stable")[[at - 2, at - 1]]
+    pos = np.arange(M.rows, dtype=np.uint64) + np.uint64(rnd << 32)
+    leaf = (pos * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(63)).astype(bool)
+    # Each doubleton as (entry in a leaf, entry in a center), if it has both.
+    ea, eb = np.where(leaf[ii[e0]], e0, e1), np.where(leaf[ii[e0]], e1, e0)
+    unit = leaf[ii[ea]] & ~leaf[ii[eb]] & (np.abs(vals[ea]) == 1)
+    a, first = np.unique(ii[ea[unit]], return_index=True)
+    ea, eb = ea[unit][first], eb[unit][first]
+    if not a.size:
+        return 0, M
+    big = max(int(vals.max()), -int(vals.min()))
+    far = max(int(vals[eb].max()), -int(vals[eb].min()))
+    if big * (1 + int(ccnt.max()) * far) >= 2**62:
+        return 0, M
+    # A leaf's entries move to its center, times -v*u; then equal positions sum.
+    to = np.arange(M.rows)
+    to[a] = ii[eb]
+    scale = np.ones(M.rows, dtype=np.int64)
+    scale[a] = -vals[ea] * vals[eb]
+    key = to[ii] * M.cols + jj
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    (heads,) = np.r_[True, key[1:] != key[:-1]].nonzero()
+    sums = np.add.reduceat((vals * scale[ii])[order], heads)
+    nz = sums != 0
+    key = key[heads[nz]]
+    return a.size, SparseIntMatrix(M.rows, M.cols, key // M.cols, key % M.cols, sums[nz])
+
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense=doubleton_graphs(), rnd=st.integers(0, 20), data=st.data())
+def test_merge_round_pairing_matches_the_argsort(dense, rnd, data):
+    # The scatter keeps one entry of each doubleton by its place in the
+    # arrays, so the entries also come in a drawn order.
+    A = M(dense)
+    order = np.array(data.draw(st.permutations(range(A.nnz()))), dtype=np.int64)
+    for B in (A, SparseIntMatrix(A.rows, A.cols, A.ii[order], A.jj[order], A.vals[order])):
+        merges, merged = _merge_round(B, rnd)
+        want_merges, want = _merge_round_by_argsort(B, rnd)
+        assert merges == want_merges
+        _same_matrix(merged, want)
+
+
 @pytest.mark.parametrize(
     "fixture, L", [("xy_minus_one", 8), ("two_over_z2", 16), ("heisenberg_ab", 2)]
 )
@@ -389,6 +547,38 @@ def test_kernel_sees_only_peeled_cores(fixture, L, monkeypatch):
     if fixture == "xy_minus_one":
         # Peeled, the 80x128 window is 64x112; merged, only a few rows are left.
         assert seen[0][0] <= 4
+
+
+# The structured elimination of the benchmark's largest windows, as the
+# module docstring quotes it: the window's shape, the peel's k and core,
+# then the merges' k, the rounds that merged and the merged core.
+_LARGEST_WINDOW_PATHS = {
+    ("vnd", "xy_minus_one", 64): ((4224, 8192), 128, (4096, 8064), (4094, 15, (2, 75))),
+    ("vnd", "heisenberg_ab", 4): ((3427, 5346), 794, (2633, 4552), (2631, 13, (2, 28))),
+    # Diagonal: the peel leaves nothing to merge.
+    ("mrank", "two_over_z2", 64): ((4096, 4096), 4096, (0, 0), None),
+}
+
+
+@pytest.mark.parametrize("command, fixture, L", sorted(_LARGEST_WINDOW_PATHS))
+def test_structured_elimination_of_the_largest_windows(command, fixture, L, monkeypatch):
+    f = RingMatrix.from_json(json.loads((FIXTURES / f"{fixture}.json").read_text()))
+    F = folner_set(f.spec, L)
+    A = window_matrix(f, F).data if command == "vnd" else submodule_rank_matrix(f, F, f.spec)
+    k, core = _peel(A)
+    merged = None
+    if max(core.rows, core.cols) > exactla.SMALL_DIM_CUTOFF:
+        rounds = []
+        merge_round = exactla._merge_round
+
+        def counted(M, rnd):
+            rounds.append(merge_round(M, rnd))
+            return rounds[-1]
+
+        monkeypatch.setattr(exactla, "_merge_round", counted)
+        merges, rest = _merge_doubletons(core)
+        merged = (merges, sum(1 for n, _ in rounds if n), (rest.rows, rest.cols))
+    assert ((A.rows, A.cols), k, (core.rows, core.cols), merged) == _LARGEST_WINDOW_PATHS[command, fixture, L]
 
 
 @settings(max_examples=200, deadline=None)

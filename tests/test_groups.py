@@ -197,6 +197,11 @@ def test_window_growth_matches_per_pair_loop(spec, data):
     assert dilate(spec, E) == _grown_per_pair(spec, E, ball)
     assert dilate(spec, E, K) == _grown_per_pair(spec, E, K)
     assert _initial_erank_window(spec, E, K) == _grown_per_pair(spec, E, [spec.inverse(k) for k in K])
+    # E out of order and with repeats, which the first batch's sort removes;
+    # with no S, one sort of E alone does.
+    E = sorted(E, reverse=True) * 2
+    assert dilate(spec, E) == _grown_per_pair(spec, E, ball)
+    assert dilate(spec, E, ()) == _grown_per_pair(spec, E, ())
 
 
 @pytest.mark.parametrize("spec, L", [(zd(2), 30), (heisenberg(), 2), (finite_times_zd((2,), 1), 700)])
