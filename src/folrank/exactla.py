@@ -12,16 +12,17 @@ numpy int64 arithmetic, on the residues ``vals % p``; the rank is certified
 by three distinct agreeing primes plus a fraction-free spot check on a
 random minor.
 
-The package has three eliminations.  ``bareiss_rank`` is the fraction-free
-rank over the integers, for small cores, the spot check and the
-last-resort fallback.  ``_ranks_mod_primes`` ranks large sparse cores
-modulo several primes in one pass.  ``_rref`` is one dense reduced echelon
-over Q or modulo one prime; only its field arithmetic depends on p.  It
-gives the kernel bases of ``kernel_basis`` and ``nullspace_q`` (the rational
-and torsion solutions that mmdim samples) and the Laurent oracle's ranks at
-random points.
+The package has two eliminations.  ``_echelon`` is one dense, fraction-free
+forward echelon (Bareiss 1968), over Z or modulo one prime; only the
+reduction of each updated row depends on p.  Over Z it gives
+``bareiss_rank``, the exact rank for small cores, the spot check and the
+last-resort fallback.  Back substitution on its rows gives the kernel
+bases of ``kernel_basis`` and ``nullspace_q`` (the rational and torsion
+solutions that mmdim samples), and modulo a 62-bit prime it gives the
+Laurent oracle's ranks at random points.  ``_ranks_mod_primes`` ranks
+large sparse cores modulo several primes in one pass.
 
-Before either of the first two, ``_peel`` removes singletons over Q (as in
+Before ``rank_q`` eliminates, ``_peel`` removes singletons over Q (as in
 structured Gaussian elimination, LaMacchia-Odlyzko 1990).  A column or row
 with one nonzero adds 1 to the rank and goes with that entry's row or
 column; zero rows and columns go too.  So rank M = k + rank core, and only
@@ -35,8 +36,8 @@ alone) and the 4096x4096 diagonal ``two_over_z2`` matrix in 0.1-0.2 ms
 (3.2-5.8 ms).
 
 The choice between the two eliminations follows the core's size, not M's:
-most windows above the cutoff leave small or empty cores, and fraction-free
-Bareiss (Bareiss 1968) ranks those exactly for less than the modular
+most windows above the cutoff leave small or empty cores, and
+``bareiss_rank`` ranks those exactly for less than the modular
 protocol's fixed cost of primes, layout and spot check.  Job seed 1,
 in-process: on ``verify-suite --cases 100``, 179 matrices are above the
 cutoff, with 15,622 rows; their cores have 360 rows, 160 are empty and the
@@ -253,36 +254,53 @@ def random_prime(rng: random.Random, bits: int = 31) -> int:
             return c
 
 
-def bareiss_rank(dense: Sequence[Sequence[int]]) -> int:
-    """Fraction-free Gaussian elimination rank over the rationals."""
-    a = [list(map(int, row)) for row in dense]
+def _echelon(a: list[list[int]], p: int = 0) -> list[int]:
+    """Reduce the integer rows ``a`` in place to row echelon form, over Z
+    when p == 0 and modulo the prime p otherwise; return the pivot columns.
+
+    Fraction-free (Bareiss 1968): each row below the pivot row becomes
+    row * pv - f * pivot_row right of the pivot pv, where f is the row's
+    entry under it.  Over Z every row below is updated and divided exactly
+    by the previous pivot, so entries stay minors of the input.  Modulo p
+    the result is reduced mod p, and a row with f == 0 is left alone.
+    """
+    if p:
+        for row in a:
+            row[:] = [x % p for x in row]
     m = len(a)
     n = len(a[0]) if m else 0
-    r = 0
+    pivots: list[int] = []
     prev = 1
     for c in range(n):
+        r = len(pivots)
         if r == m:
             break
-        piv = None
-        for i in range(r, m):
-            if a[i][c]:
-                piv = i
+        for piv in range(r, m):
+            if a[piv][c]:
                 break
-        if piv is None:
+        else:
             continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        pv = a[r][c]
+        a[r], a[piv] = a[piv], a[r]
+        row_r = a[r]
+        pv = row_r[c]
         for i in range(r + 1, m):
-            aic = a[i][c]
             row_i = a[i]
-            row_r = a[r]
-            for j in range(c + 1, n):
-                row_i[j] = (row_i[j] * pv - row_r[j] * aic) // prev
+            f = row_i[c]
+            if not p:
+                for j in range(c + 1, n):
+                    row_i[j] = (row_i[j] * pv - row_r[j] * f) // prev
+            elif f:
+                for j in range(c + 1, n):
+                    row_i[j] = (row_i[j] * pv - row_r[j] * f) % p
             row_i[c] = 0
         prev = pv
-        r += 1
-    return r
+        pivots.append(c)
+    return pivots
+
+
+def bareiss_rank(dense: Sequence[Sequence[int]]) -> int:
+    """Fraction-free Gaussian elimination rank over the rationals."""
+    return len(_echelon([list(map(int, row)) for row in dense]))
 
 
 # The core of every matrix that peels away; with no entries it cannot change.
@@ -464,7 +482,8 @@ def _merge_round(M: SparseIntMatrix, rnd: int) -> tuple[int, SparseIntMatrix]:
     sums = np.add.reduceat((vals * scale[ii])[order], heads)
     nz = sums != 0
     key = key[heads[nz]]
-    return a.size, SparseIntMatrix(M.rows, M.cols, key // M.cols, key % M.cols, sums[nz])
+    # Sorted unique keys and nonzero int64 sums: the checks hold already.
+    return a.size, SparseIntMatrix._unchecked(M.rows, M.cols, key // M.cols, key % M.cols, sums[nz])
 
 
 @dataclass(frozen=True)
@@ -679,43 +698,15 @@ def kernel_dim_q(M: SparseIntMatrix, rng: random.Random | None = None, **kw) -> 
     return M.cols - rank_q(M, rng=rng, **kw).rank
 
 
-def _rref(a: list[list], p: int = 0) -> list[int]:
-    """Reduce the rows ``a`` in place to reduced row echelon form, over Q
-    (Fraction entries) when p == 0 and modulo the prime p otherwise; return
-    the pivot columns.  Rows are replaced, never edited, so a shallow copy
-    keeps the caller's matrix."""
-    a[:] = [[x % p for x in row] if p else [Fraction(x) for x in row] for row in a]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    pivots: list[int] = []
-    for c in range(n):
-        r = len(pivots)
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], -1, p) if p else 1 / a[r][c]
-        row = a[r] = [x * inv % p for x in a[r]] if p else [x * inv for x in a[r]]
-        for i in range(m):
-            f = a[i][c]
-            if f and i != r:
-                if p:
-                    a[i] = [(x - f * y) % p for x, y in zip(a[i], row)]
-                else:
-                    a[i] = [x - f * y for x, y in zip(a[i], row)]
-        pivots.append(c)
-    return pivots
-
-
 def kernel_basis(rows: Sequence[Sequence[int]], cols: int, p: int = 0) -> list[list]:
     """Right kernel of an integer matrix with ``cols`` columns, over Q when
-    p == 0 and modulo the prime p otherwise: one vector per free column of
-    the echelon form, 1 there and minus the reduced entry at each pivot
-    column.  A matrix with no rows gets the unit basis."""
-    a = list(rows)
-    pivots = _rref(a, p)
+    p == 0 (Fraction entries) and modulo the prime p otherwise: one vector
+    per free column of ``_echelon``, 1 there and 0 at the other free
+    columns, its pivot entries found by back substitution.  That solution is
+    unique, so it is the reduced-echelon basis vector.  A matrix with no
+    rows gets the unit basis."""
+    a = [list(map(int, row)) for row in rows]
+    pivots = _echelon(a, p)
     zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
     pivset = set(pivots)
     basis = []
@@ -724,14 +715,21 @@ def kernel_basis(rows: Sequence[Sequence[int]], cols: int, p: int = 0) -> list[l
             continue
         v = [zero] * cols
         v[fc] = one
-        for row, pc in zip(a, pivots):
-            v[pc] = -row[fc] % p if p else -row[fc]
+        known = [fc]  # the nonzero columns of v right of the current pivot
+        for row, pc in zip(reversed(a[: len(pivots)]), reversed(pivots)):
+            if pc > fc:
+                continue
+            s = sum(row[j] * v[j] for j in known if row[j])
+            if s:
+                v[pc] = -s * pow(row[pc], -1, p) % p if p else -s / row[pc]
+                known.append(pc)
         basis.append(v)
     return basis
 
 
 def nullspace_q(M: SparseIntMatrix) -> list[list[Fraction]]:
-    """Exact rational basis of the right kernel (dense rref; small matrices only)."""
+    """Exact rational basis of the right kernel: ``kernel_basis`` over Q, by
+    back substitution on the fraction-free echelon of the dense matrix."""
     return kernel_basis(M.to_dense(), M.cols)
 
 
@@ -750,7 +748,7 @@ def _laurent_eval_mod(coeffs: dict, point: tuple[int, ...], p: int) -> int:
 
 
 def _dense_rank_mod_p(a: list[list[int]], p: int) -> int:
-    return len(_rref(list(a), p))
+    return len(_echelon([list(row) for row in a], p))
 
 
 def _laurent_minor_rank(f: "RingMatrix") -> int:

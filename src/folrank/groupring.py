@@ -173,11 +173,6 @@ class RingMatrix:
         self._terms = None
         self._star = None
 
-    @classmethod
-    def zero(cls, spec: GroupSpec, rows: int, cols: int) -> "RingMatrix":
-        z = RingElem.zero(spec)
-        return cls(spec, [[z] * cols for _ in range(rows)], cols=cols)
-
     def support(self) -> frozenset:
         if self._support is None:
             acc: frozenset = frozenset()

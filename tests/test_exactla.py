@@ -13,13 +13,13 @@ from folrank.exactla import (
     RankCertificate,
     SparseIntMatrix,
     _dense_rank_mod_p,
+    _echelon,
     _is_prime,
     _merge_doubletons,
     _merge_round,
     _peel,
     _plan_layout,
     _ranks_mod_primes,
-    _rref,
     bareiss_rank,
     generic_rank_laurent,
     kernel_basis,
@@ -37,6 +37,7 @@ from folrank.ranks import submodule_rank_matrix
 Z2 = zd(2)
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 P31 = 2_147_483_647
+P62 = 2**61 + 15  # a prime of the Laurent oracle's field size
 SMALL_PRIMES = (3, 5, 7, 11, 13)
 
 
@@ -522,6 +523,8 @@ def test_merge_round_pairing_matches_the_argsort(dense, rnd, data):
         want_merges, want = _merge_round_by_argsort(B, rnd)
         assert merges == want_merges
         _same_matrix(merged, want)
+        # The round skips the constructor's checks; its arrays pass them.
+        SparseIntMatrix(merged.rows, merged.cols, merged.ii, merged.jj, merged.vals)
 
 
 @pytest.mark.parametrize(
@@ -829,6 +832,39 @@ def test_nullspace_exact():
 # -- the dense echelon: Q and every prime through one loop -------------------------
 
 
+def _ref_bareiss_rank(dense):
+    # bareiss_rank as it was before the shared echelon, kept as an
+    # independent reference for the rank over Q.
+    a = [list(map(int, row)) for row in dense]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    r = 0
+    prev = 1
+    for c in range(n):
+        if r == m:
+            break
+        piv = None
+        for i in range(r, m):
+            if a[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+        pv = a[r][c]
+        for i in range(r + 1, m):
+            aic = a[i][c]
+            row_i = a[i]
+            row_r = a[r]
+            for j in range(c + 1, n):
+                row_i[j] = (row_i[j] * pv - row_r[j] * aic) // prev
+            row_i[c] = 0
+        prev = pv
+        r += 1
+    return r
+
+
 def _ref_rational_basis(dense):
     # The rational rref and basis block that mmdim carried before the shared
     # echelon, kept as a reference for its sample stream.
@@ -909,15 +945,16 @@ def small_matrices(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(matrix=small_matrices(), p=st.sampled_from((0, 2, 3, 5, 7, P31)))
+@given(matrix=small_matrices(), p=st.sampled_from((0, 2, 3, 5, 7, P31, P62)))
 def test_shared_echelon_rank_and_kernel(matrix, p):
     dense, cols = matrix
-    rank = len(_rref([list(row) for row in dense], p))
+    rank = len(_echelon([list(row) for row in dense], p))
     if p:
-        assert rank == _ranks_mod_primes(_plan_layout(SparseIntMatrix.from_dense(dense, cols)), [p])[0]
+        if p < 2**31:  # the modular kernel's field size
+            assert rank == _ranks_mod_primes(_plan_layout(SparseIntMatrix.from_dense(dense, cols)), [p])[0]
         assert rank == _dense_rank_mod_p(dense, p)
     else:
-        assert rank == bareiss_rank(dense)
+        assert rank == bareiss_rank(dense) == _ref_bareiss_rank(dense)
     basis = kernel_basis(dense, cols, p)
     assert len(basis) == cols - rank
     for v in basis:
@@ -937,6 +974,19 @@ def test_shared_echelon_leaves_its_input():
     assert kernel_basis(dense, 2, 2) == [[1, 1]]
     assert _dense_rank_mod_p(dense, 2) == 1
     assert dense == [[2, 4], [1, 3]]
+
+
+@pytest.mark.parametrize("c0, c1", [(2, 1), (1, 2)])
+def test_kernel_of_a_long_bidiagonal_in_closed_form(c0, c1):
+    # Row i is c0 at column i and c1 at column i + 1; (2, 1) is mmdim's
+    # interior matrix of 1 + 2T at L = 120.  Its kernel is spanned by
+    # v_i = (-c1/c0)^(L-1-i), with entries and minors of 119 bits.
+    L = 120
+    dense = [[c0 if j == i else c1 if j == i + 1 else 0 for j in range(L)] for i in range(L - 1)]
+    v = [Fraction(-c1, c0) ** (L - 1 - i) for i in range(L)]
+    assert kernel_basis(dense, L) == nullspace_q(SparseIntMatrix.from_dense(dense, L)) == [v]
+    for p in (3, 5, 7):
+        assert kernel_basis(dense, L, p) == [[x.numerator * pow(x.denominator, -1, p) % p for x in v]]
 
 # -- Laurent generic rank --------------------------------------------------------
 
