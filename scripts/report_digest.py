@@ -1,0 +1,70 @@
+#!/usr/bin/env python3
+"""Exit codes and report digests of the benchmark jobs.
+
+Runs every job of the workloads in `perfbench/jobs.py` through
+`folrank.cli.main`, once per job seed, each in a fresh output directory,
+and prints one line per job with its exit code and one line per report
+file with the sha256 of its bytes.  Two checkouts that write the same
+reports print the same lines, so comparing them is a `diff`:
+
+    PYTHONPATH=src python scripts/report_digest.py > after.txt
+    PYTHONPATH=../parent/src python scripts/report_digest.py > before.txt
+    diff before.txt after.txt
+
+Example:
+    PYTHONPATH=src python scripts/report_digest.py --workload large-windows --seeds 0
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import runpy
+import sys
+import tempfile
+from pathlib import Path
+
+from folrank.cli import main as cli_main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_workloads() -> dict:
+    """`WORKLOADS` of perfbench/jobs.py.  run_path compiles the source itself
+    and writes no bytecode beside it."""
+    return runpy.run_path(str(ROOT / "perfbench" / "jobs.py"))["WORKLOADS"]
+
+
+def digest_lines(workload: str, job, seed: int) -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main(job.argv(seed, out))
+        head = f"{workload} seed={seed} {job.name}"
+        lines = [f"{head} exit {code}"]
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            sha = hashlib.sha256(path.read_bytes()).hexdigest()
+            lines.append(f"{head} {path.relative_to(out).as_posix()} {sha}")
+    return lines
+
+
+def main(argv=None) -> int:
+    workloads = load_workloads()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=sorted(workloads), help="one workload (default: all)")
+    parser.add_argument("--seeds", default="0,1,2,3", help="comma-separated job seeds")
+    args = parser.parse_args(argv)
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s]
+    except ValueError:
+        parser.error(f"--seeds: expected comma-separated integers, got {args.seeds!r}")
+    names = [args.workload] if args.workload else list(workloads)
+    for name in names:
+        for seed in seeds:
+            for job in workloads[name]:
+                print("\n".join(digest_lines(name, job, seed)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

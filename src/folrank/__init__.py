@@ -1,6 +1,6 @@
 """Exact window densities for modules over integral group rings of concrete
 amenable groups: mean rank, von Neumann kernel density, dual-restriction
-dual-restriction rank, and a desk-scale metric mean dimension estimator."""
+rank, and a desk-scale metric mean dimension estimator."""
 
 from .errors import BudgetExceededError, FolrankError, InputError, UnsupportedGroupError
 from .exactla import (

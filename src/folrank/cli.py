@@ -122,14 +122,23 @@ def _load_json(path: Path) -> object:
         raise InputError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
-def load_matrix(path: Path) -> RingMatrix:
+def _read_input(path: Path) -> tuple[dict, RingMatrix | None]:
+    """The job fields and the matrix of an input file: a job file (an object
+    with a 'command' field, its matrix optional) or a bare matrix, which has
+    no job fields."""
     obj = _load_json(path)
-    if isinstance(obj, dict) and "command" in obj:
-        inner = obj.get("matrix")
-        if inner is None:
-            raise InputError(f"{path}: job file has no 'matrix' field")
-        return RingMatrix.from_json(inner)
-    return RingMatrix.from_json(obj)
+    if not (isinstance(obj, dict) and "command" in obj):
+        return {}, RingMatrix.from_json(obj)
+    inner = obj.get("matrix")
+    return obj, None if inner is None else RingMatrix.from_json(inner)
+
+
+def load_matrix(path: Path) -> RingMatrix:
+    """The matrix of a bare matrix file or of a job file."""
+    matrix = _read_input(path)[1]
+    if matrix is None:
+        raise InputError(f"{path}: job file has no 'matrix' field")
+    return matrix
 
 
 def _series_json(series: DensitySeries) -> list[dict]:
@@ -366,18 +375,10 @@ def run(job: JobSpec) -> int:
 
 
 def _job_from_args(args: argparse.Namespace) -> JobSpec:
-    file_job: dict = {}
-    matrix = None
-    stem = "job"
+    file_job, matrix, stem = {}, None, "job"
     if args.input:
-        path = Path(args.input)
-        stem = path.stem
-        obj = _load_json(path)
-        if isinstance(obj, dict) and "command" in obj:
-            file_job = obj
-            matrix = RingMatrix.from_json(obj["matrix"]) if "matrix" in obj else None
-        else:
-            matrix = RingMatrix.from_json(obj)
+        stem = Path(args.input).stem
+        file_job, matrix = _read_input(Path(args.input))
     command = args.command or file_job.get("command")
     if command is None:
         raise InputError("no command given")

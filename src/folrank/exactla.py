@@ -653,18 +653,18 @@ def rank_q(
 ) -> RankCertificate:
     """Exact rank over the rationals with a certificate.
 
-    A matrix with no nonzero entry has rank 0.  Otherwise the singletons
-    are peeled off first (``_peel``): rank M = k + rank core, and only the
-    core is eliminated.  A core with max dimension up to
-    ``SMALL_DIM_CUTOFF``, the empty core included, is done fraction-free:
-    the rank is exact, no prime is drawn and ``rng`` is not touched.  Larger
-    cores merge their unit doubletons (``_merge_doubletons``, which adds to
-    k) and go through the modular multi-prime protocol described in the
-    module docstring, whose agreeing primes certify the core's rank.
+    The singletons are peeled off first (``_peel``): rank M = k + rank
+    core, and only the core is eliminated.  A core with no entries, which
+    is what a matrix with none peels to, has rank 0.  A core with max
+    dimension up to ``SMALL_DIM_CUTOFF`` is done fraction-free: the rank is
+    exact, no prime is drawn and ``rng`` is not touched.  Larger cores
+    merge their unit doubletons (``_merge_doubletons``, which adds to k)
+    and go through the modular multi-prime protocol described in the module
+    docstring, whose agreeing primes certify the core's rank.
     """
-    if not M.nnz():
-        return RankCertificate(0, "fraction-free")
     peeled, core = _peel(M)
+    if not core.nnz():
+        return RankCertificate(peeled, "fraction-free")
     if max(core.rows, core.cols) <= SMALL_DIM_CUTOFF:
         return RankCertificate(peeled + bareiss_rank(core.to_dense()), "fraction-free")
     merged, core = _merge_doubletons(core)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InputError
 from .exactla import SparseIntMatrix, int_array
-from .groups import FolnerSet, GroupElement, GroupSpec, elements_of, positions, unique_rows
+from .groups import FolnerSet, GroupElement, GroupSpec, coords_of, positions, unique_rows
 
 def _norm_coeff(c) -> "int | Fraction":
     if isinstance(c, Fraction):
@@ -356,10 +356,6 @@ def window_operator(
     return SparseIntMatrix(*shape, ii.ravel(), jj.ravel(), vals.ravel()), elems
 
 
-def _tuples(coords: np.ndarray) -> tuple[GroupElement, ...]:
-    return tuple(map(tuple, coords.tolist()))
-
-
 class WindowMatrix:
     """Exact integer matrix of a window operator, with its row and column index maps.
 
@@ -375,38 +371,31 @@ class WindowMatrix:
         self.row_blocks, self.col_blocks = row_blocks, col_blocks
 
     shape = property(lambda self: (self.data.rows, self.data.cols))
-    row_elems = property(lambda self: _tuples(self.row_coords))
-    col_elems = property(lambda self: _tuples(self.col_coords))
-    row_index = property(lambda self: tuple((b, t) for b in range(self.row_blocks) for t in self.row_elems))
-    col_index = property(lambda self: tuple((b, s) for b in range(self.col_blocks) for s in self.col_elems))
 
 
-def _block_operator(f: RingMatrix, elems: Sequence[GroupElement], left: bool) -> WindowMatrix:
-    anchors = f.spec.coords(elems)
+def _block_operator(f: RingMatrix, anchors: np.ndarray, left: bool) -> WindowMatrix:
     data, out_elems = window_operator(f.spec, f.terms(), anchors, left)
     return WindowMatrix(data, out_elems, anchors, *((f.cols, f.rows) if left else (f.rows, f.cols)))
 
 
-def window_matrix(f: RingMatrix, F: "FolnerSet | Sequence[GroupElement]") -> WindowMatrix:
+def window_matrix(f: RingMatrix, F: "FolnerSet | np.ndarray | Sequence[GroupElement]") -> WindowMatrix:
     """The matrix of x |-> f.x from vectors supported in F to vectors on K.F.
 
     Entry ((j, t), (k, s)) is the coefficient of f_{j,k} at t.s^{-1}; rows run
     over all of K.F because the kernel condition f.x = 0 must hold on the
     whole group.  A zero matrix has empty support and K.F is taken to be F.
     """
-    if isinstance(F, FolnerSet) and F.spec != f.spec:
-        raise InputError("window and matrix live over different groups")
-    return _block_operator(f, elements_of(F), left=False)
+    return _block_operator(f, coords_of(f.spec, F), left=False)
 
 
-def right_window_matrix(f: RingMatrix, E: Sequence[GroupElement]) -> WindowMatrix:
+def right_window_matrix(f: RingMatrix, E: "np.ndarray | Sequence[GroupElement]") -> WindowMatrix:
     """The matrix of g |-> g.f on row vectors supported in E.
 
     Rows are indexed by (output coordinate k, group element w of E.K), columns
     by (input coordinate j, element u of E); the entry is the coefficient of
     f_{j,k} at u^{-1}.w.
     """
-    return _block_operator(f, tuple(E), left=True)
+    return _block_operator(f, coords_of(f.spec, E), left=True)
 
 
 def column_vector(entries: Sequence[RingElem]) -> RingMatrix:

@@ -1,20 +1,25 @@
 """Concrete amenable groups with canonical Folner windows.
 
 Families: Z^d, finite products of cyclic groups, a finite group times Z^d,
-and the discrete Heisenberg group H3(Z).  Elements are reduced integer
-coordinate tuples.  Every window is enumerated in a fixed lexicographic
-order so that all derived matrix layouts are reproducible across runs and
-platforms.
+and the discrete Heisenberg group H3(Z).  An element is a reduced integer
+coordinate vector.
+
+A set of elements (a window, a growth window, an inverse set) is held in
+one format only: a read-only coordinate array, one element per row, rows
+distinct and in lexicographic order, so every derived matrix layout is
+reproducible across runs and platforms.  Tuples appear only at the edges:
+in JSON, as single elements (``mul``, ``inverse``), and as arguments, which
+``coords_of`` turns into an array once.
 
 Each group law is an integer polynomial map on coordinates, so it also acts
 on arrays of elements (``GroupSpec.mul_array``): Z^d adds, finite factors
 add modulo their orders, Heisenberg is (a+a', b+b', c+c'+ab').  Coordinate
 arrays are int64 while every coordinate is below 2^31 in absolute value and
 exact Python ints otherwise; abelian laws only add, and a Heisenberg result
-is checked again since ab' can reach 2^62.  Sets of elements held as
-coordinate arrays are sorted, deduplicated and looked up by mixed-radix keys
-that order like tuples (``unique_rows``, ``positions``); a window grows by
-sorting its products in batches (``with_products``).
+is checked again since ab' can reach 2^62.  Sets are sorted, deduplicated
+and looked up by mixed-radix keys that order like tuples (``unique_rows``,
+``positions``); a window grows by sorting its products in batches
+(``with_products``).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,7 +57,8 @@ def _keys(*arrays: np.ndarray) -> list[np.ndarray]:
 
 
 def unique_rows(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of P in lexicographic order, and where each row of P is among them."""
+    """The distinct rows of P in lexicographic order, read-only, and where
+    each row of P is among them."""
     (key,) = _keys(P)
     order = np.argsort(key, kind="stable")
     first = np.empty(len(key), dtype=bool)
@@ -60,7 +66,9 @@ def unique_rows(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.not_equal(key[order[1:]], key[order[:-1]], out=first[1:])
     inverse = np.empty(len(key), dtype=np.int64)
     inverse[order] = np.cumsum(first) - 1
-    return P[order[first]], inverse
+    rows = P[order[first]]
+    rows.flags.writeable = False
+    return rows, inverse
 
 
 def positions(X: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -258,23 +266,22 @@ def heisenberg() -> GroupSpec:
     return GroupSpec("Heisenberg")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FolnerSet:
-    """A canonical window: ordered duplicate-free element list with reverse index."""
+    """A canonical window: its elements as a read-only coordinate array in
+    lexicographic order."""
 
     spec: GroupSpec
     L: int
-    elements: tuple[GroupElement, ...]
-    index: dict
+    coords: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.coords)
 
-    def __iter__(self) -> Iterator[GroupElement]:
-        return iter(self.elements)
-
-    def __contains__(self, g: GroupElement) -> bool:
-        return g in self.index
+    @property
+    def elements(self) -> tuple[GroupElement, ...]:
+        """The elements as tuples, in order."""
+        return tuple(map(tuple, self.coords.tolist()))
 
 
 def window_size(spec: GroupSpec, L: int) -> int:
@@ -304,40 +311,41 @@ def folner_set(
             f"window of index {L} has {size} elements, budget is {max_elements}"
         )
     if spec.family == "Zd":
-        ranges = [range(L)] * spec.d
+        lo, span = [0] * spec.d, [L] * spec.d
     elif spec.family == "FiniteCyclicProduct":
-        ranges = [range(k) for k in spec.orders]
+        lo, span = [0] * len(spec.orders), list(spec.orders)
     elif spec.family == "FiniteTimesZd":
-        ranges = [range(k) for k in spec.orders] + [range(L)] * spec.d
+        lo, span = [0] * (len(spec.orders) + spec.d), list(spec.orders) + [L] * spec.d
     else:
-        L2 = L * L
-        ranges = [range(-L, L + 1), range(-L, L + 1), range(-L2, L2 + 1)]
-    elements = tuple(itertools.product(*ranges))
-    index = {g: i for i, g in enumerate(elements)}
-    return FolnerSet(spec=spec, L=L, elements=elements, index=index)
+        lo, span = [-L, -L, -L * L], [2 * L + 1, 2 * L + 1, 2 * L * L + 1]
+    # Row-major indices of the box enumerate it in lexicographic order.
+    coords = np.indices(span, dtype=np.int64).reshape(len(span), size).T + np.array(lo, dtype=np.int64)
+    coords.flags.writeable = False
+    return FolnerSet(spec=spec, L=L, coords=coords)
 
 
-def elements_of(F: "FolnerSet | Iterable[GroupElement]") -> tuple[GroupElement, ...]:
-    """Normalize a window argument to an ordered element tuple."""
+def coords_of(spec: GroupSpec, F: "FolnerSet | np.ndarray | Iterable[GroupElement]") -> np.ndarray:
+    """A window argument as a coordinate array: a FolnerSet's own array, an
+    array as given, other elements in their given order."""
     if isinstance(F, FolnerSet):
-        return F.elements
-    return tuple(F)
+        if F.spec != spec:
+            raise InputError("window lives over a different group")
+        return F.coords
+    if isinstance(F, np.ndarray):
+        return F
+    return spec.coords(tuple(F))
 
 
-def boundary_ratio(
-    F: "FolnerSet | Iterable[GroupElement]", K: Iterable[GroupElement]
-) -> Fraction:
+def boundary_ratio(F: FolnerSet, K: Iterable[GroupElement]) -> Fraction:
     """Exact |KF \\ F| / |F| for a finite set K of group elements."""
-    spec = F.spec if isinstance(F, FolnerSet) else None
-    elems = elements_of(F)
-    K = tuple(K)
-    if not K:
-        raise InputError("boundary_ratio needs a nonempty K")
-    if spec is None:
+    if not isinstance(F, FolnerSet):
         raise InputError("boundary_ratio needs a FolnerSet to know the group law")
-    fset = set(elems)
-    kf = {spec.mul(k, s) for k in K for s in elems}
-    return Fraction(len(kf - fset), len(elems))
+    spec, Kc = F.spec, F.spec.coords(tuple(K))
+    if not len(Kc):
+        raise InputError("boundary_ratio needs a nonempty K")
+    KF = spec.mul_array(Kc[:, None], F.coords[None]).reshape(len(Kc) * len(F), spec.coord_len)
+    KF = unique_rows(KF)[0]
+    return Fraction(int((positions(KF, F.coords) < 0).sum()), len(F))
 
 
 def translate_set(
@@ -345,31 +353,23 @@ def translate_set(
     S: "FolnerSet | Iterable[GroupElement]",
     g: GroupElement,
     side: str = "right",
-) -> tuple[GroupElement, ...]:
+) -> np.ndarray:
     """Pointwise translate {gs} (side="left") or {sg} (side="right"), sorted."""
     if side not in ("left", "right"):
         raise InputError(f"side must be 'left' or 'right', got {side!r}")
-    elems = elements_of(S)
-    if side == "left":
-        out = {spec.mul(g, s) for s in elems}
-    else:
-        out = {spec.mul(s, g) for s in elems}
-    return tuple(sorted(out))
+    Sc, gc = coords_of(spec, S), spec.coords([g])
+    return unique_rows(spec.mul_array(gc, Sc) if side == "left" else spec.mul_array(Sc, gc))[0]
 
 
-def inverse_set(
-    spec: GroupSpec, S: "FolnerSet | Iterable[GroupElement]"
-) -> tuple[GroupElement, ...]:
+def inverse_set(spec: GroupSpec, S: "FolnerSet | Iterable[GroupElement]") -> np.ndarray:
     """Pointwise inverse F^{-1}, sorted."""
-    return tuple(sorted({spec.inverse(s) for s in elements_of(S)}))
+    return unique_rows(spec.inverse_array(coords_of(spec, S)))[0]
 
 
 def unit_ball(spec: GroupSpec) -> tuple[GroupElement, ...]:
     """A fixed symmetric generating ball, used to dilate windows layer by layer."""
     if spec.family == "Zd":
         return tuple(itertools.product((-1, 0, 1), repeat=spec.d))
-    if spec.family == "FiniteCyclicProduct":
-        return folner_set(spec, 1).elements
     if spec.family == "FiniteTimesZd":
         finite = [range(k) for k in spec.orders]
         free = [(-1, 0, 1)] * spec.d
@@ -377,9 +377,7 @@ def unit_ball(spec: GroupSpec) -> tuple[GroupElement, ...]:
     return folner_set(spec, 1).elements
 
 
-def with_products(
-    spec: GroupSpec, E: Sequence[GroupElement], S: Sequence[GroupElement]
-) -> tuple[GroupElement, ...]:
+def with_products(spec: GroupSpec, E, S) -> np.ndarray:
     """E united with E*S, sorted, from the group law on coordinate arrays.
 
     The elements of S are multiplied in a few at a time, about
@@ -387,18 +385,16 @@ def with_products(
     after each batch: all |E|*|S| rows at once (69,000 for a Heisenberg
     growth step) raised the peak RSS of the seven-fixture tour by 2.7 MB.
     The first batch's sort also removes E's own repeats."""
-    Ec, Sc = spec.coords(E), spec.coords(S)
+    Ec, Sc = coords_of(spec, E), coords_of(spec, S)
     out = Ec if len(Sc) else unique_rows(Ec)[0]
     step = max(1, _PRODUCT_ROWS // max(len(Ec), 1))
     for at in range(0, len(Sc), step):
         batch = Sc[at : at + step]
         P = spec.mul_array(Ec[:, None], batch[None]).reshape(len(Ec) * len(batch), spec.coord_len)
         out, _ = unique_rows(np.concatenate([out, P]))
-    return tuple(map(tuple, out.tolist()))
+    return out
 
 
-def dilate(
-    spec: GroupSpec, E: Iterable[GroupElement], ball: Sequence[GroupElement] | None = None
-) -> tuple[GroupElement, ...]:
+def dilate(spec: GroupSpec, E, ball: Sequence[GroupElement] | None = None) -> np.ndarray:
     """One growth step: E united with E*ball, sorted."""
-    return with_products(spec, tuple(E), unit_ball(spec) if ball is None else ball)
+    return with_products(spec, E, unit_ball(spec) if ball is None else ball)

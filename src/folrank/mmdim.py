@@ -32,7 +32,7 @@ import numpy as np
 from .errors import InputError
 from .exactla import MAX_PRIMES, SparseIntMatrix, kernel_basis, nullspace_q, rank_q
 from .groupring import RingMatrix, window_matrix
-from .groups import FolnerSet, GroupElement, elements_of, folner_set, positions
+from .groups import FolnerSet, GroupElement, coords_of, folner_set, positions
 from .ranks import derived_rng
 
 CONGRUENCE_TOL = 2.0**-40
@@ -52,20 +52,20 @@ def _theta_arrays(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.minimum(d, 1.0 - d).max()) if d.size else 0.0
 
 
-def interior_set(f: RingMatrix, F) -> tuple[GroupElement, ...]:
-    """F' = {s in F : K^{-1} s inside F}, K the support of f (empty K keeps all)."""
-    spec = f.spec
-    felems = elements_of(F)
-    fset = set(felems)
-    K = sorted(f.support())
-    inv, mul = spec.inverse, spec.mul
-    return tuple(s for s in felems if all(mul(inv(k), s) in fset for k in K))
+def interior_set(f: RingMatrix, F) -> np.ndarray:
+    """F' = {s in F : K^{-1} s inside F}, K the support of f (empty K keeps
+    all), as coordinates in F's order."""
+    spec, F = f.spec, coords_of(f.spec, F)
+    kinv = spec.inverse_array(f.terms().support)
+    P = spec.mul_array(kinv[:, None], F[None]).reshape(len(kinv) * len(F), spec.coord_len)
+    found = positions(P, F).reshape(len(kinv), len(F)) >= 0
+    return F[found.all(axis=0)]
 
 
 def interior_constraint_matrix(f: RingMatrix, F) -> SparseIntMatrix:
     """The window operator rows restricted to output positions in F'."""
     W = window_matrix(f, F)
-    inside = positions(W.row_coords, f.spec.coords(interior_set(f, F))) >= 0
+    inside = positions(W.row_coords, interior_set(f, F)) >= 0
     return W.data.submatrix(np.flatnonzero(np.tile(inside, W.row_blocks)), np.arange(W.data.cols))
 
 
@@ -90,10 +90,9 @@ class SolenoidBoxPoint:
 def _congruence_error(f: RingMatrix, felems: Sequence[GroupElement], values: np.ndarray) -> float:
     spec = f.spec
     pos = {s: i for i, s in enumerate(felems)}
-    fprime = interior_set(f, felems)
     inv, mul = spec.inverse, spec.mul
     worst = 0.0
-    for t in fprime:
+    for t in interior_set(f, felems).tolist():
         for j in range(f.rows):
             acc = 0.0
             for k in range(f.cols):
@@ -125,11 +124,10 @@ def separated_upper_bound(
 ) -> float:
     """log of the explicit separated-set counting bound at scale eps."""
     _check_eps(eps)
-    felems = elements_of(F)
     W = window_matrix(f, F)
     kdim = W.data.cols - rank_q(W.data, rng=rng, max_primes=max_primes).rank
-    fprime = interior_set(f, felems)
-    boundary = int((positions(W.row_coords, f.spec.coords(fprime)) < 0).sum())
+    fprime = interior_set(f, F)
+    boundary = int((positions(W.row_coords, fprime) < 0).sum())
     m = f.rows
     exponent = m * boundary + kdim
     return exponent * math.log1p(2.0 / eps) + m * len(fprime) * math.log(float(f.norm1()) + 1.0)
@@ -292,7 +290,7 @@ def separated_lower_count(
     _check_eps(eps)
     if budget < 1:
         raise InputError("sample budget must be >= 1")
-    rng = derived_rng(seed, "packing", len(elements_of(F)), repr(eps))
+    rng = derived_rng(seed, "packing", len(coords_of(f.spec, F)), repr(eps))
     return _greedy_count(_solution_samples(f, F, eps, budget, rng), eps)
 
 

@@ -52,8 +52,8 @@ from .groups import (
     FolnerSet,
     GroupElement,
     GroupSpec,
+    coords_of,
     dilate,
-    elements_of,
     folner_set,
     inverse_set,
     positions,
@@ -147,7 +147,7 @@ def _generator_window(A, F, spec: GroupSpec) -> tuple[SparseIntMatrix, np.ndarra
     if not rows:
         return SparseIntMatrix(0, 0), spec.coords(())
     t = A.terms() if isinstance(A, RingMatrix) else terms_of(spec, rows, len(rows[0]))
-    anchors = spec.inverse_array(spec.coords(elements_of(F)))
+    anchors = spec.inverse_array(coords_of(spec, F))
     return window_operator(spec, t, anchors, left=True, anchor_rows=True)
 
 
@@ -170,11 +170,11 @@ def submodule_rank(
 
 def submodule_rank_density(A, F, spec: GroupSpec, rng: random.Random | None = None) -> Fraction:
     """Exact rank(<F^{-1}A>) / |F|."""
-    felems = elements_of(F)
-    if not felems:
+    F = coords_of(spec, F)
+    if not len(F):
         raise InputError("density needs a nonempty window")
     rank, _ = submodule_rank(A, F, spec, rng=rng)
-    return Fraction(rank, len(felems))
+    return Fraction(rank, len(F))
 
 
 def window_kernel_dim(
@@ -187,11 +187,11 @@ def window_kernel_dim(
 
 
 def window_kernel_density(P: ModulePresentation, F, rng: random.Random | None = None) -> Fraction:
-    felems = elements_of(F)
-    if not felems:
+    F = coords_of(P.spec, F)
+    if not len(F):
         raise InputError("density needs a nonempty window")
     dim, _ = window_kernel_dim(P, F, rng=rng)
-    return Fraction(dim, len(felems))
+    return Fraction(dim, len(F))
 
 
 def per_window_identity_check(
@@ -199,10 +199,10 @@ def per_window_identity_check(
 ) -> bool:
     """rank(<F^{-1} rows(f)>) == m|F| - dim ker(window of f*): two independent
     computations of the same number; inequality is a genuine failure."""
-    felems = elements_of(F)
+    F = coords_of(f.spec, F)
     lhs, _ = submodule_rank(f, F, f.spec, rng=rng, max_primes=max_primes)
     W = window_matrix(f.star(), F)
-    rhs = f.rows * len(felems) - kernel_dim_q(W.data, rng=rng, max_primes=max_primes)
+    rhs = f.rows * len(F) - kernel_dim_q(W.data, rng=rng, max_primes=max_primes)
     return lhs == rhs
 
 
@@ -383,8 +383,8 @@ class StabilizedDim:
     window_size: int
 
 
-def _stabilize(spec: GroupSpec, E0, value_fn, growth_steps: int) -> StabilizedDim:
-    E = tuple(sorted(set(E0)))
+def _stabilize(spec: GroupSpec, E: np.ndarray, value_fn, growth_steps: int) -> StabilizedDim:
+    """Grow the sorted, distinct E by ``dilate`` until ``value_fn`` repeats."""
     prev = None
     for step in range(growth_steps + 1):
         v = value_fn(E, step)
@@ -392,15 +392,17 @@ def _stabilize(spec: GroupSpec, E0, value_fn, growth_steps: int) -> StabilizedDi
             return StabilizedDim(v, True, step, len(E))
         prev = v
         grown = dilate(spec, E)
-        if grown == E:
+        # dilate returns E united with E.ball, so equal sizes mean equal sets.
+        if len(grown) == len(E):
             # The window saturated (finite group): the value cannot change.
             return StabilizedDim(v, True, step, len(E))
         E = grown
     return StabilizedDim(prev, False, growth_steps, len(E))
 
 
-def _initial_erank_window(spec: GroupSpec, finv, K) -> tuple:
-    return with_products(spec, finv, [spec.inverse(k) for k in K])
+def _initial_erank_window(spec: GroupSpec, finv, K) -> np.ndarray:
+    """finv united with finv.K^{-1}, sorted."""
+    return with_products(spec, finv, spec.inverse_array(coords_of(spec, K)))
 
 
 def erank_span_dim(
@@ -426,21 +428,20 @@ def _restriction_dim(P, F, growth_steps, seed, tag, window, max_primes=MAX_PRIME
 
     ``window(E)`` gives M_E, the elements of one axis of M_E, how many
     coordinate blocks that axis has, and whether it is the row axis."""
-    spec, felems = P.spec, elements_of(F)
+    spec, F = P.spec, coords_of(P.spec, F)
     if P.m == 0 or P.relations.is_zero():
-        return StabilizedDim(P.n * len(felems), True, 0, 0)
-    finv = inverse_set(spec, felems)
-    finv_coords = spec.coords(finv)
+        return StabilizedDim(P.n * len(F), True, 0, 0)
+    finv = inverse_set(spec, F)
 
     def value(E, step):
         rng = derived_rng(seed, tag, len(E), step)
         M, elems, blocks, rows = window(E)
-        keep = np.flatnonzero(np.tile(positions(elems, finv_coords) < 0, blocks))
+        keep = np.flatnonzero(np.tile(positions(elems, finv) < 0, blocks))
         kept = M.submatrix(keep, np.arange(M.cols)) if rows else M.submatrix(np.arange(M.rows), keep)
         rank = rank_q(M, rng=rng, max_primes=max_primes).rank
-        return P.n * len(felems) - rank + rank_q(kept, rng=rng, max_primes=max_primes).rank
+        return P.n * len(F) - rank + rank_q(kept, rng=rng, max_primes=max_primes).rank
 
-    E0 = _initial_erank_window(spec, finv, sorted(P.relations.support()))
+    E0 = _initial_erank_window(spec, finv, P.relations.terms().support)
     return _stabilize(spec, E0, value, growth_steps)
 
 
@@ -452,16 +453,16 @@ def _dual_constraint_matrix(f: RingMatrix, E) -> SparseIntMatrix:
     at index(u) * m + j with u in sorted order.  Columns are (k, w) for w in
     E, coordinate-major.
     """
-    spec, n, E = f.spec, f.cols, tuple(E)
-    K, Ec = f.terms().support, spec.coords(E)
+    spec, n, E = f.spec, f.cols, coords_of(f.spec, E)
+    K = f.terms().support
     if not len(K):
         return SparseIntMatrix(0, n * len(E))
     # w.k^{-1} is one-to-one in w, so u occurs in E.K^{-1} once for each k
     # with u.k in E: u.K lies inside E when u occurs |K| times.
-    cand = spec.mul_array(Ec[:, None], spec.inverse_array(K)[None])
+    cand = spec.mul_array(E[:, None], spec.inverse_array(K)[None])
     cand, at = unique_rows(cand.reshape(len(E) * len(K), spec.coord_len))
     interior = cand[np.bincount(at, minlength=len(cand)) == len(K)]
-    return window_operator(spec, f.terms(), interior, left=True, anchor_rows=True, targets=Ec)[0]
+    return window_operator(spec, f.terms(), interior, left=True, anchor_rows=True, targets=E)[0]
 
 
 def erank_dual_restriction_dim(
@@ -479,7 +480,7 @@ def erank_dual_restriction_dim(
     the true restriction dimension."""
 
     def window(E):
-        return _dual_constraint_matrix(P.relations, E), P.spec.coords(E), P.n, False
+        return _dual_constraint_matrix(P.relations, E), E, P.n, False
 
     return _restriction_dim(P, F, growth_steps, seed, "erank-dual", window, max_primes)
 
@@ -536,7 +537,7 @@ def quotient_span_rank(
     if f.rows == 0 or f.is_zero():
         return StabilizedDim(rank_q(V, max_primes=max_primes).rank, True, 0, 0)
     width = len(S)
-    E0 = _initial_erank_window(spec, [tuple(g) for g in S.tolist()], sorted(f.support()))
+    E0 = _initial_erank_window(spec, S, f.terms().support)
 
     def value(E, step):
         rng = derived_rng(seed, "quotient-span", len(E), step)

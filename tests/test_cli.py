@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -215,6 +216,30 @@ def test_jobspec_file_input(tmp_path):
     report = json.loads((tmp_path / "vnd-job.json").read_text())
     assert report["seed"] == 3
     assert [r["L"] for r in report["series"]] == [2, 4]
+
+
+def test_load_matrix_reads_a_bare_matrix_and_a_job_file(tmp_path):
+    bare = FIXTURES / "one_plus_2T.json"
+    matrix = cli_module.load_matrix(bare)
+    assert matrix == RingMatrix.from_json(json.loads(bare.read_text()))
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"command": "vnd", "matrix": json.loads(bare.read_text()), "seed": 4}))
+    assert cli_module.load_matrix(job) == matrix
+
+
+def test_load_matrix_of_a_job_file_without_a_matrix_names_the_file(tmp_path):
+    job = tmp_path / "no_matrix.json"
+    job.write_text(json.dumps({"command": "verify-suite"}))
+    with pytest.raises(InputError, match=re.escape(str(job))):
+        cli_module.load_matrix(job)
+
+
+def test_verify_suite_job_file_needs_no_matrix(tmp_path, capsys):
+    job = tmp_path / "suite.json"
+    job.write_text(json.dumps({"command": "verify-suite", "seed": 2}))
+    assert main(["verify-suite", "--input", str(job), "--cases", "4", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verify-suite-suite.json").read_text())
+    assert report["seed"] == 2 and report["all_pass"] is True
 
 
 def test_max_primes_budget_stays_inside_its_job(tmp_path, monkeypatch):

@@ -279,6 +279,17 @@ def test_peel_removes_a_bidiagonal_window():
     assert rank_q(B, rng=random.Random(0)).rank == n
 
 
+def test_empty_cores_rank_without_an_elimination(monkeypatch):
+    # An all-zero matrix peels to an empty core, and so does a triangular
+    # one: both are ranked by the peel alone.
+    def no_elimination(*_):
+        raise AssertionError("bareiss_rank called on an empty core")
+
+    monkeypatch.setattr(exactla, "bareiss_rank", no_elimination)
+    assert rank_q(M([[0] * 4] * 3)) == RankCertificate(0, "fraction-free")
+    assert rank_q(M([[1, 2, 0, 7], [0, 3, 4, 0], [0, 0, 5, 1]])) == RankCertificate(3, "fraction-free")
+
+
 def test_peel_is_over_q_when_a_prime_divides_the_singleton():
     # The window has rank 79; a new row and column meet only at p, the
     # first prime that Random(0) draws, so the rank is 80.  Modulo p that

@@ -90,7 +90,7 @@ def test_norm_and_support_examples():
 def test_window_matrix_example():
     W = window_matrix(one_plus_2T(), folner_set(Z, 2))
     assert W.data.to_dense() == [[1, 0], [2, 1], [0, 2]]
-    assert [t for (_, t) in W.row_index] == [(0,), (1,), (2,)]
+    assert W.row_coords.tolist() == [[0], [1], [2]]
 
 
 def test_window_matrix_zero():
@@ -110,9 +110,9 @@ def test_window_shape_matches_index_maps():
     f = xy_minus_one()
     F = folner_set(Z2, 3)
     W = window_matrix(f, F)
-    assert W.shape == (f.rows * len(W.row_elems), f.cols * len(F))
-    assert len(W.row_index) == W.data.rows
-    assert len(W.col_index) == W.data.cols
+    assert W.shape == (f.rows * len(W.row_coords), f.cols * len(F))
+    assert W.row_blocks * len(W.row_coords) == W.data.rows
+    assert W.col_blocks * len(W.col_coords) == W.data.cols
 
 
 def test_spec_mismatch_raises():
@@ -181,10 +181,10 @@ def test_window_naturality(spec, data):
         applied[i] += v * vec[j]
     fx = f @ x
     expected = [0] * W.data.rows
-    pos = {t: i for i, t in enumerate(W.row_elems)}
+    pos = {tuple(t): i for i, t in enumerate(W.row_coords.tolist())}
     for j in range(m):
         for g, c in fx.entries[j][0].coeffs.items():
-            expected[j * len(W.row_elems) + pos[g]] = c
+            expected[j * len(W.row_coords) + pos[g]] = c
     assert applied == expected
 
 
@@ -231,13 +231,14 @@ def test_right_window_matrix_consistency():
     W = right_window_matrix(f, E)
     g = zpoly((-1, 3), (1, -2))
     vec = [0] * W.data.cols
-    for idx, (j, u) in enumerate(W.col_index):
+    col_index = [(j, tuple(u)) for j in range(W.col_blocks) for u in W.col_coords.tolist()]
+    for idx, (j, u) in enumerate(col_index):
         vec[idx] = g.coeffs.get(u, 0)
     out = [0] * W.data.rows
     for i, j, v in zip(W.data.ii.tolist(), W.data.jj.tolist(), W.data.vals.tolist()):
         out[i] += v * vec[j]
     gf = RingMatrix(Z, [[g]]) @ f
-    pos = {w: i for i, w in enumerate(W.row_elems)}
+    pos = {tuple(w): i for i, w in enumerate(W.row_coords.tolist())}
     expected = [0] * W.data.rows
     for w, c in gf.entries[0][0].coeffs.items():
         expected[pos[w]] = c

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -76,10 +77,10 @@ def test_boundary_ratio_examples():
 def test_translate_examples():
     Z = zd(1)
     F = folner_set(Z, 3)
-    assert translate_set(Z, F, (5,), side="right") == ((5,), (6,), (7,))
-    assert inverse_set(Z, F) == ((-2,), (-1,), (0,))
+    assert translate_set(Z, F, (5,), side="right").tolist() == [[5], [6], [7]]
+    assert inverse_set(Z, F).tolist() == [[-2], [-1], [0]]
     H = heisenberg()
-    assert translate_set(H, [(0, 0, 0)], (1, 0, 0), side="right") == ((1, 0, 0),)
+    assert translate_set(H, [(0, 0, 0)], (1, 0, 0), side="right").tolist() == [[1, 0, 0]]
 
 
 def test_window_budget():
@@ -181,7 +182,7 @@ def test_array_law_matches_mul_and_inverse(spec, data):
 
 
 def _grown_per_pair(spec, E, S):
-    return tuple(sorted(set(E) | {spec.mul(s, b) for s in E for b in S}))
+    return [list(g) for g in sorted(set(E) | {spec.mul(s, b) for s in E for b in S})]
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
@@ -194,14 +195,14 @@ def test_window_growth_matches_per_pair_loop(spec, data):
     E = data.draw(st.lists(elems, max_size=6))
     K = data.draw(st.lists(elems, max_size=4))
     ball = unit_ball(spec)
-    assert dilate(spec, E) == _grown_per_pair(spec, E, ball)
-    assert dilate(spec, E, K) == _grown_per_pair(spec, E, K)
-    assert _initial_erank_window(spec, E, K) == _grown_per_pair(spec, E, [spec.inverse(k) for k in K])
+    assert dilate(spec, E).tolist() == _grown_per_pair(spec, E, ball)
+    assert dilate(spec, E, K).tolist() == _grown_per_pair(spec, E, K)
+    assert _initial_erank_window(spec, E, K).tolist() == _grown_per_pair(spec, E, [spec.inverse(k) for k in K])
     # E out of order and with repeats, which the first batch's sort removes;
     # with no S, one sort of E alone does.
     E = sorted(E, reverse=True) * 2
-    assert dilate(spec, E) == _grown_per_pair(spec, E, ball)
-    assert dilate(spec, E, ()) == _grown_per_pair(spec, E, ())
+    assert dilate(spec, E).tolist() == _grown_per_pair(spec, E, ball)
+    assert dilate(spec, E, ()).tolist() == _grown_per_pair(spec, E, ())
 
 
 @pytest.mark.parametrize("spec, L", [(zd(2), 30), (heisenberg(), 2), (finite_times_zd((2,), 1), 700)])
@@ -210,7 +211,7 @@ def test_window_growth_in_several_batches(spec, L):
     E = folner_set(spec, L).elements
     ball = unit_ball(spec)
     assert len(E) * len(ball) > 1 << 12
-    assert dilate(spec, E) == _grown_per_pair(spec, E, ball)
+    assert dilate(spec, E).tolist() == _grown_per_pair(spec, E, ball)
 
 
 def test_coords_switch_to_exact_ints_past_2_31():
@@ -232,8 +233,41 @@ def test_folner_deterministic_order(spec):
     a = folner_set(spec, 3)
     b = folner_set(spec, 3)
     assert a.elements == b.elements
-    assert list(a.index.items()) == list(b.index.items())
+    assert a.coords.tolist() == b.coords.tolist()
     assert len(set(a.elements)) == len(a.elements)
+
+
+def _box_ranges(spec, L):
+    if spec.family == "Zd":
+        return [range(L)] * spec.d
+    if spec.family == "FiniteCyclicProduct":
+        return [range(k) for k in spec.orders]
+    if spec.family == "FiniteTimesZd":
+        return [range(k) for k in spec.orders] + [range(L)] * spec.d
+    return [range(-L, L + 1), range(-L, L + 1), range(-L * L, L * L + 1)]
+
+
+@pytest.mark.parametrize("spec", SPECS + [zd(0)], ids=SPEC_IDS + ["Z0"])
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_folner_coords_are_the_lexicographic_box(spec, L):
+    F = folner_set(spec, L)
+    expected = [list(g) for g in itertools.product(*_box_ranges(spec, L))]
+    assert F.coords.tolist() == expected
+    assert F.coords.shape == (len(expected), spec.coord_len) and F.coords.dtype == np.int64
+    assert len(F) == len(expected) and F.elements == tuple(map(tuple, expected))
+    assert not F.coords.flags.writeable
+    with pytest.raises(ValueError):
+        F.coords[0:1] = 0
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_inverse_set_is_the_sorted_set_of_inverses(spec, data):
+    S = data.draw(st.lists(st.tuples(*[array_coord] * spec.coord_len), max_size=6))
+    S = [spec.reduce(g) for g in S]
+    expected = [list(g) for g in sorted({spec.inverse(g) for g in S})]
+    assert inverse_set(spec, S).tolist() == expected
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
@@ -274,7 +308,7 @@ def test_unit_ball_and_dilate():
     grown = dilate(Z2, E)
     assert len(grown) == 9
     G = finite_cyclic(3)
-    assert set(dilate(G, [(0,)])) == {(0,), (1,), (2,)}
+    assert dilate(G, [(0,)]).tolist() == [[0], [1], [2]]
     assert len(unit_ball(heisenberg())) == 27
 
 

@@ -13,7 +13,7 @@ from folrank.cli import main as cli_main
 from folrank.errors import InputError
 from folrank.exactla import kernel_basis, nullspace_q
 from folrank.groupring import RingElem, RingMatrix
-from folrank.groups import elements_of, finite_cyclic, folner_set, zd
+from folrank.groups import coords_of, finite_cyclic, folner_set, heisenberg, zd
 from folrank.mmdim import (
     _PACK_ROWS,
     SolenoidBoxPoint,
@@ -30,7 +30,7 @@ from folrank.mmdim import (
     theta,
     theta_pseudometric,
 )
-from folrank.ranks import derived_rng
+from folrank.ranks import derived_rng, random_ring_matrix
 
 Z = zd(1)
 
@@ -117,10 +117,38 @@ def test_interior_set_definition():
     # Every reported member satisfies K^{-1} s inside F; nothing else does.
     K = sorted(ONE_PLUS_2T.support())
     fset = set(F.elements)
+    members = set(map(tuple, fprime.tolist()))
     for s in F.elements:
         inside = all(Z.mul(Z.inverse(k), s) in fset for k in K)
-        assert (s in fprime) == inside
-    assert fprime == ((1,), (2,), (3,))
+        assert (s in members) == inside
+    assert fprime.tolist() == [[1], [2], [3]]
+
+
+def _interior_reference(f, felems):
+    """F' by its definition, on tuples and sets."""
+    spec, fset = f.spec, set(felems)
+    K = sorted(f.support())
+    return [list(s) for s in felems if all(spec.mul(spec.inverse(k), s) in fset for k in K)]
+
+
+@pytest.mark.parametrize(
+    "spec, max_L",
+    [(zd(1), 6), (zd(2), 4), (heisenberg(), 2), (finite_cyclic(2, 3), 1)],
+    ids=["Z", "Z2", "H3", "C2xC3"],
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_interior_set_matches_the_set_definition(spec, max_L, data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    f = random_ring_matrix(rng, spec, rng.randint(1, 2), rng.randint(1, 2), radius=2, max_terms=3)
+    zero = RingMatrix(spec, [[RingElem.zero(spec)]])
+    F = folner_set(spec, data.draw(st.integers(1, max_L)))
+    sub = data.draw(st.lists(st.sampled_from(F.elements), unique=True, max_size=12))
+    for g in (f, zero):
+        assert interior_set(g, F).tolist() == _interior_reference(g, F.elements)
+        # Any window, in its own order.
+        assert interior_set(g, sub).tolist() == _interior_reference(g, sub)
+    assert interior_set(zero, F).tolist() == F.coords.tolist()
 
 
 def test_upper_bound_example():
@@ -195,7 +223,7 @@ def test_lower_count_above_half_eps():
 def _scalar_lower_count(f, F, eps, budget, seed):
     """The greedy packing one kept point at a time: the oracle for the
     batched loop in separated_lower_count."""
-    rng = derived_rng(seed, "packing", len(elements_of(F)), repr(eps))
+    rng = derived_rng(seed, "packing", len(coords_of(f.spec, F)), repr(eps))
     kept = []
     for point in _solution_samples(f, F, eps, budget, rng):
         ok = True

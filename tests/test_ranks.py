@@ -9,7 +9,7 @@ from folrank import exactla, ranks
 from folrank.errors import InputError
 from folrank.exactla import SparseIntMatrix, nullspace_q, rank_q
 from folrank.groupring import RingElem, RingMatrix, right_window_matrix
-from folrank.groups import elements_of, finite_cyclic, folner_set, heisenberg, zd
+from folrank.groups import coords_of, finite_cyclic, folner_set, heisenberg, zd
 from folrank.ranks import (
     GeneratorList,
     ModulePresentation,
@@ -239,11 +239,11 @@ def test_erank_dims_nonincreasing_in_window():
 
     finv = inverse_set(Z, F.elements)
     E = _initial_erank_window(Z, finv, sorted(f.support()))
-    finv_set = set(finv)
+    finv_set = set(map(tuple, finv.tolist()))
     for _ in range(5):
         C = _dual_constraint_matrix(f, E)
         # Columns are (k, w) for k < 2 and w in E, coordinate-major.
-        keep = [k * len(E) + i for k in range(2) for i, w in enumerate(E) if w not in finv_set]
+        keep = [k * len(E) + i for k in range(2) for i, w in enumerate(map(tuple, E.tolist())) if w not in finv_set]
         v = 2 * len(F) - rank_q(C).rank + rank_q(C.submatrix(range(C.rows), keep)).rank
         values.append(v)
         E = dilate(Z, E)
@@ -423,7 +423,7 @@ def _quotient_span_rank_reference(f, B, F, growth_steps, seed):
     rows, mapped into V's layout and stacked with V."""
     spec = f.spec
     rows = _rows_of(B)
-    felems = elements_of(F)
+    felems = list(map(tuple, coords_of(spec, F).tolist()))
     V = submodule_rank_matrix(rows, F, spec)
     if V.cols == 0:
         return StabilizedDim(0, True, 0, 0)
@@ -441,7 +441,8 @@ def _quotient_span_rank_reference(f, B, F, growth_steps, seed):
     def value(E, step):
         rng = derived_rng(seed, "quotient-span", len(E), step)
         W = right_window_matrix(f, E)
-        out_rows = [i for i, (_, w) in enumerate(W.row_index) if w not in s_set]
+        row_index = [(k, tuple(w)) for k in range(W.row_blocks) for w in W.row_coords.tolist()]
+        out_rows = [i for i, (_, w) in enumerate(row_index) if w not in s_set]
         rank_all = rank_q(W.data, rng=rng).rank
         r_out = W.data.submatrix(out_rows, range(W.data.cols))
         dim_n = rank_all - rank_q(r_out, rng=rng).rank
@@ -450,7 +451,7 @@ def _quotient_span_rank_reference(f, B, F, growth_steps, seed):
         for g in nullspace_q(r_out):
             img: dict[int, Fraction] = {}
             for i, j, v in zip(W.data.ii.tolist(), W.data.jj.tolist(), W.data.vals.tolist()):
-                k, w = W.row_index[i]
+                k, w = row_index[i]
                 if w in s_set and g[j]:
                     col = k * width + s_pos[w]
                     img[col] = img.get(col, Fraction(0)) + g[j] * v

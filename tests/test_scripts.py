@@ -35,6 +35,23 @@ def test_mmdim_scan_prints_the_packing_table(capsys):
     assert "estimate interval: [" in out
 
 
+def test_report_digest_is_stable(capsys):
+    script = load("report_digest")
+    argv = ["--workload", "large-windows", "--seeds", "0"]
+    assert script.main(argv) == 0
+    first = capsys.readouterr().out
+    assert script.main(argv) == 0
+    assert capsys.readouterr().out == first
+    lines = [line.split() for line in first.splitlines()]
+    exits = [line for line in lines if line[3] == "exit"]
+    assert [line[:3] for line in exits] == [
+        ["large-windows", "seed=0", name] for name in ("vnd-xy_minus_one", "mrank-two_over_z2", "vnd-heisenberg_ab")
+    ]
+    # A JSON and a CSV report per job, each with a sha256.
+    digests = [line for line in lines if line[3] != "exit"]
+    assert len(digests) == 6 and all(len(line[4]) == 64 for line in digests)
+
+
 def test_mmdim_scan_bad_eps_is_an_input_error(capsys):
     script = load("mmdim_scan")
     argv = ["--input", str(ROOT / "fixtures" / "two_over_z.json"), "--L", "3,4", "--eps", "0", "--budget", "20"]

@@ -194,8 +194,10 @@ def test_window_operators_match_per_pair_builders(case):
         shape, entries, row_index, col_index, row_elems, col_elems = ref(fi, F)
         assert W.shape == shape
         assert entries_of(W.data) == entries
-        assert list(W.row_index) == row_index and list(W.col_index) == col_index
-        assert W.row_elems == tuple(row_elems) and W.col_elems == col_elems
+        assert [(b, tuple(t)) for b in range(W.row_blocks) for t in W.row_coords.tolist()] == row_index
+        assert [(b, tuple(s)) for b in range(W.col_blocks) for s in W.col_coords.tolist()] == col_index
+        assert W.row_coords.tolist() == [list(t) for t in row_elems]
+        assert W.col_coords.tolist() == [list(s) for s in col_elems]
         rational_shape, rational, *_ = ref(f, F)
         assert dense_rank(rational_shape, rational) == dense_rank(shape, entries)
 
