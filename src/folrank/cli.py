@@ -18,7 +18,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import BudgetExceededError, FolrankError, InputError, UnsupportedGroupError
-from .exactla import MAX_PRIMES
 from .groupring import RingMatrix
 from .groups import DEFAULT_MAX_WINDOW_ELEMENTS
 from .mmdim import DEFAULT_EPS_SCHEDULE, mmdim_estimate
@@ -66,7 +65,6 @@ class JobSpec:
     seed: int = 0
     epsilons: tuple[float, ...] = DEFAULT_EPS_SCHEDULE
     max_window_elements: int = DEFAULT_MAX_WINDOW_ELEMENTS
-    max_primes: int = MAX_PRIMES
     growth_steps: int = DEFAULT_GROWTH_STEPS
     sample_budget: int = 400
     cases: int = 100
@@ -80,8 +78,8 @@ class JobSpec:
             raise InputError("tolerance must be positive")
         if any(b <= a for a, b in zip(self.schedule, self.schedule[1:])):
             raise InputError("schedule must be strictly increasing")
-        if self.max_primes < 3:
-            raise InputError("max_primes must allow at least three agreeing primes")
+        if self.cases < 1:
+            raise InputError(f"cases must be at least 1, got {self.cases}")
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -200,7 +198,6 @@ def _series_kwargs(job: JobSpec) -> dict:
         tolerance=job.tolerance,
         seed=job.seed,
         max_window_elements=job.max_window_elements,
-        max_primes=job.max_primes,
     )
 
 
@@ -229,7 +226,6 @@ def _run_mmdim(job: JobSpec) -> int:
         job.epsilons,
         budget=job.sample_budget,
         seed=job.seed,
-        max_primes=job.max_primes,
     )
     report = {
         "quantity": "mmdim",
@@ -264,7 +260,7 @@ def _run_identity_check(job: JobSpec) -> int:
     for L in job.schedule:
         F = folner_set(f.spec, L, job.max_window_elements)
         rng = derived_rng(job.seed, "identity-cli", L)
-        ok = per_window_identity_check(f, F, rng=rng, max_primes=job.max_primes)
+        ok = per_window_identity_check(f, F, rng=rng)
         checks.append({"L": L, "ok": ok})
         all_ok = all_ok and ok
     report = {
@@ -282,7 +278,7 @@ def _run_identity_check(job: JobSpec) -> int:
 
 def _run_oracle(job: JobSpec) -> int:
     P = ModulePresentation(job.matrix)
-    value = oracle_value(P, seed=job.seed, max_primes=job.max_primes)
+    value = oracle_value(P, seed=job.seed)
     report = {
         "quantity": "oracle",
         "group": job.matrix.spec.to_json(),
@@ -302,7 +298,7 @@ def _run_compare(job: JobSpec) -> int:
     vnd = vnd_of_presentation(P, job.schedule, **common)
     erank = erank_of_presentation(P, job.schedule, growth_steps=job.growth_steps, **common)
     try:
-        oracle = oracle_value(P, seed=job.seed, max_primes=job.max_primes)
+        oracle = oracle_value(P, seed=job.seed)
     except UnsupportedGroupError:
         oracle = None
     columns = {
@@ -335,9 +331,9 @@ def _run_compare(job: JobSpec) -> int:
 
 def _run_verify_suite(job: JobSpec) -> int:
     suites = [
-        run_identity_suite(job.seed, cases=job.cases, max_primes=job.max_primes),
-        run_superadditivity_suite(job.seed, cases=job.cases, max_primes=job.max_primes),
-        run_submodularity_suite(job.seed, cases=job.cases, max_primes=job.max_primes),
+        run_identity_suite(job.seed, cases=job.cases),
+        run_superadditivity_suite(job.seed, cases=job.cases),
+        run_submodularity_suite(job.seed, cases=job.cases),
     ]
     all_pass = True
     for s in suites:
@@ -374,6 +370,38 @@ def run(job: JobSpec) -> int:
     return _run_compare(job)
 
 
+def _job_int(name: str, value) -> int:
+    """A JSON integer, or a string of one; a float or a boolean is not cut to one."""
+    try:
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            return int(value)
+    except ValueError:
+        pass
+    raise InputError(f"job field {name!r}: expected an integer, got {value!r}")
+
+
+def _job_list(name: str, value) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"job field {name!r}: expected a list, got {value!r}")
+    return value
+
+
+def _job_budgets(value) -> dict:
+    """The budgets of a job file, with the default of each key it omits."""
+    budgets = {
+        "max_window_elements": DEFAULT_MAX_WINDOW_ELEMENTS,
+        "growth_steps": DEFAULT_GROWTH_STEPS,
+        "max_samples": 400,
+    }
+    if not isinstance(value, dict):
+        raise InputError(f"job field 'budgets': expected an object, got {value!r}")
+    unknown = sorted(set(value) - set(budgets))
+    if unknown:
+        raise InputError(f"job field 'budgets': unknown keys {unknown}, expected some of {sorted(budgets)}")
+    budgets.update((key, _job_int(f"budgets.{key}", v)) for key, v in value.items())
+    return budgets
+
+
 def _job_from_args(args: argparse.Namespace) -> JobSpec:
     file_job, matrix, stem = {}, None, "job"
     if args.input:
@@ -382,7 +410,8 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
     command = args.command or file_job.get("command")
     if command is None:
         raise InputError("no command given")
-    schedule = file_job.get("schedule", list(DEFAULT_SCHEDULE))
+    schedule = _job_list("schedule", file_job.get("schedule", list(DEFAULT_SCHEDULE)))
+    schedule = [_job_int("schedule", L) for L in schedule]
     if args.L:
         try:
             schedule = [int(x) for x in args.L.split(",") if x]
@@ -391,11 +420,12 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
     tolerance = parse_fraction(str(file_job.get("tolerance", DEFAULT_TOLERANCE)))
     if args.tolerance:
         tolerance = parse_fraction(args.tolerance)
-    epsilons = tuple(parse_epsilon(str(e)) for e in file_job.get("epsilons", [])) or DEFAULT_EPS_SCHEDULE
+    epsilons = tuple(parse_epsilon(str(e)) for e in _job_list("epsilons", file_job.get("epsilons", [])))
+    epsilons = epsilons or DEFAULT_EPS_SCHEDULE
     if args.epsilon:
         epsilons = tuple(parse_epsilon(x) for x in args.epsilon.split(",") if x)
-    seed = args.seed if args.seed is not None else int(file_job.get("seed", 0))
-    budgets = file_job.get("budgets", {})
+    seed = args.seed if args.seed is not None else _job_int("seed", file_job.get("seed", 0))
+    budgets = _job_budgets(file_job.get("budgets", {}))
     return JobSpec(
         command=command,
         matrix=matrix,
@@ -403,16 +433,13 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
         tolerance=tolerance,
         seed=seed,
         epsilons=epsilons,
-        max_window_elements=int(
+        max_window_elements=(
             args.max_window_elements
             if args.max_window_elements is not None
-            else budgets.get("max_window_elements", DEFAULT_MAX_WINDOW_ELEMENTS)
+            else budgets["max_window_elements"]
         ),
-        max_primes=int(budgets.get("max_primes", MAX_PRIMES)),
-        growth_steps=int(budgets.get("growth_steps", DEFAULT_GROWTH_STEPS)),
-        sample_budget=int(
-            args.samples if args.samples is not None else budgets.get("max_samples", 400)
-        ),
+        growth_steps=budgets["growth_steps"],
+        sample_budget=args.samples if args.samples is not None else budgets["max_samples"],
         cases=args.cases,
         out_dir=Path(args.out),
         stem=stem,

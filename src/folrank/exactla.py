@@ -4,18 +4,18 @@ A ``SparseIntMatrix`` holds coordinate (COO) arrays: int64 rows and
 columns, and int64 values, or Python ints in an object array when a value
 exceeds int64.  Submatrices, dense copies and block matrices are masks,
 scatters and concatenations of these arrays.  A rank starts with an exact
-peel of singletons over Q (below).  A core of max dimension <= 64 that is
+peel of singletons over Q and, for a core of more than 64x64 cells, exact
+merges of unit doubletons (below).  A core of at most 64x64 cells that is
 left, the empty core included, goes through fraction-free Bareiss
 elimination over Python integers: its rank is exact and no prime is drawn.
 Larger cores use Gaussian elimination modulo random 31-bit primes with
 numpy int64 arithmetic, on the residues ``vals % p``; the rank is certified
-by three distinct agreeing primes plus a fraction-free spot check on a
-random minor.
+by three distinct agreeing primes.
 
 The package has two eliminations.  ``_echelon`` is one dense, fraction-free
 forward echelon (Bareiss 1968), over Z or modulo one prime; only the
 reduction of each updated row depends on p.  Over Z it gives
-``bareiss_rank``, the exact rank for small cores, the spot check and the
+``bareiss_rank``, the exact rank for small cores and the
 last-resort fallback.  Back substitution on its rows gives the kernel
 bases of ``kernel_basis`` and ``nullspace_q`` (the rational and torsion
 solutions that mmdim samples), and modulo a 62-bit prime it gives the
@@ -35,30 +35,30 @@ host the Z^2 L=64 window peels in 0.7-1.3 ms (1.1-1.9 ms with the worklist
 alone) and the 4096x4096 diagonal ``two_over_z2`` matrix in 0.1-0.2 ms
 (3.2-5.8 ms).
 
-The choice between the two eliminations follows the core's size, not M's:
-most windows above the cutoff leave small or empty cores, and
-``bareiss_rank`` ranks those exactly for less than the modular
-protocol's fixed cost of primes, layout and spot check.  Job seed 1,
-in-process: on ``verify-suite --cases 100``, 179 matrices are above the
-cutoff, with 15,622 rows; their cores have 360 rows, 160 are empty and the
-largest is 48x43, so none goes modular and no prime is drawn.  On the
-seven-fixture tour 41 of the 46 matrices above the cutoff peel to empty
-cores, and the modular rows drop from 20,735 to 2,464.  The ``two_over_z2``
-``mrank`` matrices (diagonal, 256x256 to 4096x4096) peel away completely;
-the Z^2 window of ``xy_minus_one`` loses only its boundary (4224x8192 ->
-4096x8064 at L=64), and Heisenberg L=4 goes 3427x5346 -> 2633x4552.
+The ``two_over_z2`` ``mrank`` matrices (diagonal, 256x256 to 4096x4096)
+peel away completely; the Z^2 window of ``xy_minus_one`` loses only its
+boundary (4224x8192 -> 4096x8064 at L=64), and Heisenberg L=4 goes
+3427x5346 -> 2633x4552.  A core above the cell test then goes through
+``_merge_doubletons``, the next step of structured elimination.  A column
+with exactly two nonzeros, one of them ±1, is a pivot that needs no
+division: subtracting a multiple of the ±1 entry's row from the other row
+leaves a singleton, which adds 1 to the rank and goes.  Each round merges a
+batch of such columns that equals the same merges done one after another,
+and a peel follows; rounds stop at the first that merges nothing.  This is
+exact over Q, like the peel.  The windows of binomial presentations are
+signed incidence matrices, with +1 and -1 in every column, and they merge
+away almost entirely: the Z^2 L=64 core 4096x8064 ends at 2x75 after 15
+rounds, and Heisenberg L=4 at 2x28 after 13.
 
-On the modular path ``_merge_doubletons`` then takes the next step of
-structured elimination.  A column with exactly two nonzeros, one of them
-±1, is a pivot that needs no division: subtracting a multiple of the ±1
-entry's row from the other row leaves a singleton, which adds 1 to the rank
-and goes.  Each round merges a batch of such columns that equals the same
-merges done one after another, and a peel follows; rounds stop at the
-first that merges nothing.  This is exact over Q, like the peel.  The
-windows of binomial presentations are signed incidence matrices, with +1
-and -1 in every column, and they merge away almost entirely: the Z^2 L=64
-core 4096x8064 ends at 2x75 after 15 rounds, and Heisenberg L=4 at 2x28
-after 13.
+The choice between the two eliminations follows the core's cell count
+after the peel, and then after the merges, not M's size: ``bareiss_rank``
+ranks a small core exactly for less than the modular protocol's fixed cost
+of primes and layout, and a 2x75 core takes it 0.1 ms.  Over job seeds 0-3
+of every benchmark job, in-process, the merges leave each of the 45 cores
+above the test after the peel at most 150 cells, so no benchmark rank draws
+a prime.  Cores without unit entries do not merge: the Z^2 window of
+(2 + 3x, 5 + 7y) at L=8 peels to 64x112, and the Heisenberg window of
+(2 + 3a, 5 + 7b) at L=2 to 213x324, and both go modular.
 
 Window matrices are very sparse and nearly banded, so the modular
 elimination works on a profile.  Once per ``rank_q`` call, a layout that
@@ -73,10 +73,11 @@ Z^2 L=64 window (4224x8192, 16,384 nonzeros), planning the layout takes
 1.0 ms (5.0 ms from a dict of entries).  Three primes on its peeled
 4096x8064 core take 0.17-0.18 s in the kernel alone (0.43-0.71 s and 262 MB
 with one zero-filled m*n array per prime); the merges take 8-12 ms and
-leave a 2x75 core that the kernel finishes in under 1 ms.
+leave a 2x75 core.
 
-Cores of max dimension <= 64 are ranked exactly, and what follows applies
-only to larger ones.  There the agreeing primes certify the rank of the
+Cores of at most 64x64 cells, after the peel or after the merges, are
+ranked exactly, and what follows applies only to larger merged cores.
+There the agreeing primes certify the rank of the
 core, to which the peel and the merges add k.  Both are exact over Q, so a
 singleton entry that a prime divides changes nothing.  A merge pivots on
 ±1, a unit modulo every prime, so a prime that gives the merged core too
@@ -113,7 +114,6 @@ if TYPE_CHECKING:  # pragma: no cover
 SMALL_DIM_CUTOFF = 64
 AGREEMENTS_NEEDED = 3
 MAX_PRIMES = 16
-SPOT_CHECK_SIZE = 32
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # The least strong pseudoprime to bases 2, 3, 5 and 7 (Jaeschke 1993).
@@ -211,7 +211,6 @@ class RankCertificate:
     rank: int
     method: str  # "fraction-free" | "modular-multi-prime"
     primes: tuple[int, ...] = ()
-    agreement: bool = True
 
     def __post_init__(self):
         if self.method not in ("fraction-free", "modular-multi-prime"):
@@ -637,65 +636,54 @@ def _ranks_mod_primes(layout: _Layout, primes: Sequence[int]) -> list[int]:
     return [r - dead] * k
 
 
-def _spot_check(M: SparseIntMatrix, primes: Sequence[int], rng: random.Random) -> bool:
-    k = min(SPOT_CHECK_SIZE, M.rows, M.cols)
-    if k == 0:
-        return True
-    row_ids = sorted(rng.sample(range(M.rows), k))
-    col_ids = sorted(rng.sample(range(M.cols), k))
-    _, core = _peel(M.submatrix(row_ids, col_ids))
-    want = bareiss_rank(core.to_dense())
-    return all(r == want for r in _ranks_mod_primes(_plan_layout(core), primes))
-
-
-def rank_q(
-    M: SparseIntMatrix, rng: random.Random | None = None, max_primes: int = MAX_PRIMES
-) -> RankCertificate:
+def rank_q(M: SparseIntMatrix, rng: random.Random | None = None) -> RankCertificate:
     """Exact rank over the rationals with a certificate.
 
     The singletons are peeled off first (``_peel``): rank M = k + rank
-    core, and only the core is eliminated.  A core with no entries, which
-    is what a matrix with none peels to, has rank 0.  A core with max
-    dimension up to ``SMALL_DIM_CUTOFF`` is done fraction-free: the rank is
-    exact, no prime is drawn and ``rng`` is not touched.  Larger cores
-    merge their unit doubletons (``_merge_doubletons``, which adds to k)
-    and go through the modular multi-prime protocol described in the module
-    docstring, whose agreeing primes certify the core's rank.
+    core, and only the core is eliminated.  A core of more than
+    ``SMALL_DIM_CUTOFF**2`` cells merges its unit doubletons
+    (``_merge_doubletons``, which adds to k).  A core within that test, the
+    empty core included, is ranked fraction-free: no prime is drawn and
+    ``rng`` is not touched.  A larger one goes through the modular
+    multi-prime protocol of the module docstring, whose agreeing primes
+    certify its rank; after ``MAX_PRIMES`` primes without agreement it is
+    ranked fraction-free.
     """
     peeled, core = _peel(M)
+    if core.rows * core.cols > SMALL_DIM_CUTOFF**2:
+        merged, core = _merge_doubletons(core)
+        peeled += merged
     if not core.nnz():
         return RankCertificate(peeled, "fraction-free")
-    if max(core.rows, core.cols) <= SMALL_DIM_CUTOFF:
+    if core.rows * core.cols <= SMALL_DIM_CUTOFF**2:
         return RankCertificate(peeled + bareiss_rank(core.to_dense()), "fraction-free")
-    merged, core = _merge_doubletons(core)
-    peeled += merged
     rng = rng if rng is not None else random.Random(0xF01)
-    seen: dict[int, int] = {}
+    tried: set[int] = set()
     by_rank: dict[int, list[int]] = {}
     layout = _plan_layout(core)
     # No agreement is possible before the AGREEMENTS_NEEDED-th prime, so the
     # first that many are drawn together and eliminated in one pass.
-    batch = min(AGREEMENTS_NEEDED, max_primes)
-    while len(seen) < max_primes:
+    batch = AGREEMENTS_NEEDED
+    while len(tried) < MAX_PRIMES:
         primes: list[int] = []
         while len(primes) < batch:
             p = random_prime(rng)
-            if p not in seen and p not in primes:
+            if p not in tried and p not in primes:
                 primes.append(p)
+        tried.update(primes)
         for p, r in zip(primes, _ranks_mod_primes(layout, primes)):
-            seen[p] = peeled + r
             by_rank.setdefault(peeled + r, []).append(p)
         best = max(by_rank)
-        if len(by_rank[best]) >= AGREEMENTS_NEEDED and _spot_check(M, by_rank[best], rng):
+        if len(by_rank[best]) >= AGREEMENTS_NEEDED:
             return RankCertificate(best, "modular-multi-prime", tuple(by_rank[best]))
         batch = 1
     # Pathologically unlucky primes: fall back to the exact slow path.
     return RankCertificate(peeled + bareiss_rank(core.to_dense()), "fraction-free")
 
 
-def kernel_dim_q(M: SparseIntMatrix, rng: random.Random | None = None, **kw) -> int:
+def kernel_dim_q(M: SparseIntMatrix, rng: random.Random | None = None) -> int:
     """dim over Q of the right kernel: cols - rank."""
-    return M.cols - rank_q(M, rng=rng, **kw).rank
+    return M.cols - rank_q(M, rng=rng).rank
 
 
 def kernel_basis(rows: Sequence[Sequence[int]], cols: int, p: int = 0) -> list[list]:
@@ -808,9 +796,7 @@ def point_rank_laurent(f: "RingMatrix", point: tuple[int, ...], p: int) -> int:
     return _dense_rank_mod_p(dense, p)
 
 
-def regular_rep_kernel(
-    f: "RingMatrix", rng: random.Random | None = None, max_primes: int = MAX_PRIMES
-) -> Fraction:
+def regular_rep_kernel(f: "RingMatrix", rng: random.Random | None = None) -> Fraction:
     """Normalized kernel dimension of the whole-group window of a finite group.
 
     Returns dim ker(window) / |G|, the kernel-projection trace in the finite
@@ -824,4 +810,4 @@ def regular_rep_kernel(
     order = f.spec.group_order()
     F = folner_set(f.spec, 1)
     W = window_matrix(f, F)
-    return Fraction(kernel_dim_q(W.data, rng=rng, max_primes=max_primes), order)
+    return Fraction(kernel_dim_q(W.data, rng=rng), order)

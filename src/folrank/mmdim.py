@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .exactla import MAX_PRIMES, SparseIntMatrix, kernel_basis, nullspace_q, rank_q
+from .exactla import SparseIntMatrix, kernel_basis, nullspace_q, rank_q
 from .groupring import RingMatrix, window_matrix
 from .groups import FolnerSet, GroupElement, coords_of, folner_set, positions
 from .ranks import derived_rng
@@ -119,13 +119,11 @@ def _check_eps(eps: float) -> None:
         raise InputError(f"eps must lie in (0, 1) with 4/eps finite, got {eps}")
 
 
-def separated_upper_bound(
-    f: RingMatrix, F, eps: float, rng: random.Random | None = None, max_primes: int = MAX_PRIMES
-) -> float:
+def separated_upper_bound(f: RingMatrix, F, eps: float, rng: random.Random | None = None) -> float:
     """log of the explicit separated-set counting bound at scale eps."""
     _check_eps(eps)
     W = window_matrix(f, F)
-    kdim = W.data.cols - rank_q(W.data, rng=rng, max_primes=max_primes).rank
+    kdim = W.data.cols - rank_q(W.data, rng=rng).rank
     fprime = interior_set(f, F)
     boundary = int((positions(W.row_coords, fprime) < 0).sum())
     m = f.rows
@@ -142,9 +140,7 @@ def _grid_modulus(eps: float) -> int:
     return max(1, int(1.0 / eps + 1e-9))
 
 
-def kernel_grid_packing(
-    f: RingMatrix, F, eps: float, rng: random.Random | None = None, max_primes: int = MAX_PRIMES
-) -> tuple[int, int]:
+def kernel_grid_packing(f: RingMatrix, F, eps: float, rng: random.Random | None = None) -> tuple[int, int]:
     """(count, dim): the certified grid packing floor(1/eps)^dim built on the
     free coordinates of the real interior solution space.
 
@@ -154,7 +150,7 @@ def kernel_grid_packing(
     """
     _check_eps(eps)
     C = interior_constraint_matrix(f, F)
-    dim = C.cols - rank_q(C, rng=rng, max_primes=max_primes).rank
+    dim = C.cols - rank_q(C, rng=rng).rank
     return _grid_modulus(eps) ** dim, dim
 
 
@@ -325,11 +321,10 @@ def packing_report(
     eps: float,
     budget: int = 400,
     seed: int = 0,
-    max_primes: int = MAX_PRIMES,
 ) -> PackingReport:
     rng = derived_rng(seed, "upper", F.L, repr(eps))
-    upper = separated_upper_bound(f, F, eps, rng=rng, max_primes=max_primes)
-    grid_count, grid_dim = kernel_grid_packing(f, F, eps, rng=rng, max_primes=max_primes)
+    upper = separated_upper_bound(f, F, eps, rng=rng)
+    grid_count, grid_dim = kernel_grid_packing(f, F, eps, rng=rng)
     lower = separated_lower_count(f, F, eps, budget=budget, seed=seed)
     return PackingReport(
         L=F.L,
@@ -387,7 +382,6 @@ def mmdim_estimate(
     eps_schedule: Sequence[float],
     budget: int = 400,
     seed: int = 0,
-    max_primes: int = MAX_PRIMES,
 ) -> MmdimEstimate:
     """Two-sided metric-mean-dimension estimate over window and eps schedules."""
     window_indices = sorted(set(int(L) for L in window_indices))
@@ -410,9 +404,7 @@ def mmdim_estimate(
     by_pair: dict[tuple[float, int], PackingReport] = {}
     for eps in eps_schedule:
         for L in window_indices:
-            rep = packing_report(
-                f, windows[L], eps, budget=budget, seed=seed, max_primes=max_primes
-            )
+            rep = packing_report(f, windows[L], eps, budget=budget, seed=seed)
             reports.append(rep)
             by_pair[(eps, L)] = rep
     lower_slopes: dict[float, float] = {}

@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import BudgetExceededError, InputError, UnsupportedGroupError
 from .exactla import (
-    MAX_PRIMES,
     RankCertificate,
     SparseIntMatrix,
     generic_rank_laurent,
@@ -161,10 +160,8 @@ def submodule_rank_matrix(
     return _generator_window(A, F, spec)[0]
 
 
-def submodule_rank(
-    A, F, spec: GroupSpec, rng: random.Random | None = None, max_primes: int = MAX_PRIMES
-) -> tuple[int, RankCertificate]:
-    cert = rank_q(submodule_rank_matrix(A, F, spec), rng=rng, max_primes=max_primes)
+def submodule_rank(A, F, spec: GroupSpec, rng: random.Random | None = None) -> tuple[int, RankCertificate]:
+    cert = rank_q(submodule_rank_matrix(A, F, spec), rng=rng)
     return cert.rank, cert
 
 
@@ -178,11 +175,11 @@ def submodule_rank_density(A, F, spec: GroupSpec, rng: random.Random | None = No
 
 
 def window_kernel_dim(
-    P: ModulePresentation, F, rng: random.Random | None = None, max_primes: int = MAX_PRIMES
+    P: ModulePresentation, F, rng: random.Random | None = None
 ) -> tuple[int, RankCertificate]:
     """dim over Q of ker f intersected with vectors supported in F."""
     W = window_matrix(P.relations, F)
-    cert = rank_q(W.data, rng=rng, max_primes=max_primes)
+    cert = rank_q(W.data, rng=rng)
     return W.data.cols - cert.rank, cert
 
 
@@ -194,15 +191,13 @@ def window_kernel_density(P: ModulePresentation, F, rng: random.Random | None = 
     return Fraction(dim, len(F))
 
 
-def per_window_identity_check(
-    f: RingMatrix, F, rng: random.Random | None = None, max_primes: int = MAX_PRIMES
-) -> bool:
+def per_window_identity_check(f: RingMatrix, F, rng: random.Random | None = None) -> bool:
     """rank(<F^{-1} rows(f)>) == m|F| - dim ker(window of f*): two independent
     computations of the same number; inequality is a genuine failure."""
     F = coords_of(f.spec, F)
-    lhs, _ = submodule_rank(f, F, f.spec, rng=rng, max_primes=max_primes)
+    lhs, _ = submodule_rank(f, F, f.spec, rng=rng)
     W = window_matrix(f.star(), F)
-    rhs = f.rows * len(F) - kernel_dim_q(W.data, rng=rng, max_primes=max_primes)
+    rhs = f.rows * len(F) - kernel_dim_q(W.data, rng=rng)
     return lhs == rhs
 
 
@@ -310,18 +305,21 @@ def _truncate_schedule(spec: GroupSpec, schedule: Sequence[int], max_elements: i
     return kept, truncated
 
 
-def _series(P: ModulePresentation, schedule, quantity, tolerance, max_window_elements, record, estimate):
+def _series(
+    P: ModulePresentation, schedule, quantity, tolerance, max_window_elements, record, estimate, lowest=0
+):
     """The one series driver: one record per scheduled window that fits the
-    budget, each density checked against [0, n], then the limit estimate
-    (``estimate`` of the densities) and the convergence status."""
+    budget, each density checked against [lowest, n], then the limit
+    estimate (``estimate`` of the densities, at least 0, as every limit is)
+    and the convergence status."""
     schedule = _validate_schedule(schedule)
     kept, truncated = _truncate_schedule(P.spec, schedule, max_window_elements)
     records = []
     for L in kept:
         records.append(record(L, folner_set(P.spec, L, max_window_elements)))
-        if not 0 <= records[-1].density <= P.n:
-            raise InputError(f"density {records[-1].density} escaped [0, {P.n}]")
-    value = estimate([r.density for r in records])
+        if not lowest <= records[-1].density <= P.n:
+            raise InputError(f"density {records[-1].density} escaped [{lowest}, {P.n}]")
+    value = max(Fraction(0), estimate([r.density for r in records]))
     status = "exhausted-budget" if truncated else _series_status(records, tolerance, value, P.spec)
     return DensitySeries(quantity, tuple(records), tolerance, value, min(r.density for r in records), status)
 
@@ -332,21 +330,22 @@ def mrank_of_presentation(
     tolerance: Fraction = DEFAULT_TOLERANCE,
     seed: int = 0,
     max_window_elements: int = DEFAULT_MAX_WINDOW_ELEMENTS,
-    max_primes: int = MAX_PRIMES,
 ) -> DensitySeries:
     """Mean-rank series of the presented module: density n - rank(<F^{-1}A>)/|F|
     with A the relation rows.  The limit estimate is n minus the running
-    minimum of the submodule densities (the submodule limit is an infimum)."""
+    minimum of the submodule densities (the submodule limit is an infimum).
+    With m relation rows the rank reaches m|F| at most, so a window value
+    lies in [n - m, n], and can be below 0 when m > n."""
 
     def record(L: int, F) -> SeriesRecord:
         if P.m == 0:
             return SeriesRecord(L, len(F), 0, Fraction(P.n))
         rng = derived_rng(seed, "mrank", L)
-        rank, cert = submodule_rank(P.relations, F, P.spec, rng=rng, max_primes=max_primes)
+        rank, cert = submodule_rank(P.relations, F, P.spec, rng=rng)
         return SeriesRecord(L, len(F), rank, P.n - Fraction(rank, len(F)), cert)
 
     # n - min rank/|F| is the largest density.
-    return _series(P, schedule, "mrank-submodule", tolerance, max_window_elements, record, max)
+    return _series(P, schedule, "mrank-submodule", tolerance, max_window_elements, record, max, P.n - P.m)
 
 
 def vnd_of_presentation(
@@ -355,14 +354,13 @@ def vnd_of_presentation(
     tolerance: Fraction = DEFAULT_TOLERANCE,
     seed: int = 0,
     max_window_elements: int = DEFAULT_MAX_WINDOW_ELEMENTS,
-    max_primes: int = MAX_PRIMES,
 ) -> DensitySeries:
     """Kernel-density series dim(ker f on F)/|F|.  The limit estimate is the
     last computed density; kernel densities are not one-sided bounds, so the
     running minimum is reported but not used as the estimate."""
 
     def record(L: int, F) -> SeriesRecord:
-        dim, cert = window_kernel_dim(P, F, rng=derived_rng(seed, "vnd", L), max_primes=max_primes)
+        dim, cert = window_kernel_dim(P, F, rng=derived_rng(seed, "vnd", L))
         return SeriesRecord(L, len(F), dim, Fraction(dim, len(F)), cert)
 
     return _series(P, schedule, "vnd-kernel-density", tolerance, max_window_elements, record, itemgetter(-1))
@@ -423,7 +421,7 @@ def erank_span_dim(
     return _restriction_dim(P, F, growth_steps, seed, "erank-span", window)
 
 
-def _restriction_dim(P, F, growth_steps, seed, tag, window, max_primes=MAX_PRIMES) -> StabilizedDim:
+def _restriction_dim(P, F, growth_steps, seed, tag, window) -> StabilizedDim:
     """n|F| - rank M_E + rank(M_E without its F^{-1} part), grown over E.
 
     ``window(E)`` gives M_E, the elements of one axis of M_E, how many
@@ -438,8 +436,8 @@ def _restriction_dim(P, F, growth_steps, seed, tag, window, max_primes=MAX_PRIME
         M, elems, blocks, rows = window(E)
         keep = np.flatnonzero(np.tile(positions(elems, finv) < 0, blocks))
         kept = M.submatrix(keep, np.arange(M.cols)) if rows else M.submatrix(np.arange(M.rows), keep)
-        rank = rank_q(M, rng=rng, max_primes=max_primes).rank
-        return P.n * len(F) - rank + rank_q(kept, rng=rng, max_primes=max_primes).rank
+        rank = rank_q(M, rng=rng).rank
+        return P.n * len(F) - rank + rank_q(kept, rng=rng).rank
 
     E0 = _initial_erank_window(spec, finv, P.relations.terms().support)
     return _stabilize(spec, E0, value, growth_steps)
@@ -470,7 +468,6 @@ def erank_dual_restriction_dim(
     F,
     growth_steps: int = DEFAULT_GROWTH_STEPS,
     seed: int = 0,
-    max_primes: int = MAX_PRIMES,
 ) -> StabilizedDim:
     """dim over Q of the restriction to F^{-1} of the dual solution space.
 
@@ -482,7 +479,7 @@ def erank_dual_restriction_dim(
     def window(E):
         return _dual_constraint_matrix(P.relations, E), E, P.n, False
 
-    return _restriction_dim(P, F, growth_steps, seed, "erank-dual", window, max_primes)
+    return _restriction_dim(P, F, growth_steps, seed, "erank-dual", window)
 
 
 def erank_of_presentation(
@@ -492,12 +489,11 @@ def erank_of_presentation(
     seed: int = 0,
     growth_steps: int = DEFAULT_GROWTH_STEPS,
     max_window_elements: int = DEFAULT_MAX_WINDOW_ELEMENTS,
-    max_primes: int = MAX_PRIMES,
 ) -> DensitySeries:
     """Series of dual-restriction dimensions over |F|; running-minimum estimate."""
 
     def record(L: int, F) -> SeriesRecord:
-        sd = erank_dual_restriction_dim(P, F, growth_steps=growth_steps, seed=seed, max_primes=max_primes)
+        sd = erank_dual_restriction_dim(P, F, growth_steps=growth_steps, seed=seed)
         return SeriesRecord(L, len(F), sd.value, Fraction(sd.value, len(F)), None, sd.stabilized)
 
     return _series(P, schedule, "erank", tolerance, max_window_elements, record, min)
@@ -509,7 +505,6 @@ def quotient_span_rank(
     F,
     growth_steps: int = DEFAULT_GROWTH_STEPS,
     seed: int = 0,
-    max_primes: int = MAX_PRIMES,
 ) -> StabilizedDim:
     """rank of <F^{-1} pi(B)> inside the quotient by the row module of f.
 
@@ -535,14 +530,14 @@ def quotient_span_rank(
     if V.cols == 0:
         return StabilizedDim(0, True, 0, 0)
     if f.rows == 0 or f.is_zero():
-        return StabilizedDim(rank_q(V, max_primes=max_primes).rank, True, 0, 0)
+        return StabilizedDim(rank_q(V).rank, True, 0, 0)
     width = len(S)
     E0 = _initial_erank_window(spec, S, f.terms().support)
 
     def value(E, step):
         rng = derived_rng(seed, "quotient-span", len(E), step)
         W = right_window_matrix(f, E)
-        rank_all = rank_q(W.data, rng=rng, max_primes=max_primes).rank
+        rank_all = rank_q(W.data, rng=rng).rank
         # big = [[C, 0], [D, V^T]]: out rows of W first, then one row per
         # coordinate of V, holding W's rows in S and V's columns.
         in_s = np.tile(positions(W.row_coords, S), W.row_blocks)
@@ -554,7 +549,7 @@ def quotient_span_rank(
         jj = np.concatenate([W.data.jj, W.data.cols + V.ii])
         vals = np.concatenate([W.data.vals, V.vals])
         big = SparseIntMatrix(n_out + V.cols, W.data.cols + V.rows, ii, jj, vals)
-        return rank_q(big, rng=rng, max_primes=max_primes).rank - rank_all
+        return rank_q(big, rng=rng).rank - rank_all
 
     return _stabilize(spec, E0, value, growth_steps)
 
@@ -564,7 +559,7 @@ def quotient_span_rank(
 # ---------------------------------------------------------------------------
 
 
-def oracle_value(P: ModulePresentation, seed: int = 0, max_primes: int = MAX_PRIMES) -> Fraction:
+def oracle_value(P: ModulePresentation, seed: int = 0) -> Fraction:
     """Closed-form limit for the families with one: n minus the generic
     Laurent rank over Z^d, or the whole-group kernel density for finite
     groups."""
@@ -576,9 +571,7 @@ def oracle_value(P: ModulePresentation, seed: int = 0, max_primes: int = MAX_PRI
     if spec.is_finite:
         if P.m == 0:
             return Fraction(P.n)
-        return regular_rep_kernel(
-            P.relations, rng=derived_rng(seed, "oracle"), max_primes=max_primes
-        )
+        return regular_rep_kernel(P.relations, rng=derived_rng(seed, "oracle"))
     raise UnsupportedGroupError(f"no closed-form oracle for {spec.family}")
 
 
@@ -651,7 +644,6 @@ def run_identity_suite(
     seed: int,
     cases: int = 100,
     window_indices: Sequence[int] = (2, 3, 4),
-    max_primes: int = MAX_PRIMES,
 ) -> SuiteResult:
     """Randomized exact check of the window identity
     rank(<F^{-1} rows(f)>) = m|F| - dim ker(f* window)."""
@@ -665,14 +657,12 @@ def run_identity_suite(
         for L in window_indices:
             F = folner_set(spec, L)
             rng_L = derived_rng(seed, "identity-rank", i, L)
-            if not per_window_identity_check(f, F, rng=rng_L, max_primes=max_primes):
+            if not per_window_identity_check(f, F, rng=rng_L):
                 result.failures.append(f"case {i}: {spec.family} d={spec.d} L={L}")
     return result
 
 
-def run_superadditivity_suite(
-    seed: int, cases: int = 100, max_primes: int = MAX_PRIMES
-) -> SuiteResult:
+def run_superadditivity_suite(seed: int, cases: int = 100) -> SuiteResult:
     """Randomized check that window ranks are superadditive across a
     submodule/quotient split: rank<F^{-1}A2> >= rank<F^{-1}A1> +
     rank<F^{-1}pi(A2)> with A2 = A1 u A3', A1 inside the row module."""
@@ -699,15 +689,11 @@ def run_superadditivity_suite(
         a1, a2 = RingMatrix(spec, a1), RingMatrix(spec, a1 + a3)
         L = rng.randint(2, 3)
         F = folner_set(spec, L)
-        r2, _ = submodule_rank(
-            a2, F, spec, rng=derived_rng(seed, "superadd-r2", i), max_primes=max_primes
-        )
-        r1, _ = submodule_rank(
-            a1, F, spec, rng=derived_rng(seed, "superadd-r1", i), max_primes=max_primes
-        )
+        r2, _ = submodule_rank(a2, F, spec, rng=derived_rng(seed, "superadd-r2", i))
+        r1, _ = submodule_rank(a1, F, spec, rng=derived_rng(seed, "superadd-r1", i))
         # The quotient rank is approached from above, so the windows grow for
         # up to 14 steps before a failure is declared.
-        q = quotient_span_rank(f, a2, F, growth_steps=14, seed=seed + i, max_primes=max_primes)
+        q = quotient_span_rank(f, a2, F, growth_steps=14, seed=seed + i)
         if not q.stabilized:
             result.flagged += 1
         elif r2 < r1 + q.value:
@@ -715,9 +701,7 @@ def run_superadditivity_suite(
     return result
 
 
-def run_submodularity_suite(
-    seed: int, cases: int = 100, max_primes: int = MAX_PRIMES
-) -> SuiteResult:
+def run_submodularity_suite(seed: int, cases: int = 100) -> SuiteResult:
     """Randomized check of submodularity and right-translation invariance of
     F |-> rank(<F^{-1}A>)."""
     specs = (zd(1), zd(2))
@@ -740,7 +724,7 @@ def run_submodularity_suite(
 
         def phi(F, tag):
             rng_t = derived_rng(seed, "submod-rank", i, tag)
-            rank, _ = submodule_rank(A, F, spec, rng=rng_t, max_primes=max_primes)
+            rank, _ = submodule_rank(A, F, spec, rng=rng_t)
             return rank
 
         if phi(union, "u") + phi(inter, "i") > phi(f1, "1") + phi(f2, "2"):

@@ -8,9 +8,10 @@ applies the same check, so a change that alters a report fails here before
 a benchmark run.
 
 The `large-windows` jobs also keep their certificate primes at job seed 0.
-The recorded values ignore primes, so these pins are what holds the
-structured elimination and the modular protocol to the same certificates
-on the largest windows.
+The recorded values ignore primes, so these pins are what holds the largest
+windows to their certificates: every one is ranked fraction-free, with no
+prime, because the peel and the doubleton merges leave a core of at most
+150 cells.
 """
 
 import json
@@ -27,18 +28,11 @@ _jobs = runpy.run_path(str(JOBS))
 _EXPECTED = _jobs["load_expected"]()
 # (L, primes) of every series record, recorded at job seed 0.
 _LARGE_WINDOW_PRIMES = {
-    "vnd-xy_minus_one": {
-        16: [1793502331, 1378375811, 1105508219],
-        32: [1515823357, 1328472199, 1519845787],
-        48: [1193298707, 1355518889, 2122997423],
-        64: [1381598447, 1736248061, 1854353209],
-    },
-    # Diagonal windows peel away: their ranks need no prime.
+    # Binomial windows merge to 2xN cores.
+    "vnd-xy_minus_one": {16: [], 32: [], 48: [], 64: []},
+    # Diagonal windows peel away.
     "mrank-two_over_z2": {16: [], 32: [], 48: [], 64: []},
-    "vnd-heisenberg_ab": {
-        3: [1566273179, 1588535149, 2138165903],
-        4: [1186530043, 1518669179, 1124202971],
-    },
+    "vnd-heisenberg_ab": {3: [], 4: []},
 }
 
 _CASES = [(workload, job) for workload, jobs in _jobs["WORKLOADS"].items() for job in jobs]

@@ -7,11 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from folrank import cli as cli_module, exactla
+from folrank import cli as cli_module
 from folrank.cli import main, parse_epsilon, parse_fraction
 from folrank.errors import InputError
-from folrank.groupring import RingMatrix, window_matrix
-from folrank.groups import folner_set
+from folrank.groupring import RingMatrix
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -97,6 +96,25 @@ def test_mrank_torsion_over_z2(tmp_path):
     assert report["limit_estimate"] == "0/1"
 
 
+def test_mrank_of_more_relations_than_generators(tmp_path):
+    # ztriv presents the trivial module Z by the 2x1 matrix (x - 1; y - 1).
+    # With m = 2 > n = 1 a window value lies in [n - m, n] = [-1, 1], and it
+    # is negative on every window here; the limit estimate stays at 0.
+    code = run_cli(["mrank", "--input", str(FIXTURES / "ztriv.json"), "--L", "2,4,8,16"], tmp_path)
+    assert code == 2
+    report = json.loads((tmp_path / "mrank-ztriv.json").read_text())
+    assert [r["density"] for r in report["series"]] == ["-3/4", "-7/16", "-15/64", "-31/256"]
+    assert report["limit_estimate"] == "0/1"
+    assert report["status"] == "exhausted-budget"
+
+
+def test_compare_of_more_relations_than_generators(tmp_path):
+    code = run_cli(["compare", "--input", str(FIXTURES / "ztriv.json"), "--L", "2,4,8,16"], tmp_path)
+    assert code == 2
+    report = json.loads((tmp_path / "compare-ztriv.json").read_text())
+    assert report["columns"]["oracle"] == report["columns"]["mrank"] == "0/1"
+
+
 def test_mmdim_command(tmp_path):
     code = run_cli(
         ["mmdim", "--input", str(FIXTURES / "two_over_z.json"), "--L", "5,6", "--epsilon", "2^-3,2^-4"],
@@ -150,6 +168,13 @@ def test_mmdim_on_a_finite_group_is_an_input_error(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("input error: windows L=1 and L=2 both have 2 elements")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_verify_suite_needs_a_case(cases, tmp_path, capsys):
+    assert run_cli(["verify-suite", "--cases", cases], tmp_path) == 1
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_suite_command(tmp_path, capsys):
@@ -218,6 +243,53 @@ def test_jobspec_file_input(tmp_path):
     assert [r["L"] for r in report["series"]] == [2, 4]
 
 
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"seed": "x"}, "'seed'"),
+        ({"seed": 2.5}, "'seed'"),
+        ({"schedule": ["a"]}, "'schedule'"),
+        ({"schedule": 5}, "'schedule'"),
+        ({"epsilons": 5}, "'epsilons'"),
+        ({"budgets": [1]}, "'budgets'"),
+        ({"budgets": {"max_window_elements": "abc"}}, "'budgets.max_window_elements'"),
+        ({"budgets": {"growth_steps": True}}, "'budgets.growth_steps'"),
+        ({"budgets": {"max_windw_elements": 100}}, "max_windw_elements"),
+        ({"budgets": {"max_primes": 16}}, "max_primes"),
+    ],
+    ids=[
+        "seed",
+        "seed-float",
+        "schedule-item",
+        "schedule",
+        "epsilons",
+        "budgets",
+        "budget-value",
+        "budget-bool",
+        "budget-typo",
+        "max_primes",
+    ],
+)
+def test_malformed_job_file_is_an_input_error(fields, named, tmp_path, capsys):
+    matrix = json.loads((FIXTURES / "one_plus_2T.json").read_text())
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "vnd", "matrix": matrix, **fields}))
+    assert main(["vnd", "--input", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and named in err
+    assert not list(tmp_path.glob("vnd-*"))
+
+
+def test_job_file_budget_bounds_the_windows(tmp_path):
+    matrix = json.loads((FIXTURES / "xy_minus_one.json").read_text())
+    job = {"command": "vnd", "matrix": matrix, "schedule": [2, 4, 64], "budgets": {"max_window_elements": 100}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert main(["vnd", "--input", str(path), "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "vnd-job.json").read_text())
+    assert [r["L"] for r in report["series"]] == [2, 4]
+
+
 def test_load_matrix_reads_a_bare_matrix_and_a_job_file(tmp_path):
     bare = FIXTURES / "one_plus_2T.json"
     matrix = cli_module.load_matrix(bare)
@@ -240,31 +312,6 @@ def test_verify_suite_job_file_needs_no_matrix(tmp_path, capsys):
     assert main(["verify-suite", "--input", str(job), "--cases", "4", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "verify-suite-suite.json").read_text())
     assert report["seed"] == 2 and report["all_pass"] is True
-
-
-def test_max_primes_budget_stays_inside_its_job(tmp_path, monkeypatch):
-    # Never certify, so every rank_q call runs through its whole prime budget.
-    tried = []
-    kernel = exactla._ranks_mod_primes
-    monkeypatch.setattr(exactla, "_spot_check", lambda M, primes, rng: False)
-
-    def hook(lay, primes):
-        tried.extend(primes)
-        return kernel(lay, primes)
-
-    monkeypatch.setattr(exactla, "_ranks_mod_primes", hook)
-    matrix = json.loads((FIXTURES / "xy_minus_one.json").read_text())
-    job = {"command": "vnd", "matrix": matrix, "schedule": [8], "budgets": {"max_primes": 3}}
-    path = tmp_path / "job.json"
-    path.write_text(json.dumps(job))
-    assert main(["vnd", "--input", str(path), "--out", str(tmp_path)]) == 2
-    assert len(tried) == 3
-    tried.clear()
-    f = RingMatrix.from_json(matrix)
-    W = window_matrix(f, folner_set(f.spec, 8)).data
-    cert = exactla.rank_q(W)
-    assert len(tried) == exactla.MAX_PRIMES == 16
-    assert cert.method == "fraction-free"
 
 
 # -- determinism -------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -53,6 +54,11 @@ def xy_minus_one():
     x1 = RingElem.from_terms(Z2, [((1, 0), 1), ((0, 0), -1)])
     y1 = RingElem.from_terms(Z2, [((0, 1), 1), ((0, 0), -1)])
     return RingMatrix(Z2, [[x1, y1]])
+
+
+def fixture_window(fixture, L):
+    f = RingMatrix.from_json(json.loads((FIXTURES / f"{fixture}.json").read_text()))
+    return window_matrix(f, folner_set(f.spec, L)).data
 
 
 # -- rank examples -------------------------------------------------------------
@@ -291,11 +297,12 @@ def test_empty_cores_rank_without_an_elimination(monkeypatch):
 
 
 def test_peel_is_over_q_when_a_prime_divides_the_singleton():
-    # The window has rank 79; a new row and column meet only at p, the
-    # first prime that Random(0) draws, so the rank is 80.  Modulo p that
-    # entry vanishes, but the peel takes it over Q, so p still agrees.
+    # The z2hard window has rank 79, and its peeled core does not merge, so
+    # primes rank it; a new row and column meet only at p, the first prime
+    # that Random(0) draws, so the rank is 80.  Modulo p that entry
+    # vanishes, but the peel takes it over Q, so p still agrees.
     p = random_prime(random.Random(0))
-    W = window_matrix(xy_minus_one(), folner_set(Z2, 8)).data
+    W = fixture_window("z2hard", 8)
     A = SparseIntMatrix(W.rows + 1, W.cols + 1, np.r_[W.ii, W.rows], np.r_[W.jj, W.cols], np.r_[W.vals, p])
     cert = rank_q(A, rng=random.Random(0))
     assert cert.rank == bareiss_rank(A.to_dense()) == 80
@@ -539,11 +546,11 @@ def test_merge_round_pairing_matches_the_argsort(dense, rnd, data):
 
 
 @pytest.mark.parametrize(
-    "fixture, L", [("xy_minus_one", 8), ("two_over_z2", 16), ("heisenberg_ab", 2)]
+    "fixture, L",
+    [("xy_minus_one", 8), ("two_over_z2", 16), ("heisenberg_ab", 2), ("z2hard", 8), ("hhard", 2)],
 )
 def test_kernel_sees_only_peeled_cores(fixture, L, monkeypatch):
-    f = RingMatrix.from_json(json.loads((FIXTURES / f"{fixture}.json").read_text()))
-    W = window_matrix(f, folner_set(f.spec, L)).data
+    W = fixture_window(fixture, L)
     seen = []
     kernel = exactla._ranks_mod_primes
 
@@ -556,11 +563,13 @@ def test_kernel_sees_only_peeled_cores(fixture, L, monkeypatch):
 
     monkeypatch.setattr(exactla, "_ranks_mod_primes", checked)
     assert rank_q(W, rng=random.Random(3)).rank == bareiss_rank(W.to_dense())
-    # The diagonal two_over_z2 window peels away: no core reaches the kernel.
-    assert bool(seen) == (fixture != "two_over_z2")
-    if fixture == "xy_minus_one":
-        # Peeled, the 80x128 window is 64x112; merged, only a few rows are left.
-        assert seen[0][0] <= 4
+    # The diagonal two_over_z2 window peels away, and the binomial windows
+    # merge to cores of a few cells: no core of theirs reaches the kernel.
+    # The windows with no unit entry keep their peeled cores.
+    assert bool(seen) == (fixture in ("z2hard", "hhard"))
+    if fixture == "z2hard":
+        # Peeled, the 80x128 window is 64x112, and no merge applies.
+        assert seen[0] == (64, 112)
 
 
 # The structured elimination of the benchmark's largest windows, as the
@@ -581,7 +590,7 @@ def test_structured_elimination_of_the_largest_windows(command, fixture, L, monk
     A = window_matrix(f, F).data if command == "vnd" else submodule_rank_matrix(f, F, f.spec)
     k, core = _peel(A)
     merged = None
-    if max(core.rows, core.cols) > exactla.SMALL_DIM_CUTOFF:
+    if core.rows * core.cols > exactla.SMALL_DIM_CUTOFF**2:
         rounds = []
         merge_round = exactla._merge_round
 
@@ -716,7 +725,7 @@ def test_layout_orders_profile():
 
 
 def test_rank_q_window_above_cutoff_permuted_and_transposed():
-    W = window_matrix(xy_minus_one(), folner_set(Z2, 8)).data
+    W = fixture_window("z2hard", 8)
     assert (W.rows, W.cols) == (80, 128)
     want = bareiss_rank(W.to_dense())
     rng = random.Random(7)
@@ -732,26 +741,32 @@ def test_rank_q_window_above_cutoff_permuted_and_transposed():
 
 
 # (rank, method, primes) and the next 32 rng bits after the call, recorded
-# with the one-prime-at-a-time protocol; seed None is the default rng.
+# with the one-prime-at-a-time protocol; seed None is the default rng.  The
+# bits after a modular certificate are those after its three primes.
 _DEFAULT_PRIMES = (1238646971, 1520959051, 1616303123)
 _SEED_PRIMES = {
     0: (1277389331, 2110515739, 1468844309),
     1: (1362286843, 1524616343, 1275303751),
     7: (1921618823, 1953574603, 1534802663),
 }
+_AFTER_THREE_PRIMES = {0: 1418186270, 1: 2095328386, 7: 161042648}
 _PINNED_WINDOWS = {
-    ("xy_minus_one", 8): (79, {0: 2561032557, 1: 3664843848, 7: 3758686919}),
-    # Diagonal (256x256): the peel leaves an empty core, whose rank is exact
-    # without primes, so none is drawn and the rng is left as it was.
+    # No unit entries: the peeled cores, 64x112 and 213x324, do not merge.
+    ("z2hard", 8): (79, _AFTER_THREE_PRIMES),
+    ("hhard", 2): (338, _AFTER_THREE_PRIMES),
+    # A rank that needs no prime leaves the rng as it was.  Diagonal
+    # (256x256): the peel leaves an empty core.
     ("two_over_z2", 16): (256, None),
-    ("heisenberg_ab", 2): (338, {0: 1246955724, 1: 2062559164, 7: 1048386555}),
+    # The same shapes with unit entries: the merges leave a 2x4 and an
+    # empty core.
+    ("xy_minus_one", 8): (79, None),
+    ("heisenberg_ab", 2): (338, None),
 }
 
 
 @pytest.mark.parametrize("fixture, L", sorted(_PINNED_WINDOWS))
 def test_rank_q_certificates_pinned(fixture, L):
-    f = RingMatrix.from_json(json.loads((FIXTURES / f"{fixture}.json").read_text()))
-    W = window_matrix(f, folner_set(f.spec, L)).data
+    W = fixture_window(fixture, L)
     assert max(W.rows, W.cols) > 64
     rank, next_bits = _PINNED_WINDOWS[fixture, L]
     if next_bits is None:
@@ -767,6 +782,25 @@ def test_rank_q_certificates_pinned(fixture, L):
         cert = rank_q(W, rng=rng)
         assert (cert.rank, cert.method, cert.primes) == want[seed]
         assert rng.getrandbits(32) == next_bits[seed]
+
+
+def test_rank_q_ranks_fraction_free_after_max_primes(monkeypatch):
+    # A kernel whose ranks agree in pairs but never in threes: rank_q
+    # eliminates three primes together, then one at a time up to MAX_PRIMES
+    # distinct primes, and then ranks the merged core fraction-free.
+    tried, batches = [], []
+    fresh = itertools.count()
+
+    def never_three_agree(layout, primes):
+        tried.extend(primes)
+        batches.append(len(primes))
+        return [next(fresh) // 2 for _ in primes]
+
+    monkeypatch.setattr(exactla, "_ranks_mod_primes", never_three_agree)
+    cert = rank_q(fixture_window("z2hard", 8))
+    assert len(tried) == len(set(tried)) == exactla.MAX_PRIMES == 16
+    assert batches == [3] + [1] * 13
+    assert (cert.rank, cert.method, cert.primes) == (79, "fraction-free", ())
 
 
 @st.composite

@@ -5,7 +5,6 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from folrank import exactla, ranks
 from folrank.errors import InputError
 from folrank.exactla import SparseIntMatrix, nullspace_q, rank_q
 from folrank.groupring import RingElem, RingMatrix, right_window_matrix
@@ -501,21 +500,6 @@ def test_quotient_span_rank_matches_nullspace_reference():
 
 
 # -- randomized suites (small smoke runs; acceptance runs the full sizes) ------------------
-
-
-def test_max_primes_reaches_every_rank_call_of_the_cli_engines(monkeypatch):
-    seen = []
-
-    def recording_rank_q(M, rng=None, max_primes=ranks.MAX_PRIMES, **kw):
-        seen.append(max_primes)
-        return exactla.rank_q(M, rng=rng, max_primes=max_primes, **kw)
-
-    monkeypatch.setattr(ranks, "rank_q", recording_rank_q)
-    P = ModulePresentation(one_plus_2T())
-    F = folner_set(Z, 3)
-    erank_dual_restriction_dim(P, F, max_primes=5)
-    quotient_span_rank(P.relations, [(zp((0, 1)),)], F, max_primes=5)
-    assert seen and set(seen) == {5}
 
 
 def test_suites_small():
