@@ -226,6 +226,7 @@ def _run_mmdim(job: JobSpec) -> int:
         job.epsilons,
         budget=job.sample_budget,
         seed=job.seed,
+        max_window_elements=job.max_window_elements,
     )
     report = {
         "quantity": "mmdim",

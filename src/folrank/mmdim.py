@@ -7,15 +7,18 @@ for separated-set counts come from the explicit counting bound
 
     N_eps <= (1 + 2/eps)^(m|KF \\ F'| + dim ker(window)) * (|f|_1 + 1)^(m|F'|),
 
-lower bounds from two explicit packings: an eps-grid over the free
-coordinates of the real solution space of the interior system (certified,
-counted without enumeration) and a greedy packing of sampled rational
-solutions (torsion points and random kernel combinations).  All distances
-use the max-over-coordinates circle metric.  The greedy packing draws all
-its samples into one (budget, columns) array and tests them a block of
-rows at a time, in a coordinate-major copy: one pass over the coordinates
-compares a whole block with every kept point and with itself, and only the
-keep decisions inside the block are made one row at a time.
+with |f|_1 taken after each row of f is scaled to integers, as the window
+operator's rows are; lower bounds come from two explicit packings: an
+eps-grid over the free coordinates of the real solution space of the
+interior system (certified, counted without enumeration) and a greedy
+packing of sampled rational solutions (torsion points and random kernel
+combinations).  All distances use the max-over-coordinates circle metric.
+
+Nothing but the sampling depends on eps, so each window is built once
+(`_window`): one window operator and its rank, F', the interior constraint
+matrix C and C's rational and torsion kernel bases.  `mmdim_estimate`
+shares that build across every eps; the single-eps functions build it for
+their one call.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .errors import InputError
 from .exactla import SparseIntMatrix, kernel_basis, nullspace_q, rank_q
 from .groupring import RingMatrix, window_matrix
-from .groups import FolnerSet, GroupElement, coords_of, folner_set, positions
+from .groups import DEFAULT_MAX_WINDOW_ELEMENTS, FolnerSet, GroupElement, coords_of, folner_set, positions
 from .ranks import derived_rng
 
 CONGRUENCE_TOL = 2.0**-40
@@ -64,9 +67,7 @@ def interior_set(f: RingMatrix, F) -> np.ndarray:
 
 def interior_constraint_matrix(f: RingMatrix, F) -> SparseIntMatrix:
     """The window operator rows restricted to output positions in F'."""
-    W = window_matrix(f, F)
-    inside = positions(W.row_coords, interior_set(f, F)) >= 0
-    return W.data.submatrix(np.flatnonzero(np.tile(inside, W.row_blocks)), np.arange(W.data.cols))
+    return _window(f, F).C
 
 
 @dataclass(frozen=True)
@@ -119,28 +120,67 @@ def _check_eps(eps: float) -> None:
         raise InputError(f"eps must lie in (0, 1) with 4/eps finite, got {eps}")
 
 
-def separated_upper_bound(f: RingMatrix, F, eps: float, rng: random.Random | None = None) -> float:
-    """log of the explicit separated-set counting bound at scale eps."""
-    _check_eps(eps)
-    W = window_matrix(f, F)
-    kdim = W.data.cols - rank_q(W.data, rng=rng).rank
-    fprime = interior_set(f, F)
-    boundary = int((positions(W.row_coords, fprime) < 0).sum())
-    m = f.rows
-    exponent = m * boundary + kdim
-    return exponent * math.log1p(2.0 / eps) + m * len(fprime) * math.log(float(f.norm1()) + 1.0)
-
-
-# ---------------------------------------------------------------------------
-# packings
-# ---------------------------------------------------------------------------
-
-
 def _grid_modulus(eps: float) -> int:
     return max(1, int(1.0 / eps + 1e-9))
 
 
-def kernel_grid_packing(f: RingMatrix, F, eps: float, rng: random.Random | None = None) -> tuple[int, int]:
+@dataclass(frozen=True)
+class _Window:
+    """What the bounds read of one window F: built once by `_window`, and
+    shared by every eps."""
+
+    size: int  # |F|, which keys the packing rng
+    exponent: int  # m|K.F \ F'| + dim ker(window)
+    interior_log: float  # m|F'| log(|f|_1 + 1)
+    C: SparseIntMatrix  # the interior constraint matrix
+    rational_basis: tuple  # nullspace_q(C)
+    torsion_bases: tuple  # (p, basis) for each p in 2, 3, 5, 7 where C has a kernel mod p
+
+    def upper_log(self, eps: float) -> float:
+        return self.exponent * math.log1p(2.0 / eps) + self.interior_log
+
+    @property
+    def grid_dim(self) -> int:
+        return len(self.rational_basis)
+
+    def lower_count(self, eps: float, budget: int, seed: int) -> int:
+        if budget < 1:
+            raise InputError("sample budget must be >= 1")
+        rng = derived_rng(seed, "packing", self.size, repr(eps))
+        return _greedy_count(_solution_samples(self, eps, budget, rng), eps)
+
+    def report(self, L: int, eps: float, budget: int, seed: int) -> PackingReport:
+        lower = self.lower_count(eps, budget, seed)
+        return PackingReport(L, self.size, eps, lower, self.upper_log(eps), self.grid_dim)
+
+
+def _window(f: RingMatrix, F) -> _Window:
+    """The window operator W, its rank, F', C = W's rows in F', and C's
+    rational and torsion kernel bases.  The counting bound takes the l1 norm
+    of f's terms, whose rows are scaled to integers as W's and C's are."""
+    W, fprime = window_matrix(f, F), interior_set(f, F)
+    inside = positions(W.row_coords, fprime) >= 0
+    C = W.data.submatrix(np.flatnonzero(np.tile(inside, W.row_blocks)), np.arange(W.data.cols))
+    norm = sum(abs(int(v)) for v in f.terms().vals)
+    dense = C.to_dense()
+    torsion = ((p, kernel_basis(dense, C.cols, p)) for p in (2, 3, 5, 7))
+    return _Window(
+        size=len(coords_of(f.spec, F)),
+        exponent=f.rows * int((~inside).sum()) + W.data.cols - rank_q(W.data).rank,
+        interior_log=f.rows * len(fprime) * math.log(float(norm) + 1.0),
+        C=C,
+        rational_basis=tuple(nullspace_q(C)),
+        torsion_bases=tuple((p, np.array(b, dtype=np.int64)) for p, b in torsion if b),
+    )
+
+
+def separated_upper_bound(f: RingMatrix, F, eps: float) -> float:
+    """log of the explicit separated-set counting bound at scale eps."""
+    _check_eps(eps)
+    return _window(f, F).upper_log(eps)
+
+
+def kernel_grid_packing(f: RingMatrix, F, eps: float) -> tuple[int, int]:
     """(count, dim): the certified grid packing floor(1/eps)^dim built on the
     free coordinates of the real interior solution space.
 
@@ -149,25 +189,22 @@ def kernel_grid_packing(f: RingMatrix, F, eps: float, rng: random.Random | None 
     without enumerating it.
     """
     _check_eps(eps)
-    C = interior_constraint_matrix(f, F)
-    dim = C.cols - rank_q(C, rng=rng).rank
+    dim = _window(f, F).grid_dim
     return _grid_modulus(eps) ** dim, dim
 
 
-def _solution_samples(f: RingMatrix, F, eps: float, budget: int, rng: random.Random) -> np.ndarray:
+def _solution_samples(w: _Window, eps: float, budget: int, rng: random.Random) -> np.ndarray:
     """Deterministic (budget, columns) array of points of the interior
-    solution set, flattened to window-column layout with entries in [0, 1]:
-    grid points and torsion solutions are enumerated when small, then random
-    combinations fill the budget.
+    solution set of the window w, flattened to window-column layout with
+    entries in [0, 1]: grid points and torsion solutions are enumerated when
+    small, then random combinations fill the budget.
 
     The rng is drawn per fill row in a fixed order, and each row's float sum
     is taken basis vector by basis vector, so every row is the point the
     one-row-at-a-time construction gives; adding a zero term adds a signed
     zero, which leaves the (never negative-zero) partial sum unchanged.
     """
-    C = interior_constraint_matrix(f, F)
-    ncols = C.cols
-    rational_basis = nullspace_q(C)
+    ncols, rational_basis, torsion_bases = w.C.cols, w.rational_basis, w.torsion_bases
     points = np.zeros((budget, ncols))
     produced = 0
 
@@ -188,14 +225,8 @@ def _solution_samples(f: RingMatrix, F, eps: float, budget: int, rng: random.Ran
             return points
 
     # Torsion solutions modulo small primes; entries are exact int64.
-    dense = C.to_dense()
-    torsion_bases = []
-    for p in (2, 3, 5, 7):
-        basis = kernel_basis(dense, ncols, p)
-        if basis:
-            basis = np.array(basis, dtype=np.int64)
-            torsion_bases.append((p, basis))
-        if len(basis) and p ** len(basis) <= min(budget - produced, _ENUM_CAP):
+    for p, basis in torsion_bases:
+        if p ** len(basis) <= min(budget - produced, _ENUM_CAP):
             combos = np.array(list(itertools.product(range(p), repeat=len(basis))), dtype=np.int64)
             points[produced : produced + len(combos)] = (combos @ basis) % p / p
             produced += len(combos)
@@ -273,21 +304,12 @@ def _greedy_count(points: np.ndarray, eps: float) -> int:
 def separated_lower_count(
     f: RingMatrix, F, eps: float, budget: int = 400, seed: int = 0
 ) -> int:
-    """Size of a greedy eps-separated packing among sampled solution points.
-
-    A sample is kept iff its max circle distance to every earlier kept
-    point is at least eps.  The samples are one (budget, columns) array,
-    copied once to coordinate-major order and tested a block of rows at a
-    time against all kept points at once; the other temporaries are
-    (block, kept + block) planes.  Every sample lies in [0, 1], so the keep
-    test skips the reduction mod 1 (see `_greedy_count`).  Deterministic
-    for a fixed seed.
+    """Size of a greedy eps-separated packing among sampled solution points:
+    a sample is kept iff its max circle distance to every earlier kept point
+    is at least eps (see `_greedy_count`).  Deterministic for a fixed seed.
     """
     _check_eps(eps)
-    if budget < 1:
-        raise InputError("sample budget must be >= 1")
-    rng = derived_rng(seed, "packing", len(coords_of(f.spec, F)), repr(eps))
-    return _greedy_count(_solution_samples(f, F, eps, budget, rng), eps)
+    return _window(f, F).lower_count(eps, budget, seed)
 
 
 @dataclass(frozen=True)
@@ -300,9 +322,6 @@ class PackingReport:
     lower_count: int
     upper_log: float
     kernel_grid_dim: int
-    grid_count: int
-    samples_used: int
-    seed: int
 
     def __post_init__(self):
         if math.log(self.lower_count) > self.upper_log + 1e-9:
@@ -316,27 +335,10 @@ class PackingReport:
 
 
 def packing_report(
-    f: RingMatrix,
-    F: FolnerSet,
-    eps: float,
-    budget: int = 400,
-    seed: int = 0,
+    f: RingMatrix, F: FolnerSet, eps: float, budget: int = 400, seed: int = 0
 ) -> PackingReport:
-    rng = derived_rng(seed, "upper", F.L, repr(eps))
-    upper = separated_upper_bound(f, F, eps, rng=rng)
-    grid_count, grid_dim = kernel_grid_packing(f, F, eps, rng=rng)
-    lower = separated_lower_count(f, F, eps, budget=budget, seed=seed)
-    return PackingReport(
-        L=F.L,
-        f_size=len(F),
-        eps=eps,
-        lower_count=lower,
-        upper_log=upper,
-        kernel_grid_dim=grid_dim,
-        grid_count=grid_count,
-        samples_used=budget,
-        seed=seed,
-    )
+    _check_eps(eps)
+    return _window(f, F).report(F.L, eps, budget, seed)
 
 
 @dataclass
@@ -382,8 +384,12 @@ def mmdim_estimate(
     eps_schedule: Sequence[float],
     budget: int = 400,
     seed: int = 0,
+    max_window_elements: int = DEFAULT_MAX_WINDOW_ELEMENTS,
 ) -> MmdimEstimate:
-    """Two-sided metric-mean-dimension estimate over window and eps schedules."""
+    """Two-sided metric-mean-dimension estimate over window and eps schedules.
+
+    Every window is checked against ``max_window_elements`` before any is
+    built, and each is then built once and shared by every eps."""
     window_indices = sorted(set(int(L) for L in window_indices))
     if len(window_indices) < 2:
         raise InputError("mmdim estimation needs at least two window indices")
@@ -392,7 +398,7 @@ def mmdim_estimate(
         raise InputError("eps schedule must be nonempty")
     for eps in eps_schedule:
         _check_eps(eps)
-    windows = {L: folner_set(f.spec, L) for L in window_indices}
+    windows = {L: folner_set(f.spec, L, max_window_elements) for L in window_indices}
     l1, l2 = window_indices[-2], window_indices[-1]
     df = len(windows[l2]) - len(windows[l1])
     if df == 0:
@@ -400,27 +406,17 @@ def mmdim_estimate(
             f"windows L={l1} and L={l2} both have {len(windows[l2])} elements, so the"
             " slopes between them are undefined (every window of a finite group is the whole group)"
         )
-    reports = []
-    by_pair: dict[tuple[float, int], PackingReport] = {}
+    built = {L: _window(f, F) for L, F in windows.items()}
+    reports, lower_slopes, upper_slopes = [], {}, {}
     for eps in eps_schedule:
-        for L in window_indices:
-            rep = packing_report(f, windows[L], eps, budget=budget, seed=seed)
-            reports.append(rep)
-            by_pair[(eps, L)] = rep
-    lower_slopes: dict[float, float] = {}
-    upper_slopes: dict[float, float] = {}
-    for eps in eps_schedule:
-        r1, r2 = by_pair[(eps, l1)], by_pair[(eps, l2)]
+        row = {L: w.report(L, eps, budget, seed) for L, w in built.items()}
+        reports += row.values()
+        r1, r2 = row[l1], row[l2]
         norm = abs(math.log(eps))
         lower_slopes[eps] = max(0.0, (r2.grid_log - r1.grid_log) / df / norm)
         upper_slopes[eps] = max(0.0, (r2.upper_log - r1.upper_log) / df / norm)
-    return MmdimEstimate(
-        lower=max(lower_slopes.values()),
-        upper=min(upper_slopes.values()),
-        reports=reports,
-        lower_slopes=lower_slopes,
-        upper_slopes=upper_slopes,
-    )
+    lower, upper = max(lower_slopes.values()), min(upper_slopes.values())
+    return MmdimEstimate(lower, upper, reports, lower_slopes, upper_slopes)
 
 
 DEFAULT_EPS_SCHEDULE = tuple(2.0**-k for k in range(3, 9))

@@ -383,6 +383,8 @@ class StabilizedDim:
 
 def _stabilize(spec: GroupSpec, E: np.ndarray, value_fn, growth_steps: int) -> StabilizedDim:
     """Grow the sorted, distinct E by ``dilate`` until ``value_fn`` repeats."""
+    if growth_steps < 0:
+        raise InputError(f"growth_steps must be >= 0, got {growth_steps}")
     prev = None
     for step in range(growth_steps + 1):
         v = value_fn(E, step)

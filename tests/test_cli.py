@@ -290,6 +290,36 @@ def test_job_file_budget_bounds_the_windows(tmp_path):
     assert [r["L"] for r in report["series"]] == [2, 4]
 
 
+@pytest.mark.parametrize("command", ["erank", "compare"])
+def test_negative_growth_steps_is_an_input_error(command, tmp_path, capsys):
+    matrix = json.loads((FIXTURES / "one_plus_2T.json").read_text())
+    job = {"command": command, "matrix": matrix, "schedule": [2, 4], "budgets": {"growth_steps": -1}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert main([command, "--input", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "growth_steps" in err
+
+
+def test_mmdim_window_budget_flag(tmp_path, capsys):
+    argv = ["mmdim", "--input", str(FIXTURES / "two_over_z.json"), "--L", "20,30"]
+    argv += ["--max-window-elements", "10", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("budget exhausted: window of index 20")
+    assert not list(tmp_path.glob("mmdim-*"))
+
+
+def test_mmdim_job_file_window_budget(tmp_path, capsys):
+    # Heisenberg windows have 27 elements at L=1 and 225 at L=2.
+    matrix = json.loads((FIXTURES / "heisenberg_ab.json").read_text())
+    job = {"command": "mmdim", "matrix": matrix, "schedule": [1, 2], "epsilons": ["2^-3"]}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({**job, "budgets": {"max_window_elements": 30}}))
+    assert main(["mmdim", "--input", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("budget exhausted: window of index 2")
+    assert not list(tmp_path.glob("mmdim-*"))
+
+
 def test_load_matrix_reads_a_bare_matrix_and_a_job_file(tmp_path):
     bare = FIXTURES / "one_plus_2T.json"
     matrix = cli_module.load_matrix(bare)

@@ -1,5 +1,7 @@
+import collections
 import csv
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from folrank.cli import main as cli_main
-from folrank.errors import InputError
+from folrank import mmdim
+from folrank.errors import BudgetExceededError, InputError
 from folrank.exactla import kernel_basis, nullspace_q
 from folrank.groupring import RingElem, RingMatrix
 from folrank.groups import coords_of, finite_cyclic, folner_set, heisenberg, zd
@@ -20,6 +23,7 @@ from folrank.mmdim import (
     _greedy_count,
     _solution_samples,
     _theta_arrays,
+    _window,
     interior_constraint_matrix,
     interior_set,
     kernel_grid_packing,
@@ -199,6 +203,41 @@ def test_upper_bound_one_plus_2T_components():
     assert got == pytest.approx(want)
 
 
+# Rows scaled to integers by window_matrix: 5, 3, and (3 + 2T; 3).
+FIVE_HALVES = mat(zp((0, Fraction(5, 2))))
+THREE_HALVES = mat(zp((0, Fraction(3, 2))))
+MIXED_DENOMINATORS = RingMatrix(Z, [[zp((0, Fraction(1, 2)), (1, Fraction(1, 3)))], [zp((0, Fraction(3, 4)))]])
+
+
+@pytest.mark.parametrize(
+    "f, exponent, interior, norm",
+    [
+        (FIVE_HALVES, lambda L: 0, lambda L: L, 5),
+        (THREE_HALVES, lambda L: 0, lambda L: L, 3),
+        # K = {0, 1}: F' = [1, L), two boundary rows per block, trivial kernel.
+        (MIXED_DENOMINATORS, lambda L: 4, lambda L: 2 * (L - 1), 8),
+    ],
+    ids=["5/2", "3/2", "two-rows"],
+)
+@pytest.mark.parametrize("L", [1, 3, 4])
+@pytest.mark.parametrize("eps", [0.25, 2**-3, 2**-5])
+def test_counting_bound_uses_the_scaled_rows(f, exponent, interior, norm, L, eps):
+    F = folner_set(Z, L)
+    want = exponent(L) * math.log1p(2 / eps) + interior(L) * math.log(norm + 1)
+    assert separated_upper_bound(f, F, eps) == pytest.approx(want)
+    rep = packing_report(f, F, eps, budget=200, seed=0)
+    assert math.log(rep.lower_count) <= rep.upper_log + 1e-9
+
+
+def test_five_halves_packs_every_torsion_point(tmp_path):
+    # 5x = 0 mod 1 has 5^3 = 125 solutions on three sites, all 1/5 apart.
+    assert separated_lower_count(FIVE_HALVES, folner_set(Z, 3), 2**-3, budget=400, seed=0) == 125
+    path = tmp_path / "five_halves.json"
+    path.write_text(json.dumps(FIVE_HALVES.to_json()))
+    argv = ["mmdim", "--input", str(path), "--L", "3,4", "--epsilon", "2^-3", "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
+
+
 # -- packings ------------------------------------------------------------------
 
 
@@ -225,7 +264,7 @@ def _scalar_lower_count(f, F, eps, budget, seed):
     batched loop in separated_lower_count."""
     rng = derived_rng(seed, "packing", len(coords_of(f.spec, F)), repr(eps))
     kept = []
-    for point in _solution_samples(f, F, eps, budget, rng):
+    for point in _solution_samples(_window(f, F), eps, budget, rng):
         ok = True
         for other in kept:
             if _theta_arrays(point, other) < eps:
@@ -278,7 +317,7 @@ def test_empty_interior_samples_every_torsion_point():
     for p in (2, 3, 5, 7):
         assert kernel_basis(C.to_dense(), C.cols, p) == [[1]]
     # Grid points k/4, then every j/p; in 420ths, the lcm of 4, 3, 5 and 7.
-    stream = _solution_samples(THREE_MINUS_T, F, 0.25, 30, random.Random(0))
+    stream = _solution_samples(_window(THREE_MINUS_T, F), 0.25, 30, random.Random(0))
     got = {round(420 * float(x[0])) for x in stream}
     assert {420 * j // p for p in (2, 3, 4, 5, 7) for j in range(p)} <= got
 
@@ -365,7 +404,7 @@ fractional = st.dictionaries(
 def test_sample_array_matches_stream_bitwise(f, L, eps, seed, budget):
     F = folner_set(Z, L)
     rng_key = (seed, "packing", len(F), repr(eps))
-    got = _solution_samples(f, F, eps, budget, derived_rng(*rng_key))
+    got = _solution_samples(_window(f, F), eps, budget, derived_rng(*rng_key))
     want = list(_streamed_samples(f, F, eps, budget, derived_rng(*rng_key)))
     assert got.shape == (budget, len(F) * f.cols) == (len(want), got.shape[1])
     assert got.view(np.uint64).tolist() == [w.view(np.uint64).tolist() for w in want]
@@ -552,6 +591,34 @@ def test_estimate_on_a_finite_group_names_its_equal_windows():
     f = RingMatrix(C2, [[RingElem.from_terms(C2, [((0,), 1), ((1,), 1)])]])
     with pytest.raises(InputError, match="windows L=1 and L=2 both have 2 elements"):
         mmdim_estimate(f, (1, 2), [0.125], budget=20)
+
+
+def _count_calls(monkeypatch, names):
+    calls = collections.Counter()
+    for name in names:
+        real = getattr(mmdim, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mmdim, name, counted)
+    return calls
+
+
+def test_each_window_is_built_once_for_every_eps(monkeypatch):
+    # The fixture-tour job: two windows, four eps.
+    names = ("window_matrix", "interior_set", "rank_q", "nullspace_q", "kernel_basis")
+    calls = _count_calls(monkeypatch, names)
+    mmdim_estimate(TWO, (7, 8), [2**-k for k in range(3, 7)], budget=400, seed=0)
+    assert dict(calls) == {"window_matrix": 2, "interior_set": 2, "rank_q": 2, "nullspace_q": 2, "kernel_basis": 8}
+
+
+def test_estimate_checks_every_window_budget_before_building(monkeypatch):
+    calls = _count_calls(monkeypatch, ("window_matrix",))
+    with pytest.raises(BudgetExceededError, match="window of index 8 has 8 elements, budget is 7"):
+        mmdim_estimate(TWO, (7, 8), [0.25], budget=20, max_window_elements=7)
+    assert not calls
 
 
 def test_estimate_csv_rows_have_expected_columns():

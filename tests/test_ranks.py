@@ -226,6 +226,19 @@ def test_erank_flagged_when_budget_too_small():
     assert all(not r.stabilized for r in series.records)
 
 
+def test_negative_growth_steps_is_an_input_error():
+    P = ModulePresentation(one_plus_2T())
+    F = folner_set(Z, 2)
+    with pytest.raises(InputError, match="growth_steps"):
+        erank_span_dim(P, F, growth_steps=-1)
+    with pytest.raises(InputError, match="growth_steps"):
+        erank_dual_restriction_dim(P, F, growth_steps=-1)
+    with pytest.raises(InputError, match="growth_steps"):
+        quotient_span_rank(one_plus_2T(), [(zp((0, 1)),)], F, growth_steps=-1)
+    with pytest.raises(InputError, match="growth_steps"):
+        erank_of_presentation(P, (2, 4), growth_steps=-1)
+
+
 def test_erank_dims_nonincreasing_in_window():
     # The window estimates decrease toward the stabilized value.
     f = RingMatrix(Z, [[zp((0, 1), (1, 2)), zp((0, 3), (2, -1))]])
