@@ -32,8 +32,8 @@ from .errors import BudgetExceededError, InputError, UnsupportedGroupError
 from .exactla import (
     RankCertificate,
     SparseIntMatrix,
+    block_ranks,
     generic_rank_laurent,
-    kernel_dim_q,
     nullspace_q,  # noqa: F401  no caller here; perfbench traces it as ranks.nullspace_q
     rank_q,
     regular_rep_kernel,
@@ -41,6 +41,7 @@ from .exactla import (
 from .groupring import (
     RingElem,
     RingMatrix,
+    Terms,
     right_window_matrix,
     terms_of,
     window_matrix,
@@ -69,6 +70,22 @@ def derived_rng(seed: int, *tags) -> random.Random:
     """A deterministic per-task generator; independent of scheduling order."""
     h = hashlib.sha256(repr((int(seed),) + tuple(tags)).encode()).digest()
     return random.Random(int.from_bytes(h[:8], "big"))
+
+
+class _RankRng:
+    """``derived_rng(seed, *tags)``, built at its first draw.  A rank draws
+    from its generator only when its core goes modular, so most ranks never
+    pay for the hash and the seeding."""
+
+    __slots__ = ("_key", "_rng")
+
+    def __init__(self, seed: int, *tags):
+        self._key, self._rng = (seed, *tags), None
+
+    def __getattr__(self, name):
+        if self._rng is None:
+            self._rng = derived_rng(*self._key)
+        return getattr(self._rng, name)
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +157,32 @@ def _rows_of(A) -> tuple[tuple[RingElem, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
+def _generator_terms(A, spec: GroupSpec) -> Terms:
+    if isinstance(A, RingMatrix):
+        return A.terms()
+    rows = _rows_of(A)
+    return terms_of(spec, rows, len(rows[0]) if rows else 0)
+
+
+def _generator_windows(spec: GroupSpec, cases) -> tuple[SparseIntMatrix, list[int], list[int], list]:
+    """``window_operator`` of the submodule_rank_matrix of each (A, F, ...)
+    case over spec: the union, its block offsets, and the sorted elements of
+    each F^{-1}.support(A)."""
+    batch = [(_generator_terms(A, spec), spec.inverse_array(coords_of(spec, F))) for A, F, *_ in cases]
+    return window_operator(spec, batch, left=True, anchor_rows=True)
+
+
 def _generator_window(A, F, spec: GroupSpec) -> tuple[SparseIntMatrix, np.ndarray]:
     """submodule_rank_matrix, and the sorted elements of F^{-1}.support(A)."""
-    rows = _rows_of(A)
-    if not rows:
-        return SparseIntMatrix(0, 0), spec.coords(())
-    t = A.terms() if isinstance(A, RingMatrix) else terms_of(spec, rows, len(rows[0]))
-    anchors = spec.inverse_array(coords_of(spec, F))
-    return window_operator(spec, t, anchors, left=True, anchor_rows=True)
+    M, _, _, (elems,) = _generator_windows(spec, [(A, F)])
+    return M, elems
+
+
+def _submodule_ranks(spec: GroupSpec, cases) -> list[int]:
+    """rank(<F^{-1}A>) of each (A, F, rng) case over spec, built and ranked
+    as one batch."""
+    M, row_at, col_at, _ = _generator_windows(spec, cases)
+    return [c.rank for c in block_ranks(M, row_at, col_at, [rng for *_, rng in cases])]
 
 
 def submodule_rank_matrix(
@@ -194,11 +229,22 @@ def window_kernel_density(P: ModulePresentation, F, rng: random.Random | None = 
 def per_window_identity_check(f: RingMatrix, F, rng: random.Random | None = None) -> bool:
     """rank(<F^{-1} rows(f)>) == m|F| - dim ker(window of f*): two independent
     computations of the same number; inequality is a genuine failure."""
-    F = coords_of(f.spec, F)
-    lhs, _ = submodule_rank(f, F, f.spec, rng=rng)
-    W = window_matrix(f.star(), F)
-    rhs = f.rows * len(F) - kernel_dim_q(W.data, rng=rng)
-    return lhs == rhs
+    return _identity_checks(f.spec, [(f, F, rng)])[0]
+
+
+def _identity_checks(spec: GroupSpec, cases) -> list[bool]:
+    """``per_window_identity_check`` of each (f, F, rng) case over spec, as
+    two batches: the left sides, then the windows of f*.  A case's rng
+    serves both of its ranks, in that order."""
+    lhs = _submodule_ranks(spec, cases)
+    batch = [(f.star().terms(), coords_of(spec, F)) for f, F, _ in cases]
+    W, row_at, col_at, _ = window_operator(spec, batch, left=False)
+    rhs = block_ranks(W, row_at, col_at, [rng for *_, rng in cases])
+    checks = []
+    for (f, _, _), (_, F), rank, c0, c1, cert in zip(cases, batch, lhs, col_at, col_at[1:], rhs):
+        kernel_dim = c1 - c0 - cert.rank
+        checks.append(rank == f.rows * len(F) - kernel_dim)
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +386,7 @@ def mrank_of_presentation(
     def record(L: int, F) -> SeriesRecord:
         if P.m == 0:
             return SeriesRecord(L, len(F), 0, Fraction(P.n))
-        rng = derived_rng(seed, "mrank", L)
+        rng = _RankRng(seed, "mrank", L)
         rank, cert = submodule_rank(P.relations, F, P.spec, rng=rng)
         return SeriesRecord(L, len(F), rank, P.n - Fraction(rank, len(F)), cert)
 
@@ -360,7 +406,7 @@ def vnd_of_presentation(
     running minimum is reported but not used as the estimate."""
 
     def record(L: int, F) -> SeriesRecord:
-        dim, cert = window_kernel_dim(P, F, rng=derived_rng(seed, "vnd", L))
+        dim, cert = window_kernel_dim(P, F, rng=_RankRng(seed, "vnd", L))
         return SeriesRecord(L, len(F), dim, Fraction(dim, len(F)), cert)
 
     return _series(P, schedule, "vnd-kernel-density", tolerance, max_window_elements, record, itemgetter(-1))
@@ -381,10 +427,14 @@ class StabilizedDim:
     window_size: int
 
 
-def _stabilize(spec: GroupSpec, E: np.ndarray, value_fn, growth_steps: int) -> StabilizedDim:
-    """Grow the sorted, distinct E by ``dilate`` until ``value_fn`` repeats."""
+def _check_growth_steps(growth_steps: int) -> None:
+    """The one check on a growth budget, made before any value is computed."""
     if growth_steps < 0:
         raise InputError(f"growth_steps must be >= 0, got {growth_steps}")
+
+
+def _stabilize(spec: GroupSpec, E: np.ndarray, value_fn, growth_steps: int) -> StabilizedDim:
+    """Grow the sorted, distinct E by ``dilate`` until ``value_fn`` repeats."""
     prev = None
     for step in range(growth_steps + 1):
         v = value_fn(E, step)
@@ -428,13 +478,14 @@ def _restriction_dim(P, F, growth_steps, seed, tag, window) -> StabilizedDim:
 
     ``window(E)`` gives M_E, the elements of one axis of M_E, how many
     coordinate blocks that axis has, and whether it is the row axis."""
+    _check_growth_steps(growth_steps)
     spec, F = P.spec, coords_of(P.spec, F)
     if P.m == 0 or P.relations.is_zero():
         return StabilizedDim(P.n * len(F), True, 0, 0)
     finv = inverse_set(spec, F)
 
     def value(E, step):
-        rng = derived_rng(seed, tag, len(E), step)
+        rng = _RankRng(seed, tag, len(E), step)
         M, elems, blocks, rows = window(E)
         keep = np.flatnonzero(np.tile(positions(elems, finv) < 0, blocks))
         kept = M.submatrix(keep, np.arange(M.cols)) if rows else M.submatrix(np.arange(M.rows), keep)
@@ -462,7 +513,7 @@ def _dual_constraint_matrix(f: RingMatrix, E) -> SparseIntMatrix:
     cand = spec.mul_array(E[:, None], spec.inverse_array(K)[None])
     cand, at = unique_rows(cand.reshape(len(E) * len(K), spec.coord_len))
     interior = cand[np.bincount(at, minlength=len(cand)) == len(K)]
-    return window_operator(spec, f.terms(), interior, left=True, anchor_rows=True, targets=E)[0]
+    return window_operator(spec, [(f.terms(), interior)], left=True, anchor_rows=True, targets=E)[0]
 
 
 def erank_dual_restriction_dim(
@@ -527,6 +578,7 @@ def quotient_span_rank(
     ker [C 0], of dimension cols(W) - rank C + rows(V), gives it.  The first
     line is the case V = 0.
     """
+    _check_growth_steps(growth_steps)
     spec = f.spec
     V, S = _generator_window(B, F, spec)
     if V.cols == 0:
@@ -537,7 +589,7 @@ def quotient_span_rank(
     E0 = _initial_erank_window(spec, S, f.terms().support)
 
     def value(E, step):
-        rng = derived_rng(seed, "quotient-span", len(E), step)
+        rng = _RankRng(seed, "quotient-span", len(E), step)
         W = right_window_matrix(f, E)
         rank_all = rank_q(W.data, rng=rng).rank
         # big = [[C, 0], [D, V^T]]: out rows of W first, then one row per
@@ -569,11 +621,11 @@ def oracle_value(P: ModulePresentation, seed: int = 0) -> Fraction:
     if spec.family == "Zd" and spec.d > 0:
         if P.m == 0:
             return Fraction(P.n)
-        return Fraction(P.n - generic_rank_laurent(P.relations, rng=derived_rng(seed, "oracle")))
+        return Fraction(P.n - generic_rank_laurent(P.relations, rng=_RankRng(seed, "oracle")))
     if spec.is_finite:
         if P.m == 0:
             return Fraction(P.n)
-        return regular_rep_kernel(P.relations, rng=derived_rng(seed, "oracle"))
+        return regular_rep_kernel(P.relations, rng=_RankRng(seed, "oracle"))
     raise UnsupportedGroupError(f"no closed-form oracle for {spec.family}")
 
 
@@ -642,34 +694,55 @@ def random_ring_matrix(
     return RingMatrix(spec, rows, cols=n)
 
 
+def _by_group(cases, run) -> list:
+    """``run(spec, items)`` once for each group among the (spec, item)
+    cases, on that group's items in order; the results in case order."""
+    out = [None] * len(cases)
+    for spec in dict.fromkeys(spec for spec, _ in cases):
+        at = [k for k, (g, _) in enumerate(cases) if g == spec]
+        for k, r in zip(at, run(spec, [cases[k][1] for k in at])):
+            out[k] = r
+    return out
+
+
 def run_identity_suite(
     seed: int,
     cases: int = 100,
     window_indices: Sequence[int] = (2, 3, 4),
 ) -> SuiteResult:
     """Randomized exact check of the window identity
-    rank(<F^{-1} rows(f)>) = m|F| - dim ker(f* window)."""
+    rank(<F^{-1} rows(f)>) = m|F| - dim ker(f* window).
+
+    Every case is drawn first, each from its own generator; then the checks
+    of each group are built and ranked as one batch (``_identity_checks``)."""
     specs = (zd(1), zd(2))
+    windows = {(spec, L): folner_set(spec, L) for spec in specs for L in window_indices}
     result = SuiteResult("per-window-identity", cases)
+    checks, labels = [], []
     for i in range(cases):
         rng = derived_rng(seed, "identity", i)
         spec = specs[i % len(specs)]
         m, n = rng.randint(1, 3), rng.randint(1, 3)
         f = random_ring_matrix(rng, spec, m, n, radius=2, coeff_bound=3)
         for L in window_indices:
-            F = folner_set(spec, L)
-            rng_L = derived_rng(seed, "identity-rank", i, L)
-            if not per_window_identity_check(f, F, rng=rng_L):
-                result.failures.append(f"case {i}: {spec.family} d={spec.d} L={L}")
+            checks.append((spec, (f, windows[spec, L], _RankRng(seed, "identity-rank", i, L))))
+            labels.append(f"case {i}: {spec.family} d={spec.d} L={L}")
+    ok = _by_group(checks, _identity_checks)
+    result.failures += [label for label, good in zip(labels, ok) if not good]
     return result
 
 
 def run_superadditivity_suite(seed: int, cases: int = 100) -> SuiteResult:
     """Randomized check that window ranks are superadditive across a
     submodule/quotient split: rank<F^{-1}A2> >= rank<F^{-1}A1> +
-    rank<F^{-1}pi(A2)> with A2 = A1 u A3', A1 inside the row module."""
+    rank<F^{-1}pi(A2)> with A2 = A1 u A3', A1 inside the row module.
+
+    Every case is drawn first; then the ranks of A2 and A1 of each group are
+    built and ranked as one batch, and the quotient ranks case by case."""
     specs = (zd(1), zd(2))
+    windows = {(spec, L): folner_set(spec, L) for spec in specs for L in (2, 3)}
     result = SuiteResult("superadditivity", cases)
+    drawn, ranked = [], []
     for i in range(cases):
         rng = derived_rng(seed, "superadd", i)
         spec = specs[i % len(specs)]
@@ -689,10 +762,13 @@ def run_superadditivity_suite(seed: int, cases: int = 100) -> SuiteResult:
         ]
         # As matrices, so that each caches its terms across the calls below.
         a1, a2 = RingMatrix(spec, a1), RingMatrix(spec, a1 + a3)
-        L = rng.randint(2, 3)
-        F = folner_set(spec, L)
-        r2, _ = submodule_rank(a2, F, spec, rng=derived_rng(seed, "superadd-r2", i))
-        r1, _ = submodule_rank(a1, F, spec, rng=derived_rng(seed, "superadd-r1", i))
+        F = windows[spec, rng.randint(2, 3)]
+        drawn.append((f, a2, F))
+        ranked.append((spec, (a2, F, _RankRng(seed, "superadd-r2", i))))
+        ranked.append((spec, (a1, F, _RankRng(seed, "superadd-r1", i))))
+    ranks = _by_group(ranked, _submodule_ranks)
+    for i, (f, a2, F) in enumerate(drawn):
+        r2, r1 = ranks[2 * i : 2 * i + 2]
         # The quotient rank is approached from above, so the windows grow for
         # up to 14 steps before a failure is declared.
         q = quotient_span_rank(f, a2, F, growth_steps=14, seed=seed + i)
@@ -705,9 +781,15 @@ def run_superadditivity_suite(seed: int, cases: int = 100) -> SuiteResult:
 
 def run_submodularity_suite(seed: int, cases: int = 100) -> SuiteResult:
     """Randomized check of submodularity and right-translation invariance of
-    F |-> rank(<F^{-1}A>)."""
+    F |-> rank(<F^{-1}A>).
+
+    Every case is drawn first; then the five windows of every case of each
+    group (F1 u F2, F1 n F2, F1, F2 and F1.s) are built and ranked as one
+    batch.  Ranks are exact, so F1's one rank serves both checks."""
     specs = (zd(1), zd(2))
+    boxes = {spec: folner_set(spec, 4 if spec.d > 1 else 8).elements for spec in specs}
     result = SuiteResult("submodularity", cases)
+    ranked = []
     for i in range(cases):
         rng = derived_rng(seed, "submod", i)
         spec = specs[i % len(specs)]
@@ -716,24 +798,23 @@ def run_submodularity_suite(seed: int, cases: int = 100) -> SuiteResult:
             tuple(random_ring_elem(rng, spec, radius=1, coeff_bound=2, max_terms=2) for _ in range(n))
             for _ in range(rng.randint(1, 2))
         ]
-        A = RingMatrix(spec, A)  # a matrix caches its terms across the calls below
-        box = folner_set(spec, 4 if spec.d > 1 else 8).elements
+        A = RingMatrix(spec, A)  # a matrix caches its terms across the windows below
+        box = boxes[spec]
         cap = min(6, len(box))
         f1 = tuple(sorted(rng.sample(box, rng.randint(1, cap))))
         f2 = tuple(sorted(rng.sample(box, rng.randint(1, cap))))
         union = tuple(sorted(set(f1) | set(f2)))
         inter = tuple(sorted(set(f1) & set(f2)))
-
-        def phi(F, tag):
-            rng_t = derived_rng(seed, "submod-rank", i, tag)
-            rank, _ = submodule_rank(A, F, spec, rng=rng_t)
-            return rank
-
-        if phi(union, "u") + phi(inter, "i") > phi(f1, "1") + phi(f2, "2"):
-            result.failures.append(f"case {i}: submodularity broken")
         s = rng.choice(box)
         translated = tuple(sorted(spec.mul(g, s) for g in f1))
-        if phi(translated, "t") != phi(f1, "1b"):
+        for F, tag in ((union, "u"), (inter, "i"), (f1, "1"), (f2, "2"), (translated, "t")):
+            ranked.append((spec, (A, F, _RankRng(seed, "submod-rank", i, tag))))
+    ranks = _by_group(ranked, _submodule_ranks)
+    for i in range(cases):
+        u, meet, r1, r2, t = ranks[5 * i : 5 * i + 5]
+        if u + meet > r1 + r2:
+            result.failures.append(f"case {i}: submodularity broken")
+        if t != r1:
             result.failures.append(f"case {i}: translation invariance broken")
     return result
 

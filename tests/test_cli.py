@@ -301,6 +301,18 @@ def test_negative_growth_steps_is_an_input_error(command, tmp_path, capsys):
     assert err.startswith("input error: ") and "growth_steps" in err
 
 
+@pytest.mark.parametrize("command", ["erank", "compare"])
+def test_negative_growth_steps_without_relations_is_an_input_error(command, tmp_path, capsys):
+    group = json.loads((FIXTURES / "two_over_z.json").read_text())["group"]
+    matrix = {"group": group, "rows": 1, "cols": 1, "entries": []}
+    job = {"command": command, "matrix": matrix, "schedule": [2, 4], "budgets": {"growth_steps": -1}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert main([command, "--input", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "growth_steps" in err
+
+
 def test_mmdim_window_budget_flag(tmp_path, capsys):
     argv = ["mmdim", "--input", str(FIXTURES / "two_over_z.json"), "--L", "20,30"]
     argv += ["--max-window-elements", "10", "--out", str(tmp_path)]

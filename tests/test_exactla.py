@@ -22,6 +22,7 @@ from folrank.exactla import (
     _plan_layout,
     _ranks_mod_primes,
     bareiss_rank,
+    block_ranks,
     generic_rank_laurent,
     kernel_basis,
     kernel_dim_q,
@@ -835,6 +836,65 @@ def test_rank_q_small_core_above_cutoff_is_fraction_free(dense, seed):
     cert = rank_q(A, rng=rng)
     assert (cert.rank, cert.method, cert.primes) == (bareiss_rank(dense), "fraction-free", ())
     assert rng.getrandbits(32) == random.Random(seed).getrandbits(32)
+
+
+# -- ranks of a block-diagonal batch --------------------------------------------
+
+
+def _union(blocks):
+    """The block-diagonal union of these matrices, and its block offsets."""
+    row_at = np.cumsum([0] + [B.rows for B in blocks])
+    col_at = np.cumsum([0] + [B.cols for B in blocks])
+    ii = np.concatenate([B.ii + r for B, r in zip(blocks, row_at)])
+    jj = np.concatenate([B.jj + c for B, c in zip(blocks, col_at)])
+    vals = np.concatenate([B.vals for B in blocks])
+    return SparseIntMatrix(int(row_at[-1]), int(col_at[-1]), ii, jj, vals), row_at, col_at
+
+
+def _check_block_ranks(blocks, seeds):
+    """block_ranks of the union against rank_q on each block alone, each
+    with a generator of the same seed: (rank, method, primes), and the next
+    32 bits of the generator."""
+    U, row_at, col_at = _union(blocks)
+    rngs = [random.Random(seed) for seed in seeds]
+    certs = block_ranks(U, row_at, col_at, rngs)
+    assert len(certs) == len(blocks)
+    for B, seed, cert, rng in zip(blocks, seeds, certs, rngs):
+        alone = random.Random(seed)
+        want = rank_q(B, rng=alone)
+        assert (cert.rank, cert.method, cert.primes) == (want.rank, want.method, want.primes)
+        assert rng.getrandbits(32) == alone.getrandbits(32)
+    return certs
+
+
+def test_block_ranks_certify_each_block_as_rank_q_alone():
+    blocks = [
+        fixture_window("z2hard", 8),  # peels to a 64x112 core: modular
+        M([[1, 2], [0, 3]]),  # peels away: an empty core
+        fixture_window("hhard", 2),  # peels to a 213x324 core: modular
+        SparseIntMatrix(3, 0),
+        SparseIntMatrix(0, 4),
+        fixture_window("xy_minus_one", 8),  # merges to a 2x4 core: Bareiss
+        M([[0, 0], [0, 0]]),
+        fixture_window("z2hard", 8),
+    ]
+    assert not _peel(blocks[1])[1].nnz()
+    assert _peel(blocks[0])[1].rows * _peel(blocks[0])[1].cols > exactla.SMALL_DIM_CUTOFF**2
+    certs = _check_block_ranks(blocks, [0, 1, 7, 2, 3, 4, 5, 6])
+    modular = [i for i, cert in enumerate(certs) if cert.method == "modular-multi-prime"]
+    assert modular == [0, 2, 7]
+    # Each block draws its primes from its own generator.
+    assert certs[0].primes == _SEED_PRIMES[0] and certs[7].primes != certs[0].primes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dense=st.lists(st.one_of(sparse_dense(), small_cores_above_cutoff()), min_size=1, max_size=5),
+    data=st.data(),
+)
+def test_block_ranks_of_random_blocks(dense, data):
+    seeds = data.draw(st.lists(st.integers(0, 10**6), min_size=len(dense), max_size=len(dense)))
+    _check_block_ranks([M(d) for d in dense], seeds)
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,6 +5,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from folrank import ranks
 from folrank.errors import InputError
 from folrank.exactla import SparseIntMatrix, nullspace_q, rank_q
 from folrank.groupring import RingElem, RingMatrix, right_window_matrix
@@ -237,6 +238,23 @@ def test_negative_growth_steps_is_an_input_error():
         quotient_span_rank(one_plus_2T(), [(zp((0, 1)),)], F, growth_steps=-1)
     with pytest.raises(InputError, match="growth_steps"):
         erank_of_presentation(P, (2, 4), growth_steps=-1)
+
+
+@pytest.mark.parametrize("f", [RingMatrix(Z, [[RingElem.zero(Z)]]), RingMatrix(Z, [], cols=1)], ids=["zero", "free"])
+def test_negative_growth_steps_is_an_input_error_without_relations(f):
+    # The check comes before the shortcut for a module with no relations.
+    P, F = ModulePresentation(f), folner_set(Z, 2)
+    with pytest.raises(InputError, match="growth_steps"):
+        erank_span_dim(P, F, growth_steps=-1)
+    with pytest.raises(InputError, match="growth_steps"):
+        erank_dual_restriction_dim(P, F, growth_steps=-1)
+    with pytest.raises(InputError, match="growth_steps"):
+        erank_of_presentation(P, (2, 4), growth_steps=-1)
+    with pytest.raises(InputError, match="growth_steps"):
+        quotient_span_rank(f, [(zp((0, 1)),)], F, growth_steps=-1)
+    # And before the shortcut for generators with no window translates.
+    with pytest.raises(InputError, match="growth_steps"):
+        quotient_span_rank(one_plus_2T(), [(RingElem.zero(Z),)], F, growth_steps=-1)
 
 
 def test_erank_dims_nonincreasing_in_window():
@@ -521,6 +539,35 @@ def test_suites_small():
     assert run_submodularity_suite(11, cases=12).passed
     r = run_dual_rank_equality_suite(11, cases=12)
     assert r.passed and r.flagged <= 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_verify_suite_results_pinned(seed):
+    # verify-suite --cases 100 at job seeds 0-3, recorded before the suites
+    # drew their cases first and built and ranked them in batches.
+    suites = (run_identity_suite(seed), run_superadditivity_suite(seed), run_submodularity_suite(seed))
+    assert [(s.name, s.cases, s.failures, s.flagged) for s in suites] == [
+        ("per-window-identity", 100, [], 0),
+        ("superadditivity", 100, [], 0),
+        ("submodularity", 100, [], 0),
+    ]
+
+
+def test_rank_generators_are_built_at_their_first_draw(monkeypatch):
+    built = []
+
+    def recording(*key):
+        built.append(key)
+        return derived_rng(*key)
+
+    monkeypatch.setattr(ranks, "derived_rng", recording)
+    rng = ranks._RankRng(5, "vnd", 8)
+    assert built == []
+    assert rng.getrandbits(32) == derived_rng(5, "vnd", 8).getrandbits(32)
+    assert built == [(5, "vnd", 8)]
+    # The binomial window ranks fraction-free, so its generator is never built.
+    vnd_of_presentation(ModulePresentation(xy_minus_one()), (4, 8), seed=5)
+    assert built == [(5, "vnd", 8)]
 
 
 @settings(max_examples=10, deadline=None)

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -59,3 +61,22 @@ def test_mmdim_scan_bad_eps_is_an_input_error(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("input error: eps must lie in (0, 1)")
     assert captured.out == ""
+
+
+def test_pass_times_prints_one_line_per_seed_and_the_mean(capsys):
+    script = load("pass_times")
+    assert script.main(["--workload", "large-windows", "--seeds", "0,1"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [line[:2] for line in lines] == [["large-windows", "seed=0"], ["large-windows", "seed=1"], ["large-windows", "mean"]]
+    times = [float(line[2]) for line in lines]
+    assert all(line[3] == "s" for line in lines) and all(t > 0 for t in times)
+    assert abs(times[2] - (times[0] + times[1]) / 2) < 1e-3
+
+
+@pytest.mark.parametrize("argv", [["--seeds", ""], ["--passes", "0"], ["--seeds", "x"]])
+def test_pass_times_rejects_bad_arguments(argv, capsys):
+    script = load("pass_times")
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--workload", "small-exact", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

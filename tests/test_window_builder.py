@@ -17,8 +17,8 @@ from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
-from folrank.exactla import bareiss_rank, rank_q
-from folrank.groupring import RingElem, RingMatrix, right_window_matrix, window_matrix
+from folrank.exactla import SparseIntMatrix, bareiss_rank, rank_q
+from folrank.groupring import RingElem, RingMatrix, right_window_matrix, window_matrix, window_operator
 from folrank.groups import finite_cyclic, finite_times_zd, folner_set, heisenberg, zd
 from folrank.mmdim import interior_constraint_matrix
 from folrank.ranks import _dual_constraint_matrix, submodule_rank_matrix
@@ -157,9 +157,7 @@ def _coefficient(draw, fractions):
     return c
 
 
-@st.composite
-def cases(draw):
-    spec = draw(st.sampled_from(SPECS))
+def _matrix(draw, spec):
     m, n = draw(st.integers(0, 2)), draw(st.integers(1, 2))
     fractions = draw(st.booleans())
     zero = draw(st.integers(0, 5)) == 0
@@ -173,12 +171,36 @@ def cases(draw):
             ]
             row.append(RingElem.from_terms(spec, terms))
         rows.append(row)
-    f = RingMatrix(spec, rows, cols=n)
+    return RingMatrix(spec, rows, cols=n)
+
+
+def _window(draw, spec):
     box = folner_set(spec, 1 if spec.family == "Heisenberg" else 3).elements
     window = tuple(sorted(draw(st.sets(st.sampled_from(box), max_size=6))))
     if draw(st.integers(0, 5)) == 0:
         window = ()
-    return f, window
+    return window
+
+
+@st.composite
+def cases(draw):
+    spec = draw(st.sampled_from(SPECS))
+    return _matrix(draw, spec), _window(draw, spec)
+
+
+@st.composite
+def batches(draw):
+    """Up to four (terms, anchors) pairs over one group, a side and a row
+    layout.  A Heisenberg window is moved past 2^31 half the time, so its
+    coordinates and products are Python ints."""
+    spec = draw(st.sampled_from(SPECS))
+    batch = []
+    for _ in range(draw(st.integers(1, 4))):
+        anchors = spec.coords(_window(draw, spec))
+        if spec.family == "Heisenberg" and draw(st.booleans()):
+            anchors = spec.mul_array(anchors, spec.coords([(2**31, 0, 0)]))
+        batch.append((_matrix(draw, spec).terms(), anchors))
+    return spec, batch, draw(st.booleans()), draw(st.booleans())
 
 
 # -- tests --------------------------------------------------------------------
@@ -212,6 +234,26 @@ def test_window_operators_match_per_pair_builders(case):
     C = interior_constraint_matrix(f, F)
     shape, entries = ref_interior_constraint_matrix(fi, F)
     assert (C.rows, C.cols) == shape and entries_of(C) == entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=batches())
+def test_each_block_of_a_batch_is_the_window_built_alone(case):
+    spec, batch, left, anchor_rows = case
+    M, row_at, col_at, elems = window_operator(spec, batch, left, anchor_rows)
+    assert (row_at[0], col_at[0], row_at[-1], col_at[-1]) == (0, 0, M.rows, M.cols)
+    placed = 0
+    for b, pair in enumerate(batch):
+        W, _, _, (alone,) = window_operator(spec, [pair], left, anchor_rows)
+        (r0, r1), (c0, c1) = row_at[b : b + 2], col_at[b : b + 2]
+        assert (r1 - r0, c1 - c0) == (W.rows, W.cols)
+        mine = (r0 <= M.ii) & (M.ii < r1)
+        assert ((c0 <= M.jj[mine]) & (M.jj[mine] < c1)).all()
+        block = SparseIntMatrix(W.rows, W.cols, M.ii[mine] - r0, M.jj[mine] - c0, M.vals[mine])
+        assert block.to_dense() == W.to_dense()
+        assert elems[b].tolist() == alone.tolist()
+        placed += int(mine.sum())
+    assert placed == M.nnz()
 
 
 def test_coefficient_past_int64_takes_the_object_path():
