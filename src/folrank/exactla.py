@@ -6,16 +6,24 @@ exceeds int64.  Submatrices, dense copies and block matrices are masks,
 scatters and concatenations of these arrays.  A rank starts with an exact
 peel of singletons over Q and, for a core of more than 64x64 cells, exact
 merges of unit doubletons (below).  A core of at most 64x64 cells that is
-left, the empty core included, goes through fraction-free Bareiss
-elimination over Python integers: its rank is exact and no prime is drawn.
+left, the empty core included, goes through a fraction-free echelon over
+Python integers: its rank is exact and no prime is drawn.
 Larger cores use Gaussian elimination modulo random 31-bit primes with
 numpy int64 arithmetic, on the residues ``vals % p``; the rank is certified
 by three distinct agreeing primes.
 
 The package has two eliminations.  ``_echelon`` is one dense, fraction-free
-forward echelon (Bareiss 1968), over Z or modulo one prime; only the
-reduction of each updated row depends on p.  Over Z it gives
-``bareiss_rank``, the exact rank for small cores and the
+forward echelon, over Z or modulo one prime.  It updates only the rows with
+a nonzero under the pivot: modulo p such a row becomes row * pv - f *
+pivot_row, and over Z the primitive part of row * (pv/g) - pivot_row *
+(f/g) with g = gcd(pv, f).  Each row is then a multiple of the row that
+Bareiss's elimination (1968) holds there, so the pivots and the kernel
+vectors are Bareiss's and no entry is larger than Bareiss's, which are
+minors of the input (``_echelon`` gives the argument).  Bareiss updates
+every row below each pivot, which is cubic on banded matrices: on a 2-vCPU
+host ``kernel_basis`` of the 239x240 bidiagonal interior matrix of 1 + 2T
+took 0.30-0.33 s that way and takes 0.011-0.012 s.  Over Z the echelon
+gives ``bareiss_rank``, the exact rank for small cores and the
 last-resort fallback.  Back substitution on its rows gives the kernel
 bases of ``kernel_basis`` and ``nullspace_q`` (the rational and torsion
 solutions that mmdim samples), and modulo a 62-bit prime it gives the
@@ -42,11 +50,12 @@ its rows, and the core, which keeps the union's order, splits at the
 blocks' offsets.  Each nonempty block core then goes through the per-core
 tail of ``rank_q``, with that block's own generator.  A block peels in the
 union as it peels alone (confluence again), so each certificate is the one
-the block gets by itself; ``rank_q`` is the batch of one.  The
-verify-suites rank their 1,300 windows outside ``quotient_span_rank`` in 8
-such batches per pass (job seed 1), in 7-9 ms on a 2-vCPU host: the peels
-take 9,464 of the 9,572 rank units, and the rest comes from block cores of
-at most 64x64 cells.
+the block gets by itself; ``rank_q`` is the batch of one.  A verify-suite
+pass at job seed 1 ranks 1,587 windows in 20 such batches: the suites'
+1,300 fixed windows in 8, and the 287 windows of ``quotient_span_rank``'s
+growth steps in 12.  On a 2-vCPU host the 8 take 7-9 ms: the peels take
+9,464 of the 9,572 rank units, and the rest comes from block cores of at
+most 64x64 cells.
 
 The ``two_over_z2`` ``mrank`` matrices (diagonal, 256x256 to 4096x4096)
 peel away completely; the Z^2 window of ``xy_minus_one`` loses only its
@@ -115,6 +124,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -273,11 +283,23 @@ def _echelon(a: list[list[int]], p: int = 0) -> list[int]:
     """Reduce the integer rows ``a`` in place to row echelon form, over Z
     when p == 0 and modulo the prime p otherwise; return the pivot columns.
 
-    Fraction-free (Bareiss 1968): each row below the pivot row becomes
-    row * pv - f * pivot_row right of the pivot pv, where f is the row's
-    entry under it.  Over Z every row below is updated and divided exactly
-    by the previous pivot, so entries stay minors of the input.  Modulo p
-    the result is reduced mod p, and a row with f == 0 is left alone.
+    Fraction-free: the pivot is the first row at or below the pivot row with
+    a nonzero in column c, and only the rows with a nonzero f under the
+    pivot pv are updated.  Modulo p such a row becomes row * pv - f *
+    pivot_row, reduced mod p.  Over Z it becomes row * (pv/g) - pivot_row *
+    (f/g) with g = gcd(pv, f), divided by its content: its primitive part.
+
+    Over Q, after the pivots so far, a row below is determined up to a
+    nonzero scalar: it is the one vector, up to scale, in the span of the
+    pivot rows and that input row that is zero in the pivot columns.  So
+    each row is a multiple of the row that Bareiss's elimination (1968)
+    holds there: a row never updated is its input row, and an updated row
+    is primitive, hence ± the primitive part of Bareiss's row.  Then the
+    zero pattern, the row swaps and the pivot columns are Bareiss's, back
+    substitution on the rows gives the same solutions, and no entry is
+    larger than Bareiss's, which are minors of the input.  Bareiss instead
+    updates every row below the pivot and divides it by the previous pivot,
+    which is cubic on banded matrices such as mmdim's interior matrices.
     """
     if p:
         for row in a:
@@ -285,7 +307,6 @@ def _echelon(a: list[list[int]], p: int = 0) -> list[int]:
     m = len(a)
     n = len(a[0]) if m else 0
     pivots: list[int] = []
-    prev = 1
     for c in range(n):
         r = len(pivots)
         if r == m:
@@ -301,14 +322,18 @@ def _echelon(a: list[list[int]], p: int = 0) -> list[int]:
         for i in range(r + 1, m):
             row_i = a[i]
             f = row_i[c]
-            if not p:
-                for j in range(c + 1, n):
-                    row_i[j] = (row_i[j] * pv - row_r[j] * f) // prev
-            elif f:
+            if not f:
+                continue
+            if p:
                 for j in range(c + 1, n):
                     row_i[j] = (row_i[j] * pv - row_r[j] * f) % p
+            else:
+                g = gcd(pv, f)
+                s, t = pv // g, f // g
+                tail = [x * s - y * t for x, y in zip(row_i[c + 1 :], row_r[c + 1 :])]
+                content = gcd(*tail)
+                row_i[c + 1 :] = [x // content for x in tail] if content > 1 else tail
             row_i[c] = 0
-        prev = pv
         pivots.append(c)
     return pivots
 

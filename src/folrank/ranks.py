@@ -9,12 +9,20 @@
   the dual solution space, computed over the rationals with an explicit
   window-growth stabilization.
 
-Every window value is an exact rational.  Series extrapolation is
-deliberately conservative: per-window submodule densities are upper bounds
-for their limit (the limit is an infimum), so the mean-rank estimate uses
-the running minimum of the submodule side; kernel densities carry no such
-one-sided guarantee and the series keeps the last computed value as its
-estimate, labeled as a heuristic.
+Every window value is an exact rational and a one-sided bound on its
+limit.  F |-> rank<F^{-1}A> is monotone, submodular (a matroid rank) and
+right-invariant, so by the infimum rule (Ornstein-Weiss; Downarowicz, Frej
+and Romagnoli) its limit over windows is the infimum of rank<F^{-1}A>/|F|
+over all finite F: every submodule density is an upper bound on its limit.
+So every mean-rank value n - rank<F^{-1}A>/|F| is a lower bound, and the
+mean-rank estimate is the largest one (n minus the running minimum of the
+submodule side).  The window identity applied to f* gives dim ker(window of
+f on F) = n|F| - rank<F^{-1} rows(f*)>, so every kernel density is a lower
+bound on its limit too; the kernel-density series still takes its last
+value as its estimate, not the running maximum, which keeps every report as
+it was.  A dual-restriction value does not increase as its growth window
+grows, so every computed one is an upper bound on the restricted dimension
+that it approaches.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from .exactla import (
     SparseIntMatrix,
     block_ranks,
     generic_rank_laurent,
+    int_array,
     nullspace_q,  # noqa: F401  no caller here; perfbench traces it as ranks.nullspace_q
     rank_q,
     regular_rep_kernel,
@@ -401,9 +410,12 @@ def vnd_of_presentation(
     seed: int = 0,
     max_window_elements: int = DEFAULT_MAX_WINDOW_ELEMENTS,
 ) -> DensitySeries:
-    """Kernel-density series dim(ker f on F)/|F|.  The limit estimate is the
-    last computed density; kernel densities are not one-sided bounds, so the
-    running minimum is reported but not used as the estimate."""
+    """Kernel-density series dim(ker f on F)/|F|.  Each density is a lower
+    bound on the limit: it is n - rank<F^{-1} rows(f*)>/|F| (the window
+    identity applied to f*), and that rank over |F| is an upper bound on its
+    limit by the infimum rule (module docstring).  The limit estimate is the
+    last computed density, not the running maximum, and the running minimum
+    is reported but not used as the estimate."""
 
     def record(L: int, F) -> SeriesRecord:
         dim, cert = window_kernel_dim(P, F, rng=_RankRng(seed, "vnd", L))
@@ -433,21 +445,43 @@ def _check_growth_steps(growth_steps: int) -> None:
         raise InputError(f"growth_steps must be >= 0, got {growth_steps}")
 
 
+def _saturated(spec: GroupSpec, E: np.ndarray) -> bool:
+    """Whether ``dilate`` leaves E as it is.  The unit ball generates the
+    group, so a nonempty E closed under it is the whole group, and a finite
+    E can be that only in a finite group."""
+    return not len(E) or spec.is_finite and len(E) == spec.group_order()
+
+
 def _stabilize(spec: GroupSpec, E: np.ndarray, value_fn, growth_steps: int) -> StabilizedDim:
-    """Grow the sorted, distinct E by ``dilate`` until ``value_fn`` repeats."""
-    prev = None
-    for step in range(growth_steps + 1):
-        v = value_fn(E, step)
-        if prev is not None and v == prev:
-            return StabilizedDim(v, True, step, len(E))
-        prev = v
-        grown = dilate(spec, E)
-        # dilate returns E united with E.ball, so equal sizes mean equal sets.
-        if len(grown) == len(E):
-            # The window saturated (finite group): the value cannot change.
-            return StabilizedDim(v, True, step, len(E))
-        E = grown
-    return StabilizedDim(prev, False, growth_steps, len(E))
+    """Grow the sorted, distinct E by ``dilate`` until ``value_fn(E, step)``
+    repeats: ``_stabilize_all`` of one window."""
+    return _stabilize_all(spec, [E], lambda _, Es, step: [value_fn(Es[0], step)], [growth_steps])[0]
+
+
+def _stabilize_all(spec: GroupSpec, windows, values, growth_steps) -> list[StabilizedDim]:
+    """Grow each sorted, distinct window by ``dilate``, all of them one step
+    at a time, until its value repeats.
+
+    ``values(cases, Es, step)`` gives the values of the windows Es of the
+    cases (indices into ``windows``) still growing at that step.  A case
+    stops when its value repeats, when its window saturates (then the value
+    cannot change) or at its last allowed step ``growth_steps[c]``, without
+    a further dilate; the result reports the last window evaluated."""
+    out: list = [None] * len(windows)
+    active = [(c, E, None) for c, E in enumerate(windows)]
+    step = 0
+    while active:
+        cases, Es, prevs = zip(*active)
+        growing = []
+        for c, E, prev, v in zip(cases, Es, prevs, values(cases, Es, step)):
+            if v == prev or _saturated(spec, E):
+                out[c] = StabilizedDim(v, True, step, len(E))
+            elif step == growth_steps[c]:
+                out[c] = StabilizedDim(v, False, step, len(E))
+            else:
+                growing.append((c, dilate(spec, E), v))
+        active, step = growing, step + 1
+    return out
 
 
 def _initial_erank_window(spec: GroupSpec, finv, K) -> np.ndarray:
@@ -577,35 +611,102 @@ def quotient_span_rank(
     V + D.ker C and kernel ker [[C, 0], [D, V^T]]; rank-nullity on
     ker [C 0], of dimension cols(W) - rank C + rows(V), gives it.  The first
     line is the case V = 0.
+
+    This is ``_quotient_span_ranks`` of one case.
     """
-    _check_growth_steps(growth_steps)
-    spec = f.spec
-    V, S = _generator_window(B, F, spec)
-    if V.cols == 0:
-        return StabilizedDim(0, True, 0, 0)
-    if f.rows == 0 or f.is_zero():
-        return StabilizedDim(rank_q(V).rank, True, 0, 0)
-    width = len(S)
-    E0 = _initial_erank_window(spec, S, f.terms().support)
+    return _quotient_span_ranks(f.spec, [(f, B, F, growth_steps, seed)])[0]
 
-    def value(E, step):
-        rng = _RankRng(seed, "quotient-span", len(E), step)
-        W = right_window_matrix(f, E)
-        rank_all = rank_q(W.data, rng=rng).rank
-        # big = [[C, 0], [D, V^T]]: out rows of W first, then one row per
-        # coordinate of V, holding W's rows in S and V's columns.
-        in_s = np.tile(positions(W.row_coords, S), W.row_blocks)
-        block = np.repeat(np.arange(W.row_blocks), len(W.row_coords))
-        out = in_s < 0
-        n_out = int(out.sum())
-        big_row = np.where(out, np.cumsum(out) - 1, n_out + block * width + in_s)
-        ii = np.concatenate([big_row[W.data.ii], n_out + V.jj])
-        jj = np.concatenate([W.data.jj, W.data.cols + V.ii])
-        vals = np.concatenate([W.data.vals, V.vals])
-        big = SparseIntMatrix(n_out + V.cols, W.data.cols + V.rows, ii, jj, vals)
-        return rank_q(big, rng=rng).rank - rank_all
 
-    return _stabilize(spec, E0, value, growth_steps)
+def _quotient_span_ranks(spec: GroupSpec, cases) -> list[StabilizedDim]:
+    """``quotient_span_rank`` of each (f, B, F, growth_steps, seed) case
+    over spec, built and ranked in batches.
+
+    Every V is built in one batch.  Then the cases that grow go one growth
+    step at a time (``_stabilize_all``): one build of their windows W, one
+    ``block_ranks`` of those, one union of their matrices [[C, 0], [D, V^T]]
+    (``_quotient_union``) and one ``block_ranks`` of that.  A case's rank
+    generator at a step serves its W first and its big matrix second, as
+    for the case alone."""
+    for *_, growth_steps, _ in cases:
+        _check_growth_steps(growth_steps)
+    V, v_rows, v_cols, supports = _generator_windows(spec, [(B, F) for _, B, F, *_ in cases])
+    out = [StabilizedDim(0, True, 0, 0)] * len(cases)
+    spanned = [c for c in range(len(cases)) if v_cols[c + 1] > v_cols[c]]
+    for c in spanned:
+        # V has a column per (coordinate of B, element of S).
+        if v_cols[c + 1] - v_cols[c] != cases[c][0].cols * len(supports[c]):
+            raise InputError(f"case {c}: the generators and the relations have different numbers of columns")
+    free = [c for c in spanned if cases[c][0].is_zero()]
+    for c, cert in zip(free, block_ranks(*_blocks_of(V, v_rows, v_cols, free), [None] * len(free))):
+        out[c] = StabilizedDim(cert.rank, True, 0, 0)
+    grown = [c for c in spanned if not cases[c][0].is_zero()]
+
+    def values(at, Es, step):
+        act = [grown[a] for a in at]
+        rngs = [_RankRng(cases[c][4], "quotient-span", len(E), step) for c, E in zip(act, Es)]
+        batch = [(cases[c][0].terms(), E) for c, E in zip(act, Es)]
+        W, w_rows, w_cols, ys = window_operator(spec, batch, left=True)
+        rank_all = block_ranks(W, w_rows, w_cols, rngs)
+        Va, va_rows, va_cols = _blocks_of(V, v_rows, v_cols, act)
+        big = _quotient_union(W, w_rows, w_cols, ys, [supports[c] for c in act], Va, va_rows, va_cols)
+        return [b.rank - w.rank for b, w in zip(block_ranks(*big, rngs), rank_all)]
+
+    E0s = [_initial_erank_window(spec, supports[c], cases[c][0].terms().support) for c in grown]
+    for c, sd in zip(grown, _stabilize_all(spec, E0s, values, [cases[c][3] for c in grown])):
+        out[c] = sd
+    return out
+
+
+def _blocks_of(M: SparseIntMatrix, row_at, col_at, keep) -> tuple[SparseIntMatrix, list[int], list[int]]:
+    """The blocks ``keep`` of the block-diagonal M, in that order, as their
+    own union with its row and column offsets."""
+    row_at, col_at = np.asarray(row_at), np.asarray(col_at)
+    new_rows = np.concatenate([[0], np.cumsum(np.diff(row_at)[keep])])
+    new_cols = np.concatenate([[0], np.cumsum(np.diff(col_at)[keep])])
+    slot = np.full(len(row_at) - 1, -1)
+    slot[keep] = np.arange(len(keep))
+    b = slot[np.searchsorted(row_at, M.ii, side="right") - 1]
+    sel = b >= 0
+    b = b[sel]
+    ii = M.ii[sel] + (new_rows[:-1] - row_at[keep])[b]
+    jj = M.jj[sel] + (new_cols[:-1] - col_at[keep])[b]
+    union = SparseIntMatrix._unchecked(int(new_rows[-1]), int(new_cols[-1]), ii, jj, int_array(M.vals[sel]))
+    return union, new_rows.tolist(), new_cols.tolist()
+
+
+def _tagged(arrays) -> np.ndarray:
+    """The rows of the coordinate arrays, each led by its array's index."""
+    return np.concatenate([np.column_stack([np.full(len(X), b), X]) for b, X in enumerate(arrays)])
+
+
+def _quotient_union(W, w_rows, w_cols, ys, Ss, V, v_rows, v_cols):
+    """The union of the matrices [[C, 0], [D, V^T]] of ``quotient_span_rank``
+    with its row and column offsets, one block per block of W and of V.
+
+    Block b of W has the rows (k, y) for k < f.cols and y in ys[b].  C is
+    its rows with y outside Ss[b], in W's order, and D the others: row
+    (k, y) goes to V's column k * |Ss[b]| + the index of y in Ss[b]."""
+    w_rows, w_cols, v_rows, v_cols = (np.asarray(x) for x in (w_rows, w_cols, v_rows, v_cols))
+    nb = len(ys)
+    ny, width = np.array([len(y) for y in ys]), np.array([len(S) for S in Ss])
+    # Where each product lies in its block's S (below 0 when it is not), by
+    # one lookup over (block, element).
+    s_of_y = positions(_tagged(ys), _tagged(Ss)) - np.repeat(np.cumsum(width) - width, ny)
+    rb = np.repeat(np.arange(nb), np.diff(w_rows))
+    k, y = np.divmod(np.arange(W.rows) - w_rows[rb], ny[rb])
+    s = s_of_y[(np.cumsum(ny) - ny)[rb] + y]
+    is_out = s < 0
+    n_out = np.bincount(rb[is_out], minlength=nb)
+    w_n = np.diff(w_cols)
+    big_rows = np.concatenate([[0], np.cumsum(n_out + np.diff(v_cols))])
+    big_cols = np.concatenate([[0], np.cumsum(w_n + np.diff(v_rows))])
+    out_at = np.cumsum(is_out) - 1 - (np.cumsum(n_out) - n_out)[rb]
+    row = big_rows[rb] + np.where(is_out, out_at, n_out[rb] + k * width[rb] + s)
+    vb = np.searchsorted(v_rows, V.ii, side="right") - 1
+    ii = np.concatenate([row[W.ii], big_rows[vb] + n_out[vb] + V.jj - v_cols[vb]])
+    jj = np.concatenate([W.jj + (big_cols - w_cols)[rb[W.ii]], big_cols[vb] + w_n[vb] + V.ii - v_rows[vb]])
+    big = SparseIntMatrix(int(big_rows[-1]), int(big_cols[-1]), ii, jj, np.concatenate([W.vals, V.vals]))
+    return big, big_rows, big_cols
 
 
 # ---------------------------------------------------------------------------
@@ -738,11 +839,12 @@ def run_superadditivity_suite(seed: int, cases: int = 100) -> SuiteResult:
     rank<F^{-1}pi(A2)> with A2 = A1 u A3', A1 inside the row module.
 
     Every case is drawn first; then the ranks of A2 and A1 of each group are
-    built and ranked as one batch, and the quotient ranks case by case."""
+    built and ranked as one batch, and the quotient ranks of each group grow
+    their windows as one batch (``_quotient_span_ranks``)."""
     specs = (zd(1), zd(2))
     windows = {(spec, L): folner_set(spec, L) for spec in specs for L in (2, 3)}
     result = SuiteResult("superadditivity", cases)
-    drawn, ranked = [], []
+    ranked, quotients = [], []
     for i in range(cases):
         rng = derived_rng(seed, "superadd", i)
         spec = specs[i % len(specs)]
@@ -763,15 +865,14 @@ def run_superadditivity_suite(seed: int, cases: int = 100) -> SuiteResult:
         # As matrices, so that each caches its terms across the calls below.
         a1, a2 = RingMatrix(spec, a1), RingMatrix(spec, a1 + a3)
         F = windows[spec, rng.randint(2, 3)]
-        drawn.append((f, a2, F))
         ranked.append((spec, (a2, F, _RankRng(seed, "superadd-r2", i))))
         ranked.append((spec, (a1, F, _RankRng(seed, "superadd-r1", i))))
-    ranks = _by_group(ranked, _submodule_ranks)
-    for i, (f, a2, F) in enumerate(drawn):
-        r2, r1 = ranks[2 * i : 2 * i + 2]
         # The quotient rank is approached from above, so the windows grow for
         # up to 14 steps before a failure is declared.
-        q = quotient_span_rank(f, a2, F, growth_steps=14, seed=seed + i)
+        quotients.append((spec, (f, a2, F, 14, seed + i)))
+    ranks = _by_group(ranked, _submodule_ranks)
+    for i, q in enumerate(_by_group(quotients, _quotient_span_ranks)):
+        r2, r1 = ranks[2 * i : 2 * i + 2]
         if not q.stabilized:
             result.flagged += 1
         elif r2 < r1 + q.value:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -1081,17 +1082,93 @@ def test_shared_echelon_leaves_its_input():
     assert dense == [[2, 4], [1, 3]]
 
 
+def _bareiss_echelon(a, p=0):
+    # The fraction-free echelon before rows with a zero under the pivot were
+    # skipped over Z: every row below is updated and divided exactly by the
+    # previous pivot (Bareiss 1968), so entries are minors of the input.
+    if p:
+        for row in a:
+            row[:] = [x % p for x in row]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    pivots = []
+    prev = 1
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        for piv in range(r, m):
+            if a[piv][c]:
+                break
+        else:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        row_r = a[r]
+        pv = row_r[c]
+        for i in range(r + 1, m):
+            row_i = a[i]
+            f = row_i[c]
+            if not p:
+                for j in range(c + 1, n):
+                    row_i[j] = (row_i[j] * pv - row_r[j] * f) // prev
+            elif f:
+                for j in range(c + 1, n):
+                    row_i[j] = (row_i[j] * pv - row_r[j] * f) % p
+            row_i[c] = 0
+        prev = pv
+        pivots.append(c)
+    return pivots
+
+
+def _primitive(row):
+    content = math.gcd(*row)
+    return [x // content for x in row] if content else row
+
+
+@st.composite
+def echelon_matrices(draw):
+    """``small_matrices``, sometimes made rank deficient by a row that is a
+    combination of two others, and sometimes with a row scaled past int64."""
+    dense, cols = draw(small_matrices())
+    if len(dense) >= 2 and draw(st.booleans()):
+        i, j = draw(st.integers(0, len(dense) - 1)), draw(st.integers(0, len(dense) - 1))
+        s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        dense.insert(draw(st.integers(0, len(dense))), [s * x + t * y for x, y in zip(dense[i], dense[j])])
+    if dense and draw(st.booleans()):
+        k = draw(st.integers(0, len(dense) - 1))
+        dense[k] = [x * (2**64 + 13) for x in dense[k]]
+    return dense, cols
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix=echelon_matrices())
+def test_echelon_rows_are_primitive_parts_of_bareiss_rows(matrix):
+    dense, cols = matrix
+    rows, oracle = [list(row) for row in dense], [list(row) for row in dense]
+    assert _echelon(rows) == _bareiss_echelon(oracle)
+    for row, bareiss in zip(rows, oracle):
+        # A multiple of Bareiss's row: ± its primitive part once updated,
+        # the input row itself otherwise, and never larger.
+        assert _primitive(row) in (_primitive(bareiss), [-x for x in _primitive(bareiss)])
+        assert row == _primitive(row) or row in dense
+        assert all(abs(x) <= abs(y) for x, y in zip(row, bareiss))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactla, "_echelon", _bareiss_echelon)
+        by_bareiss = kernel_basis(dense, cols)
+    assert kernel_basis(dense, cols) == by_bareiss
+
+
 @pytest.mark.parametrize("c0, c1", [(2, 1), (1, 2)])
 def test_kernel_of_a_long_bidiagonal_in_closed_form(c0, c1):
     # Row i is c0 at column i and c1 at column i + 1; (2, 1) is mmdim's
-    # interior matrix of 1 + 2T at L = 120.  Its kernel is spanned by
-    # v_i = (-c1/c0)^(L-1-i), with entries and minors of 119 bits.
-    L = 120
-    dense = [[c0 if j == i else c1 if j == i + 1 else 0 for j in range(L)] for i in range(L - 1)]
-    v = [Fraction(-c1, c0) ** (L - 1 - i) for i in range(L)]
-    assert kernel_basis(dense, L) == nullspace_q(SparseIntMatrix.from_dense(dense, L)) == [v]
-    for p in (3, 5, 7):
-        assert kernel_basis(dense, L, p) == [[x.numerator * pow(x.denominator, -1, p) % p for x in v]]
+    # interior matrix of 1 + 2T at L = 120 and 240.  Its kernel is spanned
+    # by v_i = (-c1/c0)^(L-1-i), with entries and minors of L - 1 bits.
+    for L in (120, 240):
+        dense = [[c0 if j == i else c1 if j == i + 1 else 0 for j in range(L)] for i in range(L - 1)]
+        v = [Fraction(-c1, c0) ** (L - 1 - i) for i in range(L)]
+        assert kernel_basis(dense, L) == nullspace_q(SparseIntMatrix.from_dense(dense, L)) == [v]
+        for p in (3, 5, 7):
+            assert kernel_basis(dense, L, p) == [[x.numerator * pow(x.denominator, -1, p) % p for x in v]]
 
 # -- Laurent generic rank --------------------------------------------------------
 

@@ -9,13 +9,24 @@ from folrank import ranks
 from folrank.errors import InputError
 from folrank.exactla import SparseIntMatrix, nullspace_q, rank_q
 from folrank.groupring import RingElem, RingMatrix, right_window_matrix
-from folrank.groups import coords_of, finite_cyclic, folner_set, heisenberg, zd
+from folrank.groups import (
+    coords_of,
+    dilate,
+    finite_cyclic,
+    finite_times_zd,
+    folner_set,
+    heisenberg,
+    unique_rows,
+    zd,
+)
 from folrank.ranks import (
     GeneratorList,
     ModulePresentation,
     StabilizedDim,
     _initial_erank_window,
+    _RankRng,
     _rows_of,
+    _saturated,
     _stabilize,
     derived_rng,
     window_kernel_density,
@@ -528,6 +539,226 @@ def test_quotient_span_rank_matches_nullspace_reference():
     for growth_steps in (6, 14):
         new = quotient_span_rank(f, A, F, growth_steps=growth_steps, seed=3)
         assert new == _quotient_span_rank_reference(f, A, F, growth_steps, seed=3)
+
+
+# f with no unit entry: its windows' cores do not merge and go modular.
+_NO_UNITS = {
+    Z: RingMatrix(Z, [[zp((0, 2), (1, 3))], [zp((0, 5), (2, 7))]]),
+    Z2: RingMatrix(
+        Z2,
+        [
+            [RingElem.from_terms(Z2, [((0, 0), 2), ((1, 0), 3)])],
+            [RingElem.from_terms(Z2, [((0, 0), 5), ((0, 1), 7)])],
+        ],
+    ),
+}
+_BATCH_KINDS = ("random", "zero f", "no relations", "empty V", "modular")
+
+
+def _batch_case(rng: random.Random, kind: str):
+    """An (f, B, F) case of one kind for the quotient batch."""
+    if kind == "modular":
+        spec = rng.choice((Z, Z2))
+        B = [(random_ring_elem(rng, spec, radius=1, coeff_bound=3),) for _ in range(rng.randint(1, 2))]
+        return _NO_UNITS[spec], B, folner_set(spec, 40 if spec.d == 1 else 4)
+    f, B, F = _quotient_case(rng)
+    if kind == "zero f":
+        f = RingMatrix(f.spec, [[RingElem.zero(f.spec)] * f.cols] * f.rows)
+    elif kind == "no relations":
+        f = RingMatrix(f.spec, [], cols=f.cols)
+    elif kind == "empty V":
+        B = [tuple(RingElem.zero(f.spec) for _ in range(f.cols))]
+    return f, B, F
+
+
+def _record_rank_rngs(mp) -> dict:
+    """Make ``ranks`` record every rank generator it makes, by key."""
+    made = {}
+
+    def make(seed, *tags):
+        made[(seed, *tags)] = rng = _RankRng(seed, *tags)
+        return rng
+
+    mp.setattr(ranks, "_RankRng", make)
+    return made
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_quotient_batch_matches_each_case_alone(data):
+    kinds = data.draw(st.lists(st.sampled_from(_BATCH_KINDS), min_size=1, max_size=6))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    cases = []
+    for i, kind in enumerate(kinds):
+        f, B, F = _batch_case(rng, kind)
+        growth_steps = data.draw(st.integers(0, 2 if kind == "modular" else 5))
+        cases.append((f.spec, (f, B, F, growth_steps, 7 * i)))
+    with pytest.MonkeyPatch.context() as mp:
+        batch_rngs = _record_rank_rngs(mp)
+        batch = ranks._by_group(cases, ranks._quotient_span_ranks)
+        alone_rngs = _record_rank_rngs(mp)
+        alone = [quotient_span_rank(*case) for _, case in cases]
+    assert batch == alone
+    # Each case drew from its own generators as it does alone.
+    assert batch_rngs.keys() == alone_rngs.keys()
+    for key, made in batch_rngs.items():
+        assert made.getrandbits(32) == alone_rngs[key].getrandbits(32), key
+
+
+def test_quotient_span_rank_rejects_generators_of_another_width():
+    f, F = RingMatrix(Z, [[zp((0, 1)), zp((1, 2))]]), folner_set(Z, 2)
+    with pytest.raises(InputError, match="numbers of columns"):
+        quotient_span_rank(f, [(zp((0, 1)),)], F)
+    # In a batch, where the block of one case could reach into the next.
+    good = (one_plus_2T(), [(zp((0, 1)),)], F, 2, 0)
+    with pytest.raises(InputError, match="case 1"):
+        ranks._quotient_span_ranks(Z, [good, (f, [(zp((0, 1)),)], F, 2, 1), good])
+
+
+def test_quotient_batch_draws_primes_case_by_case():
+    rng = random.Random(3)
+    cases = [_batch_case(rng, kind) for kind in ("modular", "random", "modular", "modular")]
+    cases = [(f, B, F, 1, 5 * i) for i, (f, B, F) in enumerate(cases)]
+    with pytest.MonkeyPatch.context() as mp:
+        made = _record_rank_rngs(mp)
+        batch = ranks._by_group([(case[0].spec, case) for case in cases], ranks._quotient_span_ranks)
+    # The cores without unit entries went modular and drew primes.
+    assert any(r._rng is not None for r in made.values())
+    assert batch == [quotient_span_rank(*case) for case in cases]
+
+
+def test_an_unstabilized_value_reports_the_last_window_evaluated(monkeypatch):
+    dilated, evaluated = [], []
+
+    def recording_dilate(spec, E):
+        dilated.append(len(E))
+        return dilate(spec, E)
+
+    def value(E, step):
+        evaluated.append(len(E))
+        return step  # never repeats
+
+    monkeypatch.setattr(ranks, "dilate", recording_dilate)
+    E0 = folner_set(Z2, 2).coords
+    assert _stabilize(Z2, E0, value, 3) == StabilizedDim(3, False, 3, evaluated[-1])
+    assert evaluated == [4, 16, 36, 64]
+    # No dilate follows the last step.
+    assert dilated == evaluated[:-1]
+    # The batch, and quotient_span_rank as its batch of one, likewise.
+    f, B, F = one_plus_2T(), [(zp((0, 1)),)], folner_set(Z, 3)
+    E0 = _initial_erank_window(Z, ranks._generator_window(B, F, Z)[1], f.terms().support)
+    unstabilized = StabilizedDim(1, False, 0, len(E0))
+    assert quotient_span_rank(f, B, F, growth_steps=0) == unstabilized
+    batch = ranks._quotient_span_ranks(Z, [(f, B, F, 0, 0), (f, B, F, 4, 0)])
+    assert batch == [unstabilized, quotient_span_rank(f, B, F)]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Z, Z2, zd(0), finite_cyclic(2, 3), finite_times_zd((2,), 1), finite_times_zd((3,), 0), heisenberg()],
+    ids=lambda s: s.family + str(s.d),
+)
+def test_saturated_windows_are_those_dilate_leaves(spec):
+    rng = random.Random(4)
+    whole = folner_set(spec, 1).coords
+    windows = [whole[:0], whole, whole[:1]]
+    for _ in range(8):
+        windows.append(unique_rows(whole[rng.sample(range(len(whole)), rng.randint(1, len(whole)))])[0])
+    for E in windows:
+        assert _saturated(spec, E) == (len(dilate(spec, E)) == len(E)), E.tolist()
+
+
+# quotient_span_rank of the 100 superadditivity cases at job seeds 0-3, recorded
+# when each case was ranked alone: value, steps and window size, case by case.
+# Every case stabilized.
+_SUPERADD_QUOTIENTS = {
+    0: (
+        (
+            "0 0 3 0 0 0 2 3 2 5 3 4 0 0 0 9 0 0 0 0 3 8 3 9 3 18 1 0 2 0 2 0 0 0 0 6 0 0 0 0 0 0 0 0 "
+            "0 4 0 0 0 9 0 4 2 9 3 4 0 6 0 16 0 9 3 4 1 0 0 0 3 2 4 0 2 2 2 4 0 0 2 0 0 9 0 0 3 0 0 4 "
+            "0 0 3 18 0 9 0 4 0 7 2 0"
+        ),
+        (
+            "1 0 1 1 1 0 0 1 1 1 0 0 0 1 1 1 1 0 1 1 1 0 1 1 0 1 1 2 1 1 1 1 0 1 1 2 0 0 0 0 0 1 1 1 "
+            "1 1 1 1 3 0 1 1 1 0 0 1 1 1 1 0 1 1 1 1 1 1 1 1 0 1 1 1 1 1 0 1 1 0 0 1 1 1 1 1 1 1 1 0 "
+            "0 0 1 0 1 1 1 1 1 1 1 1"
+        ),
+        (
+            "8 0 8 43 7 0 0 42 9 35 0 0 0 59 6 47 5 0 7 66 5 0 9 40 0 51 7 109 9 34 7 61 0 51 7 77 0 "
+            "0 0 0 0 41 8 32 7 47 5 62 14 0 8 35 8 0 0 52 8 65 5 0 8 59 7 33 7 32 6 34 0 29 6 34 6 29 "
+            "0 52 9 0 0 20 6 47 5 51 9 45 4 0 0 0 9 0 4 68 10 49 5 64 11 32"
+        ),
+    ),
+    1: (
+        (
+            "0 16 3 0 0 0 0 0 4 9 0 0 0 0 0 0 2 0 0 0 2 9 0 0 2 4 3 9 1 0 0 0 2 0 0 0 1 9 3 9 0 9 0 0 "
+            "3 9 2 4 2 0 0 7 2 3 0 0 0 9 2 18 0 4 0 0 0 8 0 0 0 2 0 4 3 0 0 2 4 0 0 9 4 0 0 0 2 4 0 9 "
+            "3 9 6 4 6 9 0 12 2 0 0 4"
+        ),
+        (
+            "1 1 0 0 1 1 1 2 0 0 1 0 1 1 1 0 1 0 1 0 1 1 1 0 1 0 0 0 1 1 1 0 1 1 1 1 1 0 1 1 1 0 1 1 "
+            "0 1 0 0 0 1 1 0 0 1 0 1 1 1 1 1 1 0 1 0 1 0 1 0 1 1 0 0 1 1 1 2 0 1 1 1 1 1 1 1 0 1 1 1 "
+            "1 0 0 0 1 0 0 1 1 1 1 1"
+        ),
+        (
+            "8 55 0 0 4 68 10 105 0 0 6 0 4 43 8 0 7 0 7 0 9 60 4 0 7 0 0 0 5 33 5 0 10 35 6 52 8 0 5 "
+            "58 8 0 6 30 0 52 0 0 0 38 7 0 0 51 0 44 6 51 11 74 6 0 6 0 8 0 7 0 5 33 0 0 7 89 9 60 0 "
+            "40 9 75 7 32 9 25 0 49 6 66 8 0 0 0 10 0 0 58 9 20 7 29"
+        ),
+    ),
+    2: (
+        (
+            "3 8 0 8 1 0 0 0 2 6 3 4 2 4 0 0 2 9 6 0 4 8 2 0 0 0 0 0 3 4 0 9 0 14 0 4 0 2 0 8 0 3 3 "
+            "18 0 0 0 4 0 0 3 12 2 7 0 0 3 3 0 8 2 0 0 0 0 0 3 0 0 0 0 0 0 4 0 8 0 7 0 2 3 0 0 0 3 0 "
+            "2 2 2 0 2 0 0 9 0 5 0 0 6 0"
+        ),
+        (
+            "0 1 1 1 1 1 1 1 1 1 0 1 0 1 0 1 1 0 0 1 1 1 0 1 0 1 1 1 1 1 0 1 1 1 1 0 1 1 1 0 2 1 0 1 "
+            "1 0 1 0 1 0 0 0 1 1 1 1 0 1 0 1 0 1 1 0 1 1 1 1 1 1 1 0 0 1 0 0 1 1 1 2 1 1 1 1 1 1 1 1 "
+            "0 1 1 1 1 0 1 1 1 1 1 1"
+        ),
+        (
+            "0 53 8 38 9 54 7 47 9 61 0 54 0 23 0 48 7 0 0 45 8 61 0 37 0 41 7 34 10 40 0 59 6 40 8 0 "
+            "6 47 5 0 9 30 0 72 8 0 8 0 6 0 0 0 7 87 7 52 0 34 0 56 0 48 7 0 8 46 9 23 8 70 8 0 0 16 "
+            "0 0 7 80 5 83 6 60 8 59 10 37 6 24 0 45 6 40 8 0 8 79 5 34 9 40"
+        ),
+    ),
+    3: (
+        (
+            "2 17 0 0 5 0 0 9 0 7 4 9 2 0 6 0 3 0 0 4 3 0 0 5 2 7 3 4 3 0 1 4 2 15 0 0 0 4 0 4 0 8 4 "
+            "4 3 9 0 4 0 2 0 0 2 3 0 4 2 0 1 6 0 4 2 0 2 9 2 0 0 0 2 9 0 4 0 9 0 4 0 8 0 4 0 0 2 9 2 "
+            "0 2 0 0 0 0 0 0 6 1 0 0 10"
+        ),
+        (
+            "1 0 1 1 0 0 0 1 1 1 1 0 1 1 0 0 1 1 1 0 1 1 1 1 1 1 1 1 1 1 1 1 0 1 1 1 0 1 1 1 0 1 0 1 "
+            "0 1 1 0 0 1 1 1 1 1 1 0 1 1 1 1 1 0 1 1 0 1 0 1 1 1 1 1 1 0 0 1 1 1 1 0 1 1 1 1 1 0 1 0 "
+            "0 1 1 1 1 1 1 1 1 1 1 1"
+        ),
+        (
+            "9 0 8 23 0 0 0 51 7 78 9 0 9 50 0 0 7 78 9 0 9 49 7 59 4 49 7 66 8 69 6 41 0 49 6 42 0 "
+            "38 7 52 0 112 0 45 0 73 7 0 0 88 5 16 5 41 7 0 6 25 7 88 6 0 7 60 0 53 0 23 5 30 8 99 9 "
+            "0 0 76 5 75 5 0 6 42 6 41 7 0 9 0 0 33 6 56 9 60 6 43 6 38 9 82"
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_superadditivity_quotients_pinned(seed, monkeypatch):
+    seen = {}
+    batch = ranks._quotient_span_ranks
+
+    def recording(spec, cases):
+        out = batch(spec, cases)
+        seen.update((case[4], q) for case, q in zip(cases, out))
+        return out
+
+    monkeypatch.setattr(ranks, "_quotient_span_ranks", recording)
+    assert run_superadditivity_suite(seed).passed
+    qs = [seen[seed + i] for i in range(100)]
+    assert all(q.stabilized for q in qs)
+    got = tuple(" ".join(str(getattr(q, name)) for q in qs) for name in ("value", "steps", "window_size"))
+    assert got == _SUPERADD_QUOTIENTS[seed]
 
 
 # -- randomized suites (small smoke runs; acceptance runs the full sizes) ------------------
