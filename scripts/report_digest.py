@@ -4,7 +4,10 @@
 Runs every job of the workloads in `perfbench/jobs.py` through
 `folrank.cli.main`, once per job seed, each in a fresh output directory,
 and prints one line per job with its exit code and one line per report
-file with the sha256 of its bytes.  Two checkouts that write the same
+file with the sha256 of its bytes.  The workload `fixtures` adds a
+`compare` job on each of `fixtures/` that no benchmark job reads: the
+inputs without a unit entry (`z2hard`, `hhard`), whose cores go to the
+modular kernel, and `ztriv`, whose mean-rank values are negative.  Two checkouts that write the same
 reports print the same lines, so comparing them is a `diff`:
 
     PYTHONPATH=src python scripts/report_digest.py > after.txt
@@ -22,6 +25,7 @@ import io
 import runpy
 import sys
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 from folrank.cli import main as cli_main
@@ -29,10 +33,30 @@ from folrank.cli import main as cli_main
 ROOT = Path(__file__).resolve().parents[1]
 
 
+@dataclass(frozen=True)
+class FixtureJob:
+    """`compare` on one input of `fixtures/`."""
+
+    fixture: str
+    L: str
+
+    @property
+    def name(self) -> str:
+        return f"compare-{self.fixture}"
+
+    def argv(self, seed: int, out_dir: Path) -> list[str]:
+        path = ROOT / "fixtures" / f"{self.fixture}.json"
+        return ["compare", "--input", str(path), "--L", self.L, "--seed", str(seed), "--out", str(out_dir)]
+
+
+FIXTURE_JOBS = (FixtureJob("z2hard", "2,4,8"), FixtureJob("hhard", "1,2"), FixtureJob("ztriv", "2,4,8"))
+
+
 def load_workloads() -> dict:
-    """`WORKLOADS` of perfbench/jobs.py.  run_path compiles the source itself
-    and writes no bytecode beside it."""
-    return runpy.run_path(str(ROOT / "perfbench" / "jobs.py"))["WORKLOADS"]
+    """`WORKLOADS` of perfbench/jobs.py, then `fixtures`.  run_path compiles
+    the source itself and writes no bytecode beside it."""
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "jobs.py"))["WORKLOADS"]
+    return {**workloads, "fixtures": FIXTURE_JOBS}
 
 
 def digest_lines(workload: str, job, seed: int) -> list[str]:

@@ -137,6 +137,7 @@ if TYPE_CHECKING:  # pragma: no cover
 SMALL_DIM_CUTOFF = 64
 AGREEMENTS_NEEDED = 3
 MAX_PRIMES = 16
+LAURENT_TRIALS = 3
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # The least strong pseudoprime to bases 2, 3, 5 and 7 (Jaeschke 1993).
@@ -241,8 +242,8 @@ class RankCertificate:
     def __post_init__(self):
         if self.method not in ("fraction-free", "modular-multi-prime"):
             raise InputError(f"unknown rank method {self.method!r}")
-        if self.method == "modular-multi-prime" and len(self.primes) < 2:
-            raise InputError("modular certificates need at least two agreeing primes")
+        if self.method == "modular-multi-prime" and len(set(self.primes)) < AGREEMENTS_NEEDED:
+            raise InputError(f"modular certificates need {AGREEMENTS_NEEDED} distinct agreeing primes")
 
 
 def _is_prime(n: int) -> bool:
@@ -872,14 +873,12 @@ def _laurent_minor_rank(f: "RingMatrix") -> int:
     return 0
 
 
-def generic_rank_laurent(
-    f: "RingMatrix", rng: random.Random | None = None, trials: int = 3
-) -> int:
+def generic_rank_laurent(f: "RingMatrix", rng: random.Random | None = None) -> int:
     """Rank of a Laurent-polynomial matrix over the fraction field of Z[Z^d].
 
-    Random evaluation at points of a ~2^62 prime field, max over ``trials``
-    trials; matrices with at most 4 rows and columns instead use the
-    deterministic symbolic minor expansion.
+    Random evaluation at points of a ~2^62 prime field, max over
+    ``LAURENT_TRIALS`` points; matrices with at most 4 rows and columns
+    instead use the deterministic symbolic minor expansion.
     """
     if f.spec.family != "Zd":
         raise UnsupportedGroupError("generic Laurent rank needs a Zd group")
@@ -890,7 +889,7 @@ def generic_rank_laurent(
     rng = rng if rng is not None else random.Random(0xF02)
     p = random_prime(rng, bits=62)
     best = 0
-    for _ in range(trials):
+    for _ in range(LAURENT_TRIALS):
         point = tuple(rng.randrange(1, p) for _ in range(f.spec.d))
         best = max(best, point_rank_laurent(f, point, p))
     return best

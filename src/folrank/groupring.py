@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import InputError
 from .exactla import SparseIntMatrix, int_array
-from .groups import FolnerSet, GroupElement, GroupSpec, coords_of, positions, unique_rows
+from .groups import FolnerSet, GroupElement, GroupSpec, coords_of, unique_rows
 
 def _norm_coeff(c) -> "int | Fraction":
     if isinstance(c, Fraction):
@@ -339,7 +339,6 @@ def window_operator(
     batch: Sequence[tuple[Terms, np.ndarray]],
     left: bool,
     anchor_rows: bool = False,
-    targets: np.ndarray | None = None,
 ) -> tuple[SparseIntMatrix, list[int], list[int], list[np.ndarray]]:
     """The window operators of a batch of (terms of a matrix f, anchors)
     pairs over spec, as the block-diagonal union of their matrices.
@@ -351,9 +350,12 @@ def window_operator(
     left and with k on the right; the other index of f is the block b.  Rows
     are (b, product) and columns (index, anchor), block-major; with
     ``anchor_rows``, rows are (anchor, index) and columns (b, product).
-    Products are numbered among the sorted distinct products of their block,
-    or among ``targets`` when given.  A zero matrix takes K = {identity}
-    unless ``anchor_rows`` is set.
+    Products are numbered among the sorted distinct products of their block.
+    A zero matrix takes K = {identity} unless ``anchor_rows`` is set.
+    ``window_matrix`` is the right side.  ``right_window_matrix`` is the
+    left; on the interior of a window its transpose is the dual-constraint
+    matrix.  The submodule matrix of F^{-1}A is the left on anchors F^{-1},
+    with ``anchor_rows``.
 
     Each block's products and entries are broadcast over its anchors and
     written into arrays for the whole batch, while the costs that do not
@@ -367,25 +369,19 @@ def window_operator(
         for (_, anchors), K in zip(batch, Ks)
     ]
     p_at = list(accumulate((P.shape[0] * P.shape[1] for P in Ps), initial=0))
-    P = np.concatenate([P.reshape(-1, spec.coord_len) for P in Ps])
-    if targets is None:
-        # Each block's products are numbered among its own; one block needs
-        # no block key.
-        block = np.repeat(np.arange(len(batch)), np.diff(p_at)) if len(batch) > 1 else None
-        elems, pos = unique_rows(P, block)
-        if block is None:
-            y_at = [0, len(elems)]
-        else:
-            # A block's products take a run of the numbers: it ends after its largest.
-            last = np.full(len(batch), -1)
-            np.maximum.at(last, block, pos)
-            y_at = [0] + (np.maximum.accumulate(last) + 1).tolist()
-        out_elems = [elems[s:e] for s, e in zip(y_at, y_at[1:])]
+    P = np.concatenate([P.reshape(P.shape[0] * P.shape[1], spec.coord_len) for P in Ps])
+    # Each block's products are numbered among its own; one block needs no
+    # block key.
+    block = np.repeat(np.arange(len(batch)), np.diff(p_at)) if len(batch) > 1 else None
+    elems, pos = unique_rows(P, block)
+    if block is None:
+        y_at = [0, len(elems)]
     else:
-        pos = positions(P, targets)
-        if (pos < 0).any():
-            raise InputError("a window product falls outside the target elements")
-        y_at, out_elems = [0] * (len(batch) + 1), [targets] * len(batch)
+        # A block's products take a run of the numbers: it ends after its largest.
+        last = np.full(len(batch), -1)
+        np.maximum.at(last, block, pos)
+        y_at = [0] + (np.maximum.accumulate(last) + 1).tolist()
+    out_elems = [elems[s:e] for s, e in zip(y_at, y_at[1:])]
     e_at = list(accumulate((len(anchors) * len(t.vals) for t, anchors in batch), initial=0))
     ii, jj = np.empty(e_at[-1], dtype=np.int64), np.empty(e_at[-1], dtype=np.int64)
     vals = np.empty(e_at[-1], dtype=object if any(t.vals.dtype == object for t, _ in batch) else np.int64)

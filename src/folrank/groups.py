@@ -412,6 +412,6 @@ def with_products(spec: GroupSpec, E, S) -> np.ndarray:
     return out
 
 
-def dilate(spec: GroupSpec, E, ball: Sequence[GroupElement] | None = None) -> np.ndarray:
-    """One growth step: E united with E*ball, sorted."""
-    return with_products(spec, E, unit_ball(spec) if ball is None else ball)
+def dilate(spec: GroupSpec, E) -> np.ndarray:
+    """One growth step: E united with E times the unit ball, sorted."""
+    return with_products(spec, E, unit_ball(spec))

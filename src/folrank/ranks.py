@@ -181,12 +181,6 @@ def _generator_windows(spec: GroupSpec, cases) -> tuple[SparseIntMatrix, list[in
     return window_operator(spec, batch, left=True, anchor_rows=True)
 
 
-def _generator_window(A, F, spec: GroupSpec) -> tuple[SparseIntMatrix, np.ndarray]:
-    """submodule_rank_matrix, and the sorted elements of F^{-1}.support(A)."""
-    M, _, _, (elems,) = _generator_windows(spec, [(A, F)])
-    return M, elems
-
-
 def _submodule_ranks(spec: GroupSpec, cases) -> list[int]:
     """rank(<F^{-1}A>) of each (A, F, rng) case over spec, built and ranked
     as one batch."""
@@ -201,7 +195,7 @@ def submodule_rank_matrix(
     for s in F and a in A; columns indexed by coordinate x F^{-1}.support(A).
     Row (s, a) sits at index(s) * |A| + index(a); a row of A with fractions is
     scaled by the lcm of its denominators."""
-    return _generator_window(A, F, spec)[0]
+    return _generator_windows(spec, [(A, F)])[0]
 
 
 def submodule_rank(A, F, spec: GroupSpec, rng: random.Random | None = None) -> tuple[int, RankCertificate]:
@@ -496,58 +490,23 @@ def erank_span_dim(
     seed: int = 0,
 ) -> StabilizedDim:
     """dim over Q of the span of the window translates of the canonical
-    generators inside the quotient: n|F| minus the dimension of the
-    relation-row span supported in F^{-1}, the latter grown window by window
-    from below until it stabilizes."""
-
-    def window(E):
-        W = right_window_matrix(P.relations, E)
-        return W.data, W.row_coords, W.row_blocks, True
-
-    return _restriction_dim(P, F, growth_steps, seed, "erank-span", window)
-
-
-def _restriction_dim(P, F, growth_steps, seed, tag, window) -> StabilizedDim:
-    """n|F| - rank M_E + rank(M_E without its F^{-1} part), grown over E.
-
-    ``window(E)`` gives M_E, the elements of one axis of M_E, how many
-    coordinate blocks that axis has, and whether it is the row axis."""
-    _check_growth_steps(growth_steps)
-    spec, F = P.spec, coords_of(P.spec, F)
-    if P.m == 0 or P.relations.is_zero():
-        return StabilizedDim(P.n * len(F), True, 0, 0)
-    finv = inverse_set(spec, F)
-
-    def value(E, step):
-        rng = _RankRng(seed, tag, len(E), step)
-        M, elems, blocks, rows = window(E)
-        keep = np.flatnonzero(np.tile(positions(elems, finv) < 0, blocks))
-        kept = M.submatrix(keep, np.arange(M.cols)) if rows else M.submatrix(np.arange(M.rows), keep)
-        rank = rank_q(M, rng=rng).rank
-        return P.n * len(F) - rank + rank_q(kept, rng=rng).rank
-
-    E0 = _initial_erank_window(spec, finv, P.relations.terms().support)
-    return _stabilize(spec, E0, value, growth_steps)
+    generators inside the quotient: ``quotient_span_rank`` of the n x n
+    identity.  Its translates span every vector on F^{-1}, so V = I and
+    rank [[C, 0], [D, I]] = rank C + n|F|: the value is n|F| minus the
+    dimension of the relation-row span supported in F^{-1}, grown window by
+    window from below until it stabilizes."""
+    one, zero = RingElem.one(P.spec), RingElem.zero(P.spec)
+    identity = [[one if j == k else zero for k in range(P.n)] for j in range(P.n)]
+    return quotient_span_rank(P.relations, identity, F, growth_steps, seed)
 
 
-def _dual_constraint_matrix(f: RingMatrix, E) -> SparseIntMatrix:
-    """Linear constraints cutting out dual solutions h: E -> Q^{n x 1}, for E
-    of distinct elements.
-
-    One row per (u, j) with u.K inside E: sum_{k,s} f_{j,k,s} h_{u.s, k} = 0,
-    at index(u) * m + j with u in sorted order.  Columns are (k, w) for w in
-    E, coordinate-major.
-    """
-    spec, n, E = f.spec, f.cols, coords_of(f.spec, E)
-    K = f.terms().support
-    if not len(K):
-        return SparseIntMatrix(0, n * len(E))
+def _interior(spec: GroupSpec, E: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """The sorted elements u with u.K inside the sorted, distinct E."""
     # w.k^{-1} is one-to-one in w, so u occurs in E.K^{-1} once for each k
     # with u.k in E: u.K lies inside E when u occurs |K| times.
     cand = spec.mul_array(E[:, None], spec.inverse_array(K)[None])
     cand, at = unique_rows(cand.reshape(len(E) * len(K), spec.coord_len))
-    interior = cand[np.bincount(at, minlength=len(cand)) == len(K)]
-    return window_operator(spec, [(f.terms(), interior)], left=True, anchor_rows=True, targets=E)[0]
+    return cand[np.bincount(at, minlength=len(cand)) == len(K)]
 
 
 def erank_dual_restriction_dim(
@@ -558,15 +517,29 @@ def erank_dual_restriction_dim(
 ) -> StabilizedDim:
     """dim over Q of the restriction to F^{-1} of the dual solution space.
 
-    On a finite window E containing F^{-1} the constrained solution space
-    restricted to F^{-1} has dimension n|F| - rank(C_E) + rank(C_E without
-    the F^{-1} columns); the value is nonincreasing in E and stabilizes at
-    the true restriction dimension."""
+    A dual solution on a finite window E is h: E -> Q^{n x 1} with
+    sum_{k,s} f_{j,k,s} h_{u.s, k} = 0 for each j and each u of the interior
+    I(E) = {u : u.K inside E}.  Constraint (j, u) carries f_{j,k,s} at
+    (k, u.s), which is entry ((k, u.s), (j, u)) of
+    W = right_window_matrix(f, I(E)): the constraint matrix is W transposed,
+    with zero columns at E outside I(E).K.  So on E containing F^{-1} the
+    solutions restricted to F^{-1} have dimension
+    n|F| - rank W + rank(W without its rows at F^{-1}); the value is
+    nonincreasing in E and stabilizes at the true restriction dimension."""
+    _check_growth_steps(growth_steps)
+    spec, F = P.spec, coords_of(P.spec, F)
+    if P.m == 0 or P.relations.is_zero():
+        return StabilizedDim(P.n * len(F), True, 0, 0)
+    finv, K = inverse_set(spec, F), P.relations.terms().support
 
-    def window(E):
-        return _dual_constraint_matrix(P.relations, E), E, P.n, False
+    def value(E, step):
+        rng = _RankRng(seed, "erank-dual", len(E), step)
+        W = right_window_matrix(P.relations, _interior(spec, E, K))
+        keep = np.flatnonzero(np.tile(positions(W.row_coords, finv) < 0, W.row_blocks))
+        rank = rank_q(W.data, rng=rng).rank
+        return P.n * len(F) - rank + rank_q(W.data.submatrix(keep, np.arange(W.data.cols)), rng=rng).rank
 
-    return _restriction_dim(P, F, growth_steps, seed, "erank-dual", window)
+    return _stabilize(spec, _initial_erank_window(spec, finv, K), value, growth_steps)
 
 
 def erank_of_presentation(

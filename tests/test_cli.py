@@ -115,6 +115,25 @@ def test_compare_of_more_relations_than_generators(tmp_path):
     assert report["columns"]["oracle"] == report["columns"]["mrank"] == "0/1"
 
 
+@pytest.mark.parametrize("command", ["vnd", "mrank", "erank", "compare", "oracle", "identity-check"])
+def test_every_command_runs_over_the_trivial_group(command, tmp_path):
+    # Z^0 has coordinate rows of length 0, and f = 2 is a unit over Q: every
+    # value is 0.
+    matrix = {"group": {"family": "Zd", "d": 0}, "rows": 1, "cols": 1, "entries": [
+        {"row": 0, "col": 0, "terms": [{"coeff": "2", "elem": []}]},
+    ]}
+    path = tmp_path / "z0.json"
+    path.write_text(json.dumps(matrix))
+    assert run_cli([command, "--input", str(path), "--L", "1,2"], tmp_path) == 0
+    report = json.loads((tmp_path / f"{command}-z0.json").read_text())
+    if command == "compare":
+        assert set(report["columns"].values()) == {"0/1"}
+    elif command == "identity-check":
+        assert report["all_ok"] is True
+    else:
+        assert report.get("limit_estimate", report.get("value")) == "0/1"
+
+
 def test_mmdim_command(tmp_path):
     code = run_cli(
         ["mmdim", "--input", str(FIXTURES / "two_over_z.json"), "--L", "5,6", "--epsilon", "2^-3,2^-4"],

@@ -111,8 +111,11 @@ def test_certificate_invariants():
     cert = rank_q(M([[1, 2], [2, 4]]))
     assert cert.method == "fraction-free"
     assert cert.rank == 1
-    with pytest.raises(InputError):
-        RankCertificate(1, "modular-multi-prime", primes=(7,))
+    # A modular certificate needs AGREEMENTS_NEEDED distinct primes.
+    for primes in ((7,), (7, 11), (7, 7, 11)):
+        with pytest.raises(InputError, match="distinct agreeing primes"):
+            RankCertificate(1, "modular-multi-prime", primes=primes)
+    assert RankCertificate(1, "modular-multi-prime", primes=(7, 11, 13)).primes == (7, 11, 13)
     with pytest.raises(InputError):
         RankCertificate(1, "lucky-guess")
 

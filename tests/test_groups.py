@@ -18,6 +18,7 @@ from folrank.groups import (
     inverse_set,
     translate_set,
     unit_ball,
+    with_products,
     zd,
 )
 
@@ -196,13 +197,13 @@ def test_window_growth_matches_per_pair_loop(spec, data):
     K = data.draw(st.lists(elems, max_size=4))
     ball = unit_ball(spec)
     assert dilate(spec, E).tolist() == _grown_per_pair(spec, E, ball)
-    assert dilate(spec, E, K).tolist() == _grown_per_pair(spec, E, K)
+    assert with_products(spec, E, K).tolist() == _grown_per_pair(spec, E, K)
     assert _initial_erank_window(spec, E, K).tolist() == _grown_per_pair(spec, E, [spec.inverse(k) for k in K])
     # E out of order and with repeats, which the first batch's sort removes;
     # with no S, one sort of E alone does.
     E = sorted(E, reverse=True) * 2
     assert dilate(spec, E).tolist() == _grown_per_pair(spec, E, ball)
-    assert dilate(spec, E, ()).tolist() == _grown_per_pair(spec, E, ())
+    assert with_products(spec, E, ()).tolist() == _grown_per_pair(spec, E, ())
 
 
 @pytest.mark.parametrize("spec, L", [(zd(2), 30), (heisenberg(), 2), (finite_times_zd((2,), 1), 700)])

@@ -16,6 +16,7 @@ from folrank.groups import (
     finite_times_zd,
     folner_set,
     heisenberg,
+    inverse_set,
     unique_rows,
     zd,
 )
@@ -49,6 +50,7 @@ from folrank.ranks import (
     submodule_rank_matrix,
     vnd_of_presentation,
 )
+from test_window_builder import cases as window_cases, integral_rows, ref_dual_constraint_matrix
 
 Z = zd(1)
 Z2 = zd(2)
@@ -274,21 +276,67 @@ def test_erank_dims_nonincreasing_in_window():
     P = ModulePresentation(f)
     F = folner_set(Z, 3)
     values = []
-    from folrank.groups import dilate, inverse_set
-    from folrank.ranks import _dual_constraint_matrix, _initial_erank_window
-    from folrank.exactla import rank_q
-
     finv = inverse_set(Z, F.elements)
     E = _initial_erank_window(Z, finv, sorted(f.support()))
     finv_set = set(map(tuple, finv.tolist()))
     for _ in range(5):
-        C = _dual_constraint_matrix(f, E)
+        elems = list(map(tuple, E.tolist()))
+        C = _sparse(*ref_dual_constraint_matrix(f, elems))
         # Columns are (k, w) for k < 2 and w in E, coordinate-major.
-        keep = [k * len(E) + i for k in range(2) for i, w in enumerate(map(tuple, E.tolist())) if w not in finv_set]
+        keep = [k * len(E) + i for k in range(2) for i, w in enumerate(elems) if w not in finv_set]
         v = 2 * len(F) - rank_q(C).rank + rank_q(C.submatrix(range(C.rows), keep)).rank
         values.append(v)
         E = dilate(Z, E)
     assert all(a >= b for a, b in zip(values, values[1:]))
+    assert values[-1] == erank_dual_restriction_dim(P, F).value
+
+
+def _sparse(shape, entries) -> SparseIntMatrix:
+    keys = list(entries)
+    return SparseIntMatrix(*shape, [i for i, _ in keys], [j for _, j in keys], [entries[k] for k in keys])
+
+
+def _restriction_dims(P, F, growth_steps):
+    """The span and dual erank values by one formula, n|F| - rank M_E +
+    rank(M_E without its F^{-1} part) grown over E: for the span M_E is the
+    right window on E less its rows at F^{-1}, for the dual the reference
+    dual-constraint matrix on E less its columns at F^{-1}."""
+    spec, F = P.spec, coords_of(P.spec, F)
+    if P.m == 0 or P.relations.is_zero():
+        return (StabilizedDim(P.n * len(F), True, 0, 0),) * 2
+    finv = inverse_set(spec, F)
+    f, in_finv = integral_rows(P.relations), set(map(tuple, finv.tolist())).__contains__
+
+    def restricted(M, kept):
+        return P.n * len(F) - rank_q(M).rank + rank_q(kept).rank
+
+    def span(E, step):
+        W = right_window_matrix(f, E)
+        keep = [i for i, (_, w) in enumerate(_blocked(W.row_coords, W.row_blocks)) if not in_finv(w)]
+        return restricted(W.data, W.data.submatrix(keep, range(W.data.cols)))
+
+    def dual(E, step):
+        C = _sparse(*ref_dual_constraint_matrix(f, list(map(tuple, E.tolist()))))
+        keep = [i for i, (_, w) in enumerate(_blocked(E, P.n)) if not in_finv(w)]
+        return restricted(C, C.submatrix(range(C.rows), keep))
+
+    E0 = _initial_erank_window(spec, finv, f.terms().support)
+    return _stabilize(spec, E0, span, growth_steps), _stabilize(spec, E0, dual, growth_steps)
+
+
+def _blocked(elems, blocks):
+    return [(b, tuple(w)) for b in range(blocks) for w in elems.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=window_cases(), growth_steps=st.sampled_from((0, 1, 2, 3)), seed=st.integers(0, 3))
+def test_erank_engines_match_the_restriction_formula(case, growth_steps, seed):
+    # Every family, m = 0, zero f, empty windows and growth_steps 0 are drawn.
+    f, F = case
+    P = ModulePresentation(f)
+    span, dual = _restriction_dims(P, F, growth_steps)
+    assert erank_span_dim(P, F, growth_steps, seed) == span
+    assert erank_dual_restriction_dim(P, F, growth_steps, seed) == dual
 
 
 # -- rationality snaps --------------------------------------------------------------------
@@ -646,7 +694,7 @@ def test_an_unstabilized_value_reports_the_last_window_evaluated(monkeypatch):
     assert dilated == evaluated[:-1]
     # The batch, and quotient_span_rank as its batch of one, likewise.
     f, B, F = one_plus_2T(), [(zp((0, 1)),)], folner_set(Z, 3)
-    E0 = _initial_erank_window(Z, ranks._generator_window(B, F, Z)[1], f.terms().support)
+    E0 = _initial_erank_window(Z, ranks._generator_windows(Z, [(B, F)])[3][0], f.terms().support)
     unstabilized = StabilizedDim(1, False, 0, len(E0))
     assert quotient_span_rank(f, B, F, growth_steps=0) == unstabilized
     batch = ranks._quotient_span_ranks(Z, [(f, B, F, 0, 0), (f, B, F, 4, 0)])

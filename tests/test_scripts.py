@@ -54,6 +54,18 @@ def test_report_digest_is_stable(capsys):
     assert len(digests) == 6 and all(len(line[4]) == 64 for line in digests)
 
 
+def test_report_digest_covers_the_fixtures_no_benchmark_reads(capsys):
+    script = load("report_digest")
+    assert script.main(["--workload", "fixtures", "--seeds", "0"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    # compare exits 2 on each: some series has not converged within these windows.
+    names = ("compare-z2hard", "compare-hhard", "compare-ztriv")
+    assert [line for line in lines if line[3] == "exit"] == [["fixtures", "seed=0", name, "exit", "2"] for name in names]
+    digests = [line for line in lines if line[3] != "exit"]
+    assert [line[3] for line in digests] == [f"{name}.json" for name in names]
+    assert all(len(line[4]) == 64 for line in digests)
+
+
 def test_mmdim_scan_bad_eps_is_an_input_error(capsys):
     script = load("mmdim_scan")
     argv = ["--input", str(ROOT / "fixtures" / "two_over_z.json"), "--L", "3,4", "--eps", "0", "--budget", "20"]

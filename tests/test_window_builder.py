@@ -19,11 +19,11 @@ from hypothesis import given, settings, strategies as st
 
 from folrank.exactla import SparseIntMatrix, bareiss_rank, rank_q
 from folrank.groupring import RingElem, RingMatrix, right_window_matrix, window_matrix, window_operator
-from folrank.groups import finite_cyclic, finite_times_zd, folner_set, heisenberg, zd
+from folrank.groups import coords_of, finite_cyclic, finite_times_zd, folner_set, heisenberg, positions, zd
 from folrank.mmdim import interior_constraint_matrix
-from folrank.ranks import _dual_constraint_matrix, submodule_rank_matrix
+from folrank.ranks import _interior, submodule_rank_matrix
 
-SPECS = (zd(1), zd(2), finite_cyclic(2, 3), finite_times_zd((2,), 1), heisenberg())
+SPECS = (zd(0), zd(1), zd(2), finite_cyclic(2, 3), finite_times_zd((2,), 1), heisenberg())
 
 
 # -- reference builders -------------------------------------------------------
@@ -122,6 +122,20 @@ def ref_interior_constraint_matrix(f, felems):
     keep = [i for i, (_, t) in enumerate(row_index) if t in inside]
     pos = {r: i for i, r in enumerate(keep)}
     return (len(keep), cols), {(pos[i], j): v for (i, j), v in entries.items() if i in pos}
+
+
+def dual_constraints_of_right_window(f, E):
+    """The dual-constraint matrix of f on E in the reference layout, from
+    W = right_window_matrix(f, I) on the interior I of E: entry
+    ((k, w), (j, u)) of W goes to row (u, j) and column (k, w)."""
+    spec, E = f.spec, coords_of(f.spec, E)
+    interior = _interior(spec, E, f.terms().support)
+    W = right_window_matrix(f, interior)
+    k, w = divmod(W.data.ii, len(W.row_coords))
+    j, u = divmod(W.data.jj, len(interior))
+    rows, cols = u * f.rows + j, k * len(E) + positions(W.row_coords, E)[w]
+    shape = (len(interior) * f.rows, f.cols * len(E))
+    return shape, dict(zip(zip(rows.tolist(), cols.tolist()), W.data.vals.tolist()))
 
 
 def integral_rows(f):
@@ -227,9 +241,7 @@ def test_window_operators_match_per_pair_builders(case):
     shape, entries = ref_submodule_rank_matrix(f.entries, F, f.spec)
     assert (V.rows, V.cols) == shape and entries_of(V) == entries
 
-    C = _dual_constraint_matrix(f, F)
-    shape, entries = ref_dual_constraint_matrix(fi, F)
-    assert (C.rows, C.cols) == shape and entries_of(C) == entries
+    assert dual_constraints_of_right_window(f, F) == ref_dual_constraint_matrix(fi, F)
 
     C = interior_constraint_matrix(f, F)
     shape, entries = ref_interior_constraint_matrix(fi, F)
