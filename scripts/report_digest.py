@@ -7,7 +7,11 @@ and prints one line per job with its exit code and one line per report
 file with the sha256 of its bytes.  The workload `fixtures` adds a
 `compare` job on each of `fixtures/` that no benchmark job reads: the
 inputs without a unit entry (`z2hard`, `hhard`), whose cores go to the
-modular kernel, and `ztriv`, whose mean-rank values are negative.  Two checkouts that write the same
+modular kernel, and `ztriv`, whose mean-rank values are negative.  The
+workload `commands` runs `vnd`, `mrank`, `erank`, `oracle` and
+`identity-check` on every input of `fixtures/` on two small windows;
+with `compare`, `mmdim` and `verify-suite` in the benchmark workloads, the
+report of every command is digested.  Two checkouts that write the same
 reports print the same lines, so comparing them is a `diff`:
 
     PYTHONPATH=src python scripts/report_digest.py > after.txt
@@ -22,6 +26,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import runpy
 import sys
 import tempfile
@@ -29,34 +34,49 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from folrank.cli import main as cli_main
+from folrank.groups import GroupSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 @dataclass(frozen=True)
 class FixtureJob:
-    """`compare` on one input of `fixtures/`."""
+    """One command on one input of `fixtures/`."""
 
+    command: str
     fixture: str
     L: str
 
     @property
     def name(self) -> str:
-        return f"compare-{self.fixture}"
+        return f"{self.command}-{self.fixture}"
 
     def argv(self, seed: int, out_dir: Path) -> list[str]:
         path = ROOT / "fixtures" / f"{self.fixture}.json"
-        return ["compare", "--input", str(path), "--L", self.L, "--seed", str(seed), "--out", str(out_dir)]
+        return [self.command, "--input", str(path), "--L", self.L, "--seed", str(seed), "--out", str(out_dir)]
 
 
-FIXTURE_JOBS = (FixtureJob("z2hard", "2,4,8"), FixtureJob("hhard", "1,2"), FixtureJob("ztriv", "2,4,8"))
+FIXTURE_JOBS = tuple(FixtureJob("compare", *job) for job in (("z2hard", "2,4,8"), ("hhard", "1,2"), ("ztriv", "2,4,8")))
+
+COMMANDS = ("vnd", "mrank", "erank", "oracle", "identity-check")
+
+
+def command_jobs() -> tuple:
+    """Each of `COMMANDS` on each input of `fixtures/`, on the windows
+    L = 1,2 over Heisenberg and finite groups and L = 2,4 otherwise."""
+    jobs = []
+    for path in sorted((ROOT / "fixtures").glob("*.json")):
+        spec = GroupSpec.from_json(json.loads(path.read_text())["group"])
+        L = "1,2" if spec.is_finite or spec.family == "Heisenberg" else "2,4"
+        jobs += [FixtureJob(command, path.stem, L) for command in COMMANDS]
+    return tuple(jobs)
 
 
 def load_workloads() -> dict:
-    """`WORKLOADS` of perfbench/jobs.py, then `fixtures`.  run_path compiles
-    the source itself and writes no bytecode beside it."""
+    """`WORKLOADS` of perfbench/jobs.py, then `fixtures` and `commands`.
+    run_path compiles the source itself and writes no bytecode beside it."""
     workloads = runpy.run_path(str(ROOT / "perfbench" / "jobs.py"))["WORKLOADS"]
-    return {**workloads, "fixtures": FIXTURE_JOBS}
+    return {**workloads, "fixtures": FIXTURE_JOBS, "commands": command_jobs()}
 
 
 def digest_lines(workload: str, job, seed: int) -> list[str]:

@@ -27,6 +27,7 @@ from .ranks import (
     DensitySeries,
     ModulePresentation,
     _frac_str,
+    _validate_schedule,
     derived_rng,
     erank_of_presentation,
     folner_set,
@@ -258,7 +259,7 @@ def _run_identity_check(job: JobSpec) -> int:
     f = job.matrix
     checks = []
     all_ok = True
-    for L in job.schedule:
+    for L in _validate_schedule(job.schedule):
         F = folner_set(f.spec, L, job.max_window_elements)
         rng = derived_rng(job.seed, "identity-cli", L)
         ok = per_window_identity_check(f, F, rng=rng)

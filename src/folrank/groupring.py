@@ -19,17 +19,21 @@ scaled coefficient and nothing is summed.  The result is a COO
 (4224x8192) builds in 5 ms, from 0.10-0.11 s with one Python group
 multiplication per pair, and the Heisenberg L=4 window in 3 ms, from 27-34 ms.
 
-The builder takes a batch of (terms, anchors) pairs over one group and
-returns the block-diagonal union of their matrices with its block offsets;
-a single window is the batch of one.  A tiny window spends most of its
-build in fixed costs: the sort behind ``unique_rows`` and the checks of the
-``SparseIntMatrix`` constructor.  In a batch each block's products and
-entries are still broadcast over its own anchors, but one ``unique_rows``
-over (block, product) numbers the products of every block and one
-constructor checks the union.  A verify-suite pass at job seed 1 builds
-1,532 windows in 15 such batches: the suites' 1,300 fixed windows in 8, in
-about 30 ms on a 2-vCPU host, and the 232 generator and growth windows of
-``quotient_span_rank`` in 7.
+The builder takes a batch of blocks over one group and returns the
+block-diagonal union of their matrices with its block offsets.  A block is
+one or more (terms, anchors) parts that share one numbering of their
+products, side by side; a single window is the batch of one block of one
+part.  ``quotient_span_rank``'s matrix [W | V^T] is such a block of two
+parts: the right window of f on a growth window and that of the generators
+on F^{-1}.  A tiny window spends most of its build in fixed costs: the sort
+behind ``unique_rows`` and the checks of the ``SparseIntMatrix``
+constructor.  In a batch each part's products and entries are still
+broadcast over its own anchors, but one ``unique_rows`` over (block,
+product) numbers the products of every block and one constructor checks
+the union.  A verify-suite pass at job seed 1 builds 1,520 blocks in 17
+such batches: the suites' 1,300 fixed windows in 8, in about 30 ms on a
+2-vCPU host, and for ``quotient_span_rank`` 88 generator windows in 4 and
+132 blocks [W | V^T] in 5.
 """
 
 from __future__ import annotations
@@ -336,43 +340,55 @@ def terms_of(spec: GroupSpec, rows: Sequence[Sequence[RingElem]], n: int) -> Ter
 
 def window_operator(
     spec: GroupSpec,
-    batch: Sequence[tuple[Terms, np.ndarray]],
+    batch: Sequence[Sequence[tuple[Terms, np.ndarray]]],
     left: bool,
     anchor_rows: bool = False,
 ) -> tuple[SparseIntMatrix, list[int], list[int], list[np.ndarray]]:
-    """The window operators of a batch of (terms of a matrix f, anchors)
-    pairs over spec, as the block-diagonal union of their matrices.
+    """The window operators of a batch of blocks over spec, as the
+    block-diagonal union of the blocks' matrices.
+
+    A block is a sequence of parts, each the terms of a matrix f and the
+    anchors it acts on.  The term c.u of f_{j,k} at anchor x is the entry c
+    at the product x.u (``left``) or u.x.  The anchor goes with j on the left
+    and with k on the right; the other index of f, b, must have the same
+    range in every part of a block.  Rows are (b, product) and columns
+    (index, anchor), block-major, and the parts of a block sit side by side
+    in its columns, in order; with ``anchor_rows``, rows are (anchor, index)
+    and columns (b, product), and the parts sit one below the other.  The
+    products of a block are numbered among the sorted distinct products of
+    all of its parts, so a part built alone is its block's matrix with the
+    rows of the other parts' products left out.  A zero matrix takes
+    K = {identity} unless ``anchor_rows`` is set.
 
     Returns the union, the offsets of the blocks' rows and of their columns
     (block b is rows ``row_at[b]:row_at[b + 1]``, columns likewise), and
-    each block's products.  The term c.u of f_{j,k} at anchor x is the entry
-    c at the product x.u (``left``) or u.x.  The anchor goes with j on the
-    left and with k on the right; the other index of f is the block b.  Rows
-    are (b, product) and columns (index, anchor), block-major; with
-    ``anchor_rows``, rows are (anchor, index) and columns (b, product).
-    Products are numbered among the sorted distinct products of their block.
-    A zero matrix takes K = {identity} unless ``anchor_rows`` is set.
-    ``window_matrix`` is the right side.  ``right_window_matrix`` is the
-    left; on the interior of a window its transpose is the dual-constraint
-    matrix.  The submodule matrix of F^{-1}A is the left on anchors F^{-1},
-    with ``anchor_rows``.
+    each block's products.  ``window_matrix`` is one part on the right side.
+    ``right_window_matrix`` is one part on the left; on the interior of a
+    window its transpose is the dual-constraint matrix.  The submodule matrix
+    of F^{-1}A is one part on the left on anchors F^{-1}, with
+    ``anchor_rows``.  ``quotient_span_rank``'s matrix [W | V^T] is the block
+    of f on a growth window and of B on F^{-1}, on the left.
 
-    Each block's products and entries are broadcast over its anchors and
+    Each part's products and entries are broadcast over its anchors and
     written into arrays for the whole batch, while the costs that do not
     grow with a block are paid once: one ``unique_rows`` over (block,
     product) numbers every block's products, and one constructor checks the
-    union.  A matrix alone is the batch of one.
+    union.  A matrix alone is the batch of one block of one part.
     """
-    Ks = [t.support if len(t.support) or anchor_rows else spec.coords([spec.identity()]) for t, _ in batch]
+    parts = [part for block in batch for part in block]
+    Ks = [t.support if len(t.support) or anchor_rows else spec.coords([spec.identity()]) for t, _ in parts]
     Ps = [
         spec.mul_array(anchors[:, None], K[None]) if left else spec.mul_array(K[None], anchors[:, None])
-        for (_, anchors), K in zip(batch, Ks)
+        for (_, anchors), K in zip(parts, Ks)
     ]
     p_at = list(accumulate((P.shape[0] * P.shape[1] for P in Ps), initial=0))
     P = np.concatenate([P.reshape(P.shape[0] * P.shape[1], spec.coord_len) for P in Ps])
     # Each block's products are numbered among its own; one block needs no
     # block key.
-    block = np.repeat(np.arange(len(batch)), np.diff(p_at)) if len(batch) > 1 else None
+    if len(batch) > 1:
+        block = np.repeat(np.repeat(np.arange(len(batch)), [len(b) for b in batch]), np.diff(p_at))
+    else:
+        block = None
     elems, pos = unique_rows(P, block)
     if block is None:
         y_at = [0, len(elems)]
@@ -382,27 +398,30 @@ def window_operator(
         np.maximum.at(last, block, pos)
         y_at = [0] + (np.maximum.accumulate(last) + 1).tolist()
     out_elems = [elems[s:e] for s, e in zip(y_at, y_at[1:])]
-    e_at = list(accumulate((len(anchors) * len(t.vals) for t, anchors in batch), initial=0))
+    e_at = list(accumulate((len(anchors) * len(t.vals) for t, anchors in parts), initial=0))
     ii, jj = np.empty(e_at[-1], dtype=np.int64), np.empty(e_at[-1], dtype=np.int64)
-    vals = np.empty(e_at[-1], dtype=object if any(t.vals.dtype == object for t, _ in batch) else np.int64)
-    row_at, col_at = [0], [0]
-    for (t, anchors), P, s, e, ps, ys, elems in zip(batch, Ps, e_at, e_at[1:], p_at, y_at, out_elems):
-        na, ny, shape = len(anchors), len(elems), (len(anchors), len(t.vals))
-        # The product of anchor a and term e, numbered ys + its number in the block.
-        y = pos[ps : ps + P.shape[0] * P.shape[1]].reshape(P.shape[:2])[:, t.elem]
-        inn, b, n_in, n_b = (t.row, t.col, t.m, t.n) if left else (t.col, t.row, t.n, t.m)
-        r0, c0 = row_at[-1], col_at[-1]
-        if anchor_rows:
-            np.add(np.arange(na)[:, None] * n_in + r0, inn, out=ii[s:e].reshape(shape))
-            np.add(y, b * ny + (c0 - ys), out=jj[s:e].reshape(shape))
-            row_at.append(r0 + na * n_in)
-            col_at.append(c0 + n_b * ny)
-        else:
-            np.add(y, b * ny + (r0 - ys), out=ii[s:e].reshape(shape))
-            np.add(np.arange(c0, c0 + na)[:, None], inn * na, out=jj[s:e].reshape(shape))
-            row_at.append(r0 + n_b * ny)
-            col_at.append(c0 + n_in * na)
-        vals[s:e].reshape(shape)[:] = t.vals
+    vals = np.empty(e_at[-1], dtype=object if any(t.vals.dtype == object for t, _ in parts) else np.int64)
+    # Index arrays of the product axis and of the anchor axis.
+    on_products, on_anchors = (jj, ii) if anchor_rows else (ii, jj)
+    prod_at, anchor_at = [0], [0]
+    p = 0
+    for blk, ys, elems in zip(batch, y_at, out_elems):
+        ny, a0 = len(elems), anchor_at[-1]
+        for t, anchors in blk:
+            (s, e), na, P, shape = e_at[p : p + 2], len(anchors), Ps[p], (len(anchors), len(t.vals))
+            # The product of anchor a and term e, numbered ys + its number in the block.
+            y = pos[p_at[p] : p_at[p] + P.shape[0] * P.shape[1]].reshape(P.shape[:2])[:, t.elem]
+            inn, b, n_in, n_b = (t.row, t.col, t.m, t.n) if left else (t.col, t.row, t.n, t.m)
+            np.add(y, b * ny + (prod_at[-1] - ys), out=on_products[s:e].reshape(shape))
+            if anchor_rows:
+                np.add(np.arange(na)[:, None] * n_in + a0, inn, out=on_anchors[s:e].reshape(shape))
+            else:
+                np.add(np.arange(a0, a0 + na)[:, None], inn * na, out=on_anchors[s:e].reshape(shape))
+            vals[s:e].reshape(shape)[:] = t.vals
+            a0, p = a0 + na * n_in, p + 1
+        prod_at.append(prod_at[-1] + n_b * ny)
+        anchor_at.append(a0)
+    row_at, col_at = (anchor_at, prod_at) if anchor_rows else (prod_at, anchor_at)
     M = SparseIntMatrix(row_at[-1], col_at[-1], ii, jj, vals)
     return M, row_at, col_at, out_elems
 
@@ -425,7 +444,7 @@ class WindowMatrix:
 
 
 def _block_operator(f: RingMatrix, anchors: np.ndarray, left: bool) -> WindowMatrix:
-    data, _, _, (out_elems,) = window_operator(f.spec, [(f.terms(), anchors)], left)
+    data, _, _, (out_elems,) = window_operator(f.spec, [[(f.terms(), anchors)]], left)
     return WindowMatrix(data, out_elems, anchors, *((f.cols, f.rows) if left else (f.rows, f.cols)))
 
 

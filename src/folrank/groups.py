@@ -111,7 +111,11 @@ class GroupSpec:
     ``family`` is one of ``Zd`` (free abelian of rank ``d``),
     ``FiniteCyclicProduct`` (``Z/k_1 x ... x Z/k_r``), ``FiniteTimesZd``
     (finite cyclic product times ``Z^d``) or ``Heisenberg`` (upper
-    unitriangular 3x3 integer matrices, coordinates ``(a, b, c)``).
+    unitriangular 3x3 integer matrices, coordinates ``(a, b, c)``).  The
+    first three are one group law, Z/k_1 x ... x Z/k_r x Z^d with ``orders``
+    (k_1, ..., k_r) and coordinates (x_1 mod k_1, ..., x_r mod k_r, free
+    part), so the code tells only Heisenberg from the rest; ``family`` is
+    the JSON label and fixes which orders and d are allowed.
     """
 
     family: str
@@ -143,36 +147,22 @@ class GroupSpec:
 
     @property
     def coord_len(self) -> int:
-        if self.family == "Zd":
-            return self.d
-        if self.family == "FiniteCyclicProduct":
-            return len(self.orders)
-        if self.family == "FiniteTimesZd":
-            return len(self.orders) + self.d
-        return 3
+        return 3 if self.family == "Heisenberg" else len(self.orders) + self.d
 
     @property
     def is_finite(self) -> bool:
-        if self.family == "FiniteCyclicProduct":
-            return True
-        if self.family == "FiniteTimesZd":
-            return self.d == 0
-        if self.family == "Zd":
-            return self.d == 0
-        return False
+        return self.family != "Heisenberg" and self.d == 0
 
     def group_order(self) -> int:
         """Order of the group; only defined for finite families."""
         if not self.is_finite:
             raise InputError(f"{self.family} with free part is infinite")
-        return prod(self.orders) if self.orders else 1
+        return prod(self.orders)
 
     @property
     def finite_subgroup_lcm(self) -> int:
-        """lcm of the orders of finite subgroups: 1 for torsion-free families,
-        the order of the finite part otherwise."""
-        if self.family in ("Zd", "Heisenberg"):
-            return 1
+        """lcm of the orders of finite subgroups: the order of the finite
+        part, which is 1 for the torsion-free families."""
         return prod(self.orders)
 
     # -- element arithmetic -----------------------------------------------
@@ -186,9 +176,8 @@ class GroupSpec:
                 f"element has {len(coords)} coordinates, expected {self.coord_len}"
             )
         coords = tuple(int(x) for x in coords)
-        if self.family in ("FiniteCyclicProduct", "FiniteTimesZd"):
-            r = len(self.orders)
-            return tuple(x % k for x, k in zip(coords[:r], self.orders)) + coords[r:]
+        if self.orders:
+            return tuple(x % k for x, k in zip(coords, self.orders)) + coords[len(self.orders) :]
         return coords
 
     def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
@@ -303,13 +292,9 @@ class FolnerSet:
 
 def window_size(spec: GroupSpec, L: int) -> int:
     """|F_L| without enumerating the window."""
-    if spec.family == "Zd":
-        return L**spec.d
-    if spec.family == "FiniteCyclicProduct":
-        return prod(spec.orders)
-    if spec.family == "FiniteTimesZd":
-        return prod(spec.orders) * L**spec.d
-    return (2 * L + 1) ** 2 * (2 * L * L + 1)
+    if spec.family == "Heisenberg":
+        return (2 * L + 1) ** 2 * (2 * L * L + 1)
+    return prod(spec.orders) * L**spec.d
 
 
 def folner_set(
@@ -327,14 +312,10 @@ def folner_set(
         raise BudgetExceededError(
             f"window of index {L} has {size} elements, budget is {max_elements}"
         )
-    if spec.family == "Zd":
-        lo, span = [0] * spec.d, [L] * spec.d
-    elif spec.family == "FiniteCyclicProduct":
-        lo, span = [0] * len(spec.orders), list(spec.orders)
-    elif spec.family == "FiniteTimesZd":
-        lo, span = [0] * (len(spec.orders) + spec.d), list(spec.orders) + [L] * spec.d
-    else:
+    if spec.family == "Heisenberg":
         lo, span = [-L, -L, -L * L], [2 * L + 1, 2 * L + 1, 2 * L * L + 1]
+    else:
+        lo, span = [0] * spec.coord_len, list(spec.orders) + [L] * spec.d
     # Row-major indices of the box enumerate it in lexicographic order.
     coords = np.indices(span, dtype=np.int64).reshape(len(span), size).T + np.array(lo, dtype=np.int64)
     coords.flags.writeable = False
@@ -384,14 +365,12 @@ def inverse_set(spec: GroupSpec, S: "FolnerSet | Iterable[GroupElement]") -> np.
 
 
 def unit_ball(spec: GroupSpec) -> tuple[GroupElement, ...]:
-    """A fixed symmetric generating ball, used to dilate windows layer by layer."""
-    if spec.family == "Zd":
-        return tuple(itertools.product((-1, 0, 1), repeat=spec.d))
-    if spec.family == "FiniteTimesZd":
-        finite = [range(k) for k in spec.orders]
-        free = [(-1, 0, 1)] * spec.d
-        return tuple(itertools.product(*finite, *free))
-    return folner_set(spec, 1).elements
+    """A fixed symmetric generating ball, used to dilate windows layer by
+    layer: the window of index 1 for Heisenberg, and the whole finite part
+    times {-1, 0, 1}^d otherwise."""
+    if spec.family == "Heisenberg":
+        return folner_set(spec, 1).elements
+    return tuple(itertools.product(*(range(k) for k in spec.orders), *[(-1, 0, 1)] * spec.d))
 
 
 def with_products(spec: GroupSpec, E, S) -> np.ndarray:

@@ -197,7 +197,9 @@ def _solution_samples(w: _Window, eps: float, budget: int, rng: random.Random) -
     """Deterministic (budget, columns) array of points of the interior
     solution set of the window w, flattened to window-column layout with
     entries in [0, 1]: grid points and torsion solutions are enumerated when
-    small, then random combinations fill the budget.
+    small, then random combinations fill the budget.  When the enumeration
+    holds every solution the fill could reach, it is the whole array, each
+    row once.
 
     The rng is drawn per fill row in a fixed order, and each row's float sum
     is taken basis vector by basis vector, so every row is the point the
@@ -225,6 +227,7 @@ def _solution_samples(w: _Window, eps: float, budget: int, rng: random.Random) -
             return points
 
     # Torsion solutions modulo small primes; entries are exact int64.
+    enumerated = not rational_basis
     for p, basis in torsion_bases:
         if p ** len(basis) <= min(budget - produced, _ENUM_CAP):
             combos = np.array(list(itertools.product(range(p), repeat=len(basis))), dtype=np.int64)
@@ -232,6 +235,15 @@ def _solution_samples(w: _Window, eps: float, budget: int, rng: random.Random) -
             produced += len(combos)
             if produced >= budget:
                 return points
+        else:
+            enumerated = False
+    if enumerated:
+        # With no rational kernel, a fill row is the zero row or a combination
+        # of one torsion basis: an enumerated row, up to the rounding of its
+        # float sum.  The fill adds no solution, so the samples are the
+        # enumerated rows, each once (the bases share the zero row).
+        _, first = np.unique(points[:produced], axis=0, return_index=True)
+        return points[np.sort(first)]
 
     # Random fill: rational-kernel combinations plus torsion offsets, drawn
     # and summed one block of rows at a time to keep temporaries small.

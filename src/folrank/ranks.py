@@ -42,7 +42,6 @@ from .exactla import (
     SparseIntMatrix,
     block_ranks,
     generic_rank_laurent,
-    int_array,
     nullspace_q,  # noqa: F401  no caller here; perfbench traces it as ranks.nullspace_q
     rank_q,
     regular_rep_kernel,
@@ -177,7 +176,7 @@ def _generator_windows(spec: GroupSpec, cases) -> tuple[SparseIntMatrix, list[in
     """``window_operator`` of the submodule_rank_matrix of each (A, F, ...)
     case over spec: the union, its block offsets, and the sorted elements of
     each F^{-1}.support(A)."""
-    batch = [(_generator_terms(A, spec), spec.inverse_array(coords_of(spec, F))) for A, F, *_ in cases]
+    batch = [[(_generator_terms(A, spec), spec.inverse_array(coords_of(spec, F)))] for A, F, *_ in cases]
     return window_operator(spec, batch, left=True, anchor_rows=True)
 
 
@@ -240,11 +239,11 @@ def _identity_checks(spec: GroupSpec, cases) -> list[bool]:
     two batches: the left sides, then the windows of f*.  A case's rng
     serves both of its ranks, in that order."""
     lhs = _submodule_ranks(spec, cases)
-    batch = [(f.star().terms(), coords_of(spec, F)) for f, F, _ in cases]
+    batch = [[(f.star().terms(), coords_of(spec, F))] for f, F, _ in cases]
     W, row_at, col_at, _ = window_operator(spec, batch, left=False)
     rhs = block_ranks(W, row_at, col_at, [rng for *_, rng in cases])
     checks = []
-    for (f, _, _), (_, F), rank, c0, c1, cert in zip(cases, batch, lhs, col_at, col_at[1:], rhs):
+    for (f, _, _), [(_, F)], rank, c0, c1, cert in zip(cases, batch, lhs, col_at, col_at[1:], rhs):
         kernel_dim = c1 - c0 - cert.rank
         checks.append(rank == f.rows * len(F) - kernel_dim)
     return checks
@@ -491,8 +490,9 @@ def erank_span_dim(
 ) -> StabilizedDim:
     """dim over Q of the span of the window translates of the canonical
     generators inside the quotient: ``quotient_span_rank`` of the n x n
-    identity.  Its translates span every vector on F^{-1}, so V = I and
-    rank [[C, 0], [D, I]] = rank C + n|F|: the value is n|F| minus the
+    identity.  Its translates span every vector on F^{-1}, so V^T is a unit
+    in each row at F^{-1} and rank [W | V^T] = rank C + n|F|, with C the
+    rows of W outside F^{-1}: the value is n|F| minus the
     dimension of the relation-row span supported in F^{-1}, grown window by
     window from below until it stabilizes."""
     one, zero = RingElem.one(P.spec), RingElem.zero(P.spec)
@@ -570,20 +570,25 @@ def quotient_span_rank(
 
     The value is dim((V + N)/N), where V is the rational span of the window
     translates of B, and N is the part of the relation-row span supported in
-    the same coordinate window S, grown from below until stabilization.
+    the same coordinate window S = F^{-1}.support(B), grown from below until
+    stabilization.
 
-    On a growth window E, let W = right_window_matrix(f, E), C its rows
-    outside S and D its rows inside S, placed at V's columns.  Then
+    On a growth window E, let W = right_window_matrix(f, E), with rows
+    (k, y) for y in E.K (K the support of f), and V^T the right window of B
+    on F^{-1}, with rows (k, s) for s in S.  The first E contains S.K^{-1}
+    and E only grows, so S lies inside E.K and V^T's rows are among W's:
+    [W | V^T] is one block of ``window_operator``.  Let C be W's rows
+    outside S and D its rows inside S; V^T is zero outside S.  Then
     N = D.ker C, and both dimensions come from ranks alone:
 
         dim N     = rank W - rank C,
-        dim(V+N)  = rank [[C, 0], [D, V^T]] - rank C,
+        dim(V+N)  = rank [W | V^T] - rank C,
 
-    so the value is rank [[C, 0], [D, V^T]] - rank W.  Proof of the second
-    line: (g, h) |-> D g + V^T h, restricted to ker [C 0], has image
-    V + D.ker C and kernel ker [[C, 0], [D, V^T]]; rank-nullity on
-    ker [C 0], of dimension cols(W) - rank C + rows(V), gives it.  The first
-    line is the case V = 0.
+    so the value is rank [W | V^T] - rank W.  Proof of the second line:
+    (g, h) |-> D g + V^T h, restricted to ker [C 0], has image V + D.ker C
+    and kernel ker [W | V^T]; rank-nullity on ker [C 0], of dimension
+    cols(W) - rank C + cols(V^T), gives it.  The first line is the case
+    V = 0.
 
     This is ``_quotient_span_ranks`` of one case.
     """
@@ -594,92 +599,55 @@ def _quotient_span_ranks(spec: GroupSpec, cases) -> list[StabilizedDim]:
     """``quotient_span_rank`` of each (f, B, F, growth_steps, seed) case
     over spec, built and ranked in batches.
 
-    Every V is built in one batch.  Then the cases that grow go one growth
-    step at a time (``_stabilize_all``): one build of their windows W, one
-    ``block_ranks`` of those, one union of their matrices [[C, 0], [D, V^T]]
-    (``_quotient_union``) and one ``block_ranks`` of that.  A case's rank
-    generator at a step serves its W first and its big matrix second, as
-    for the case alone."""
-    for *_, growth_steps, _ in cases:
+    A case whose B has no translate on F is 0, and one with a zero f is
+    rank V, from one build and rank of their generator windows.  The other
+    cases take S from one build of theirs, then go one growth step at a
+    time (``_stabilize_all``): one ``window_operator`` call builds each
+    case's block [W | V^T], and W is its first m|E| columns.  One
+    ``block_ranks`` ranks the Ws and one the blocks, and the value is
+    rank [W | V^T] - rank W (``quotient_span_rank`` gives the proof).  A
+    case's rank generator at a step serves its W first and its block second,
+    as for the case alone."""
+    # B's terms and F^{-1} of each case: the generator part of its blocks.
+    gens = [(_generator_terms(B, spec), spec.inverse_array(coords_of(spec, F))) for _, B, F, *_ in cases]
+    spanned = []
+    for c, ((f, _, _, growth_steps, _), (terms, finv)) in enumerate(zip(cases, gens)):
         _check_growth_steps(growth_steps)
-    V, v_rows, v_cols, supports = _generator_windows(spec, [(B, F) for _, B, F, *_ in cases])
+        if len(terms.support) and len(finv):
+            if terms.n != f.cols:
+                raise InputError(f"case {c}: the generators and the relations have different numbers of columns")
+            spanned.append(c)
     out = [StabilizedDim(0, True, 0, 0)] * len(cases)
-    spanned = [c for c in range(len(cases)) if v_cols[c + 1] > v_cols[c]]
-    for c in spanned:
-        # V has a column per (coordinate of B, element of S).
-        if v_cols[c + 1] - v_cols[c] != cases[c][0].cols * len(supports[c]):
-            raise InputError(f"case {c}: the generators and the relations have different numbers of columns")
     free = [c for c in spanned if cases[c][0].is_zero()]
-    for c, cert in zip(free, block_ranks(*_blocks_of(V, v_rows, v_cols, free), [None] * len(free))):
-        out[c] = StabilizedDim(cert.rank, True, 0, 0)
     grown = [c for c in spanned if not cases[c][0].is_zero()]
+
+    def generator_windows(at):
+        return window_operator(spec, [[gens[c]] for c in at], left=True, anchor_rows=True)
+
+    if free:
+        V, v_rows, v_cols, _ = generator_windows(free)
+        for c, cert in zip(free, block_ranks(V, v_rows, v_cols, [None] * len(free))):
+            out[c] = StabilizedDim(cert.rank, True, 0, 0)
+    if not grown:
+        return out
 
     def values(at, Es, step):
         act = [grown[a] for a in at]
         rngs = [_RankRng(cases[c][4], "quotient-span", len(E), step) for c, E in zip(act, Es)]
-        batch = [(cases[c][0].terms(), E) for c, E in zip(act, Es)]
-        W, w_rows, w_cols, ys = window_operator(spec, batch, left=True)
-        rank_all = block_ranks(W, w_rows, w_cols, rngs)
-        Va, va_rows, va_cols = _blocks_of(V, v_rows, v_cols, act)
-        big = _quotient_union(W, w_rows, w_cols, ys, [supports[c] for c in act], Va, va_rows, va_cols)
-        return [b.rank - w.rank for b, w in zip(block_ranks(*big, rngs), rank_all)]
+        batch = [[(cases[c][0].terms(), E), gens[c]] for c, E in zip(act, Es)]
+        M, row_at, col_at, _ = window_operator(spec, batch, left=True)
+        # W is the first m|E| columns of each block.
+        w_at = np.cumsum([0] + [cases[c][0].rows * len(E) for c, E in zip(act, Es)])
+        w_cols = np.arange(w_at[-1]) + np.repeat(np.subtract(col_at[:-1], w_at[:-1]), np.diff(w_at))
+        W = M.submatrix(np.arange(M.rows), w_cols)
+        rank_w = block_ranks(W, row_at, w_at, rngs)
+        return [b.rank - w.rank for b, w in zip(block_ranks(M, row_at, col_at, rngs), rank_w)]
 
-    E0s = [_initial_erank_window(spec, supports[c], cases[c][0].terms().support) for c in grown]
+    Ss = generator_windows(grown)[3]
+    E0s = [_initial_erank_window(spec, S, cases[c][0].terms().support) for c, S in zip(grown, Ss)]
     for c, sd in zip(grown, _stabilize_all(spec, E0s, values, [cases[c][3] for c in grown])):
         out[c] = sd
     return out
-
-
-def _blocks_of(M: SparseIntMatrix, row_at, col_at, keep) -> tuple[SparseIntMatrix, list[int], list[int]]:
-    """The blocks ``keep`` of the block-diagonal M, in that order, as their
-    own union with its row and column offsets."""
-    row_at, col_at = np.asarray(row_at), np.asarray(col_at)
-    new_rows = np.concatenate([[0], np.cumsum(np.diff(row_at)[keep])])
-    new_cols = np.concatenate([[0], np.cumsum(np.diff(col_at)[keep])])
-    slot = np.full(len(row_at) - 1, -1)
-    slot[keep] = np.arange(len(keep))
-    b = slot[np.searchsorted(row_at, M.ii, side="right") - 1]
-    sel = b >= 0
-    b = b[sel]
-    ii = M.ii[sel] + (new_rows[:-1] - row_at[keep])[b]
-    jj = M.jj[sel] + (new_cols[:-1] - col_at[keep])[b]
-    union = SparseIntMatrix._unchecked(int(new_rows[-1]), int(new_cols[-1]), ii, jj, int_array(M.vals[sel]))
-    return union, new_rows.tolist(), new_cols.tolist()
-
-
-def _tagged(arrays) -> np.ndarray:
-    """The rows of the coordinate arrays, each led by its array's index."""
-    return np.concatenate([np.column_stack([np.full(len(X), b), X]) for b, X in enumerate(arrays)])
-
-
-def _quotient_union(W, w_rows, w_cols, ys, Ss, V, v_rows, v_cols):
-    """The union of the matrices [[C, 0], [D, V^T]] of ``quotient_span_rank``
-    with its row and column offsets, one block per block of W and of V.
-
-    Block b of W has the rows (k, y) for k < f.cols and y in ys[b].  C is
-    its rows with y outside Ss[b], in W's order, and D the others: row
-    (k, y) goes to V's column k * |Ss[b]| + the index of y in Ss[b]."""
-    w_rows, w_cols, v_rows, v_cols = (np.asarray(x) for x in (w_rows, w_cols, v_rows, v_cols))
-    nb = len(ys)
-    ny, width = np.array([len(y) for y in ys]), np.array([len(S) for S in Ss])
-    # Where each product lies in its block's S (below 0 when it is not), by
-    # one lookup over (block, element).
-    s_of_y = positions(_tagged(ys), _tagged(Ss)) - np.repeat(np.cumsum(width) - width, ny)
-    rb = np.repeat(np.arange(nb), np.diff(w_rows))
-    k, y = np.divmod(np.arange(W.rows) - w_rows[rb], ny[rb])
-    s = s_of_y[(np.cumsum(ny) - ny)[rb] + y]
-    is_out = s < 0
-    n_out = np.bincount(rb[is_out], minlength=nb)
-    w_n = np.diff(w_cols)
-    big_rows = np.concatenate([[0], np.cumsum(n_out + np.diff(v_cols))])
-    big_cols = np.concatenate([[0], np.cumsum(w_n + np.diff(v_rows))])
-    out_at = np.cumsum(is_out) - 1 - (np.cumsum(n_out) - n_out)[rb]
-    row = big_rows[rb] + np.where(is_out, out_at, n_out[rb] + k * width[rb] + s)
-    vb = np.searchsorted(v_rows, V.ii, side="right") - 1
-    ii = np.concatenate([row[W.ii], big_rows[vb] + n_out[vb] + V.jj - v_cols[vb]])
-    jj = np.concatenate([W.jj + (big_cols - w_cols)[rb[W.ii]], big_cols[vb] + w_n[vb] + V.ii - v_rows[vb]])
-    big = SparseIntMatrix(int(big_rows[-1]), int(big_cols[-1]), ii, jj, np.concatenate([W.vals, V.vals]))
-    return big, big_rows, big_cols
 
 
 # ---------------------------------------------------------------------------
@@ -737,17 +705,10 @@ def random_ring_elem(
     max_terms: int = 3,
 ) -> RingElem:
     terms = []
+    # Each finite coordinate, then each free one (all three for Heisenberg).
+    free = spec.coord_len - len(spec.orders)
     for _ in range(rng.randint(0, max_terms)):
-        if spec.family == "Zd":
-            g = tuple(rng.randint(-radius, radius) for _ in range(spec.d))
-        elif spec.family == "FiniteCyclicProduct":
-            g = tuple(rng.randrange(k) for k in spec.orders)
-        elif spec.family == "FiniteTimesZd":
-            g = tuple(rng.randrange(k) for k in spec.orders) + tuple(
-                rng.randint(-radius, radius) for _ in range(spec.d)
-            )
-        else:
-            g = tuple(rng.randint(-radius, radius) for _ in range(3))
+        g = [rng.randrange(k) for k in spec.orders] + [rng.randint(-radius, radius) for _ in range(free)]
         terms.append((g, rng.randint(-coeff_bound, coeff_bound)))
     return RingElem.from_terms(spec, terms)
 

@@ -84,6 +84,21 @@ def test_identity_check_command(tmp_path):
     assert report["all_ok"] is True
 
 
+@pytest.mark.parametrize("via", ["flag", "file"])
+def test_identity_check_of_an_empty_schedule_is_an_input_error(via, tmp_path, capsys):
+    # No window checked is no pass: exit 1 and no report, as for the series engines.
+    if via == "flag":
+        argv = ["identity-check", "--input", str(FIXTURES / "one_plus_2T.json"), "--L", ","]
+    else:
+        path = tmp_path / "job.json"
+        matrix = json.loads((FIXTURES / "one_plus_2T.json").read_text())
+        path.write_text(json.dumps({"command": "identity-check", "matrix": matrix, "schedule": []}))
+        argv = ["identity-check", "--input", str(path)]
+    assert run_cli(argv, tmp_path) == 1
+    assert capsys.readouterr().err.startswith("input error: empty window schedule")
+    assert not list(tmp_path.glob("identity-check-*"))
+
+
 def test_identity_check_noncommutative(tmp_path):
     code = run_cli(["identity-check", "--input", str(FIXTURES / "heisenberg_ab.json"), "--L", "1"], tmp_path)
     assert code == 0

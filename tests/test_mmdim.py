@@ -321,12 +321,16 @@ def test_empty_interior_samples_every_torsion_point():
     got = {round(420 * float(x[0])) for x in stream}
     assert {420 * j // p for p in (2, 3, 4, 5, 7) for j in range(p)} <= got
 
-def _streamed_samples(f, F, eps, budget, rng):
+def _streamed_samples(f, F, eps, budget, rng, fill_after_everything=False):
     """The sample source one point at a time, as it was before it built one
-    array: the reference that pins _solution_samples bit for bit."""
+    array: the reference that pins _solution_samples bit for bit.  With no
+    rational kernel and every torsion basis enumerated, the samples are the
+    enumerated points, each once; ``fill_after_everything`` goes on to the
+    random fill there as well, which is how every sample array was built
+    before."""
     C = interior_constraint_matrix(f, F)
     ncols = C.cols
-    produced = 0
+    out = []
     rational_basis = nullspace_q(C)
     q = max(1, int(1.0 / eps + 1e-9))
     if q ** len(rational_basis) <= min(budget, 4096):
@@ -338,30 +342,35 @@ def _streamed_samples(f, F, eps, budget, rng):
                     for idx, b in enumerate(basis_vec):
                         if b:
                             vec[idx] += lam * step * b
-            yield np.array([float(x) % 1.0 for x in vec])
-            produced += 1
-            if produced >= budget:
-                return
+            out.append(np.array([float(x) % 1.0 for x in vec]))
+            if len(out) >= budget:
+                return out
     dense = C.to_dense()
-    torsion_bases = []
+    torsion_bases, everything = [], not rational_basis
     for p in (2, 3, 5, 7):
         basis = kernel_basis(dense, ncols, p)
         if basis:
             torsion_bases.append((p, basis))
-        if basis and p ** len(basis) <= min(budget - produced, 4096):
+        if basis and p ** len(basis) <= min(budget - len(out), 4096):
             for combo in itertools.product(range(p), repeat=len(basis)):
                 vec = [0] * ncols
                 for lam, bvec in zip(combo, basis):
                     if lam:
                         for idx, b in enumerate(bvec):
                             vec[idx] = (vec[idx] + lam * b) % p
-                yield np.array([v / p for v in vec])
-                produced += 1
-                if produced >= budget:
-                    return
+                out.append(np.array([v / p for v in vec]))
+                if len(out) >= budget:
+                    return out
+        elif basis:
+            everything = False
+    if everything and not fill_after_everything:
+        once = {}
+        for point in out:
+            once.setdefault(point.tobytes(), point)
+        return list(once.values())
     float_basis = [np.array([float(x) for x in bvec]) for bvec in rational_basis]
     int_bases = [(p, np.array(basis)) for p, basis in torsion_bases]
-    while produced < budget:
+    while len(out) < budget:
         point = np.zeros(ncols)
         for bvec in float_basis:
             lam = rng.randint(-4 * q, 4 * q) / (2.0 * q)
@@ -373,8 +382,8 @@ def _streamed_samples(f, F, eps, budget, rng):
                 lam = rng.randrange(p)
                 if lam:
                     point += lam * bvec / p
-        yield point % 1.0
-        produced += 1
+        out.append(point % 1.0)
+    return out
 
 
 NO_COLUMNS = RingMatrix(Z, [], cols=0)
@@ -397,7 +406,8 @@ fractional = st.dictionaries(
     budget=st.integers(1, 150),
 )
 @example(f=ZERO, L=2, eps=0.25, seed=0, budget=40)  # rational grid, then random fill
-@example(f=TWO, L=5, eps=0.25, seed=0, budget=40)  # torsion enumeration, then random fill
+@example(f=TWO, L=5, eps=0.25, seed=0, budget=40)  # every torsion point, no fill
+@example(f=HALVES, L=2, eps=0.25, seed=0, budget=40)  # torsion enumeration, then random fill
 @example(f=HALVES, L=3, eps=0.1, seed=2, budget=150)  # both kinds of fill
 @example(f=THREE_MINUS_T, L=1, eps=0.3, seed=1, budget=60)  # empty interior
 @example(f=NO_COLUMNS, L=3, eps=0.3, seed=0, budget=5)  # zero columns
@@ -405,10 +415,30 @@ def test_sample_array_matches_stream_bitwise(f, L, eps, seed, budget):
     F = folner_set(Z, L)
     rng_key = (seed, "packing", len(F), repr(eps))
     got = _solution_samples(_window(f, F), eps, budget, derived_rng(*rng_key))
-    want = list(_streamed_samples(f, F, eps, budget, derived_rng(*rng_key)))
-    assert got.shape == (budget, len(F) * f.cols) == (len(want), got.shape[1])
+    want = _streamed_samples(f, F, eps, budget, derived_rng(*rng_key))
+    assert got.shape == (len(want), len(F) * f.cols) and len(want) <= budget
     assert got.view(np.uint64).tolist() == [w.view(np.uint64).tolist() for w in want]
     assert ((0.0 <= got) & (got <= 1.0)).all()
+
+
+@pytest.mark.parametrize(
+    "f, L, eps, count",
+    [(TWO, 7, 2**-3, 128), (TWO, 8, 2**-6, 256), (FIVE_HALVES, 3, 2**-3, 125), (FIVE_HALVES, 2, 2**-5, 25)],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_complete_enumeration_is_every_sample(f, L, eps, count, seed):
+    # No rational kernel, and every torsion point fits the budget: the random
+    # fill could only repeat those points, so it is not drawn.  The samples
+    # are the points, each once, and the packing keeps as many as it did
+    # from the filled budget.  TWO at L = 7, 8 is the mmdim job on two_over_z.
+    F = folner_set(Z, L)
+    rng_key = (seed, "packing", len(F), repr(eps))
+    got = _solution_samples(_window(f, F), eps, 400, derived_rng(*rng_key))
+    assert len(got) == count and len(np.unique(got, axis=0)) == count
+    filled = _streamed_samples(f, F, eps, 400, derived_rng(*rng_key), fill_after_everything=True)
+    assert len(filled) == 400
+    assert _greedy_count(got, eps) == _greedy_count(np.array(filled), eps) == count
+    assert separated_lower_count(f, F, eps, budget=400, seed=seed) == count
 
 
 def _greedy_reference(points, eps):

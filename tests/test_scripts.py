@@ -66,6 +66,34 @@ def test_report_digest_covers_the_fixtures_no_benchmark_reads(capsys):
     assert all(len(line[4]) == 64 for line in digests)
 
 
+def test_report_digest_covers_every_command_on_every_fixture(capsys):
+    script = load("report_digest")
+    assert script.main(["--workload", "commands", "--seeds", "0"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    fixtures = sorted(path.stem for path in (ROOT / "fixtures").glob("*.json"))
+    commands = ("vnd", "mrank", "erank", "oracle", "identity-check")
+    exits = {line[2]: int(line[4]) for line in lines if line[3] == "exit"}
+    assert list(exits) == [f"{command}-{fixture}" for fixture in fixtures for command in commands]
+    # Heisenberg has no closed-form oracle: an input error, with no report.
+    failed = {name for name, code in exits.items() if code == 1}
+    assert failed == {"oracle-heisenberg_ab", "oracle-hhard"}
+    assert set(exits.values()) == {0, 1, 2}
+    # The series write a JSON and a CSV report, oracle and identity-check a JSON one.
+    digests = [line for line in lines if line[3] != "exit"]
+    want = [
+        f"{name}.{ext}"
+        for name in exits
+        if name not in failed
+        for ext in (("json",) if name.startswith(("oracle", "identity")) else ("csv", "json"))
+    ]
+    assert [line[3] for line in digests] == want
+    assert all(len(line[4]) == 64 for line in digests)
+    # Every job has its own windows: two small ones per group.
+    jobs = {job.name: job.L for job in script.load_workloads()["commands"]}
+    assert jobs["vnd-heisenberg_ab"] == jobs["vnd-zmod2_one_plus_t"] == "1,2"
+    assert jobs["vnd-xy_minus_one"] == jobs["vnd-ztriv"] == "2,4"
+
+
 def test_mmdim_scan_bad_eps_is_an_input_error(capsys):
     script = load("mmdim_scan")
     argv = ["--input", str(ROOT / "fixtures" / "two_over_z.json"), "--L", "3,4", "--eps", "0", "--budget", "20"]

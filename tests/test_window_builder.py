@@ -15,11 +15,21 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from folrank.exactla import SparseIntMatrix, bareiss_rank, rank_q
 from folrank.groupring import RingElem, RingMatrix, right_window_matrix, window_matrix, window_operator
-from folrank.groups import coords_of, finite_cyclic, finite_times_zd, folner_set, heisenberg, positions, zd
+from folrank.groups import (
+    coords_of,
+    finite_cyclic,
+    finite_times_zd,
+    folner_set,
+    heisenberg,
+    positions,
+    unique_rows,
+    zd,
+)
 from folrank.mmdim import interior_constraint_matrix
 from folrank.ranks import _interior, submodule_rank_matrix
 
@@ -171,8 +181,9 @@ def _coefficient(draw, fractions):
     return c
 
 
-def _matrix(draw, spec):
-    m, n = draw(st.integers(0, 2)), draw(st.integers(1, 2))
+def _matrix(draw, spec, m=None, n=None):
+    m = draw(st.integers(0, 2)) if m is None else m
+    n = draw(st.integers(1, 2)) if n is None else n
     fractions = draw(st.booleans())
     zero = draw(st.integers(0, 5)) == 0
     rows = []
@@ -217,6 +228,28 @@ def batches(draw):
     return spec, batch, draw(st.booleans()), draw(st.booleans())
 
 
+@st.composite
+def blocks(draw):
+    """Up to three blocks of one to three parts each over one group, a side
+    and a row layout.  The parts of a block share the range of the index of
+    f that does not go with the anchor: f's columns on the left, its rows
+    on the right."""
+    spec = draw(st.sampled_from(SPECS))
+    left, anchor_rows = draw(st.booleans()), draw(st.booleans())
+    batch = []
+    for _ in range(draw(st.integers(1, 3))):
+        shared = draw(st.integers(1 if left else 0, 2))
+        block = []
+        for _ in range(draw(st.integers(1, 3))):
+            f = _matrix(draw, spec, n=shared) if left else _matrix(draw, spec, m=shared)
+            anchors = spec.coords(_window(draw, spec))
+            if spec.family == "Heisenberg" and draw(st.booleans()):
+                anchors = spec.mul_array(anchors, spec.coords([(2**31, 0, 0)]))
+            block.append((f.terms(), anchors))
+        batch.append(block)
+    return spec, batch, left, anchor_rows
+
+
 # -- tests --------------------------------------------------------------------
 
 
@@ -252,11 +285,11 @@ def test_window_operators_match_per_pair_builders(case):
 @given(case=batches())
 def test_each_block_of_a_batch_is_the_window_built_alone(case):
     spec, batch, left, anchor_rows = case
-    M, row_at, col_at, elems = window_operator(spec, batch, left, anchor_rows)
+    M, row_at, col_at, elems = window_operator(spec, [[pair] for pair in batch], left, anchor_rows)
     assert (row_at[0], col_at[0], row_at[-1], col_at[-1]) == (0, 0, M.rows, M.cols)
     placed = 0
     for b, pair in enumerate(batch):
-        W, _, _, (alone,) = window_operator(spec, [pair], left, anchor_rows)
+        W, _, _, (alone,) = window_operator(spec, [[pair]], left, anchor_rows)
         (r0, r1), (c0, c1) = row_at[b : b + 2], col_at[b : b + 2]
         assert (r1 - r0, c1 - c0) == (W.rows, W.cols)
         mine = (r0 <= M.ii) & (M.ii < r1)
@@ -266,6 +299,35 @@ def test_each_block_of_a_batch_is_the_window_built_alone(case):
         assert elems[b].tolist() == alone.tolist()
         placed += int(mine.sum())
     assert placed == M.nnz()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=blocks())
+def test_a_block_of_several_parts_is_its_parts_side_by_side(case):
+    # Each part built alone, with its rows moved to the block's numbering of
+    # products by (index, product) and its anchor columns (anchor rows with
+    # anchor_rows) moved past the parts before it.
+    spec, batch, left, anchor_rows = case
+    M, row_at, col_at, elems = window_operator(spec, batch, left, anchor_rows)
+    assert (row_at[0], col_at[0], row_at[-1], col_at[-1]) == (0, 0, M.rows, M.cols)
+    got = entries_of(M)
+    expected = {}
+    for b, block in enumerate(batch):
+        alone = [window_operator(spec, [[part]], left, anchor_rows) for part in block]
+        products = [ys for *_, (ys,) in alone]
+        assert elems[b].tolist() == unique_rows(np.concatenate(products))[0].tolist()
+        width = row_at[b + 1] - row_at[b] if anchor_rows else col_at[b + 1] - col_at[b]
+        assert width == sum(W.rows if anchor_rows else W.cols for W, *_ in alone)
+        (r0, c0), shift = (row_at[b], col_at[b]), 0
+        for (W, *_), ys in zip(alone, products):
+            at_product = W.jj if anchor_rows else W.ii
+            at_anchor = (W.ii if anchor_rows else W.jj) + shift
+            k, y = np.divmod(at_product, max(len(ys), 1))
+            at_product = k * len(elems[b]) + positions(ys, elems[b])[y]
+            ii, jj = (at_anchor, at_product) if anchor_rows else (at_product, at_anchor)
+            expected.update(zip(zip((ii + r0).tolist(), (jj + c0).tolist()), W.vals.tolist()))
+            shift += W.rows if anchor_rows else W.cols
+    assert got == expected
 
 
 def test_coefficient_past_int64_takes_the_object_path():
