@@ -61,26 +61,17 @@ The ``two_over_z2`` ``mrank`` matrices (diagonal, 256x256 to 4096x4096)
 peel away completely; the Z^2 window of ``xy_minus_one`` loses only its
 boundary (4224x8192 -> 4096x8064 at L=64), and Heisenberg L=4 goes
 3427x5346 -> 2633x4552.  A core above the cell test then goes through
-``_merge_doubletons``, the next step of structured elimination.  A column
-with exactly two nonzeros, one of them ±1, is a pivot that needs no
-division: subtracting a multiple of the ±1 entry's row from the other row
-leaves a singleton, which adds 1 to the rank and goes.  Each round merges a
-batch of such columns that equals the same merges done one after another,
-and a peel follows; rounds stop at the first that merges nothing.  This is
-exact over Q, like the peel.  The windows of binomial presentations are
+``_merge_doubletons``, the next step of structured elimination: a column
+with two nonzeros, one of them ±1, is a pivot that needs no division, and a
+pass merges whole trees of such columns with one rebuild of the core.  This
+is exact over Q, like the peel.  The windows of binomial presentations are
 signed incidence matrices, with +1 and -1 in every column, and they merge
-away almost entirely: the Z^2 L=64 core 4096x8064 ends at 2x75 after 15
-rounds, and Heisenberg L=4 at 2x28 after 13.
-
-The choice between the two eliminations follows the core's cell count
-after the peel, and then after the merges, not M's size: ``bareiss_rank``
-ranks a small core exactly for less than the modular protocol's fixed cost
-of primes and layout, and a 2x75 core takes it 0.1 ms.  Over job seeds 0-3
-of every benchmark job, in-process, the merges leave each of the 45 cores
-above the test after the peel at most 150 cells, so no benchmark rank draws
-a prime.  Cores without unit entries do not merge: the Z^2 window of
-(2 + 3x, 5 + 7y) at L=8 peels to 64x112, and the Heisenberg window of
-(2 + 3a, 5 + 7b) at L=2 to 213x324, and both go modular.
+away: the Z^2 L=64 and Heisenberg L=4 cores end empty after one pass of 7
+and 6 hooking steps.  So does each of the 45 cores above the test after the
+peel over job seeds 0-3 of every benchmark job, in-process, and no
+benchmark rank draws a prime.  Cores without unit entries do not merge: the
+Z^2 window of (2 + 3x, 5 + 7y) at L=8 peels to 64x112, and the Heisenberg
+window of (2 + 3a, 5 + 7b) at L=2 to 213x324, and both go modular.
 
 Window matrices are very sparse and nearly banded, so the modular
 elimination works on a profile.  Once per ``rank_q`` call, a layout that
@@ -94,29 +85,28 @@ columns, so the reordering changes no result.  On a 2-vCPU host, on the
 Z^2 L=64 window (4224x8192, 16,384 nonzeros), planning the layout takes
 1.0 ms (5.0 ms from a dict of entries).  Three primes on its peeled
 4096x8064 core take 0.17-0.18 s in the kernel alone (0.43-0.71 s and 262 MB
-with one zero-filled m*n array per prime); the merges take 8-12 ms and
-leave a 2x75 core.
+with one zero-filled m*n array per prime); the merges take 2.4-2.6 ms and
+leave nothing (6.6-8.4 ms and a 2x75 core with one rebuild per batch).
 
-Cores of at most 64x64 cells, after the peel or after the merges, are
-ranked exactly, and what follows applies only to larger merged cores.
-There the agreeing primes certify the rank of the
-core, to which the peel and the merges add k.  Both are exact over Q, so a
-singleton entry that a prime divides changes nothing.  A merge pivots on
+Cores of at most 64x64 cells, after the peel or after the merges (not M's
+size), are ranked exactly, for less than the modular protocol's fixed cost
+of primes and layout.  On a larger merged core the agreeing primes certify its
+rank, to which the peel and the merges add k.  Both are exact over Q, so a
+singleton entry that a prime divides changes nothing, and a merge pivots on
 ±1, a unit modulo every prime, so a prime that gives the merged core too
-small a rank does so on the peeled core as well.  The error analysis for one
-random prime p: a wrong (too small) rank of the peeled core needs p to
-divide a fixed nonzero maximal minor D of it; D has at most log2(|D|)/30
-prime divisors above 2^30 and there are ~9.8e7 primes in [2^30, 2^31).
-Merged entries can grow past M's, so merging stops before a round that
-could make an entry of 2^62 or more; values stay int64 and their residues
-exact.  For M with entries bounded by a few hundred and dimension <= ~4000
-the analysis gives a per-prime failure probability below 2e-5, hence below
-2^-46 for three independent agreeing primes.  The default budgets admit
-larger windows (the Z^2 window at L=64 has 8,192 columns); those fall
-outside this argument, and no bound is stated for them until the bound is
-computed from the matrix itself (ROADMAP item 2).  Requiring three
-agreements instead of two compensates for using 31-bit primes (which keep
-products inside int64) rather than 62-bit ones.
+small a rank does so on the peeled core as well.  Merged entries stay below
+2^62, so their residues are exact.  The error analysis for one random prime
+p: a wrong (too small) rank of the peeled core needs p to divide a fixed
+nonzero maximal minor D of it; D has at most log2(|D|)/30 prime divisors
+above 2^30 and there are ~9.8e7 primes in [2^30, 2^31).  For M with entries
+bounded by a few hundred and dimension <= ~4000 the analysis gives a
+per-prime failure probability below 2e-5, hence below 2^-46 for three
+independent agreeing primes.  The default budgets admit larger windows (the
+Z^2 window at L=64 has 8,192 columns); those fall outside this argument,
+and no bound is stated for them until the bound is computed from the matrix
+itself (ROADMAP item 2).  Requiring three agreements instead of two
+compensates for using 31-bit primes (which keep products inside int64)
+rather than 62-bit ones.
 """
 
 from __future__ import annotations
@@ -202,9 +192,6 @@ class SparseIntMatrix:
         out = np.zeros((self.rows, self.cols), dtype=self.vals.dtype)
         out[self.ii, self.jj] = self.vals
         return out.tolist()
-
-    def transpose(self) -> "SparseIntMatrix":
-        return SparseIntMatrix(self.cols, self.rows, self.jj, self.ii, self.vals)
 
     def nnz(self) -> int:
         return self.vals.size
@@ -460,87 +447,124 @@ def _merge_doubletons(core: SparseIntMatrix) -> tuple[int, SparseIntMatrix]:
     A column j with exactly two nonzeros, u = ±1 in row a and v in row b, is
     a pivot that needs no division: row_b -= v*u*row_a clears (b, j), and
     then row a and column j leave and add 1 to the rank, as a singleton does.
-    Each round tags every row leaf or center by a fixed hash of its position
-    and the round (no rng is drawn), and every leaf a that has such a column
-    j(a) whose other row b(a) is a center merges into b(a).  The leaves' rows
-    and the columns j(a) then form a diagonal ±1 block, since column j(a)
-    meets no leaf but a.  So a merge changes only center rows, leaves every
-    other leaf row and chosen column as it was, and adds 0 to every other
-    j(a): doing the round's merges one after another gives the same matrix
-    as summing all their row updates at once, which is what one round does.
-    A ``_peel`` follows each round, and merging stops at the first round that
-    merges nothing.  Values stay int64: merging also stops when they are
-    Python ints, or when a center's entry, its own value plus at most one
-    term per leaf in that column, could reach 2^62.  A merge pivots on a
-    unit modulo every prime, so it lowers the rank modulo p by 1, as over Q.
+    A pass contracts the graph of such columns on the rows into trees, by
+    hooking and pointer jumping (Shiloach-Vishkin 1982).  Row x keeps a root
+    and a multiplier s_x; a root stands for the sum of s_x * row_x over its
+    tree.  A doubleton between two trees is a doubleton of those sums, with
+    entries U = s_a*u and V = s_b*v.  Each step, ``_hooks`` hooks the lower
+    root of such a column in a hash ranking (no rng) onto the higher when
+    its entry is ±1: a (±1, ±1) column always hooks, a one-sided (±1, v)
+    column only from its ±1 end.  Hooks go up the ranking, so they form
+    trees, and a hook's column meets only its two roots: merging leaves
+    first, each with multiplier -U*V, changes no other hook's column.
+    Pointer jumping composes the multipliers in int64.  When nothing hooks,
+    one rebuild moves every row, times s, to its root, where a hook's column
+    sums to V - U*V*U = 0.  A ``_peel`` follows; passes repeat while one merges.
+
+    Values stay int64: nothing merges when they are Python ints or when
+    max|value| * (most entries in a column) reaches 2^62, and each |s_x| is
+    kept below 2^62 / that, since a rebuilt entry sums at most that many
+    terms s_x * value.  A step whose composed multipliers, summed as float
+    log2 before the int64 products, could reach it keeps only its hooks with
+    ±1 at both ends, whose multipliers are ±1.  A merge pivots on a unit
+    modulo every prime, so it lowers the rank modulo p by 1, as over Q.
     """
-    k = 0
-    for rnd in range(core.rows):
-        merges, core = _merge_round(core, rnd)
+    k = step = 0
+    while core.vals.dtype != object and core.nnz():
+        ii, jj, vals, rows = core.ii, core.jj, core.vals, core.rows
+        ccnt = np.bincount(jj, minlength=core.cols)
+        limit = 62 - np.log2(float(max(int(vals.max()), -int(vals.min())) * int(ccnt.max())))
+        if limit <= 0:
+            break
+        # A doubleton's two entries, with no sort: every entry writes its
+        # index at its column, and of a doubleton's two writes one is kept.
+        (two,) = (ccnt == 2).nonzero()
+        idx = np.arange(jj.size)
+        at = np.empty(core.cols, dtype=np.int64)
+        at[jj] = idx
+        e0 = at[two]
+        (lost,) = (at[jj] != idx).nonzero()
+        at[jj[lost]] = lost
+        ends = np.stack((e0, at[two]), axis=1)
+        ends, val = ii[ends], vals[ends]
+        root, sig = np.arange(rows), np.ones(rows, dtype=np.int64)
+        while True:
+            r = root[ends]
+            ent = sig[ends] * val
+            unit = np.abs(ent) == 1
+            # Multipliers never shrink: a column with no ±1 entry is done.
+            live = (r[:, 0] != r[:, 1]) & (unit[:, 0] | unit[:, 1])
+            ends, val, r, ent, unit = (np.compress(live, x, axis=0) for x in (ends, val, r, ent, unit))
+            rank = _priorities(rows, step)[r]
+            step += 1
+            hooked, up, by = _hooks(rows, r, ent, unit, rank)
+            if np.abs(by).max() > 1:
+                _, lg = _jump(up, np.log2(np.abs(by)), np.add)
+                if (lg[root] + np.log2(np.abs(sig))).max() >= limit - 1e-6:
+                    unit &= (unit[:, 0] & unit[:, 1])[:, None]
+                    hooked, up, by = _hooks(rows, r, ent, unit, rank)
+            if not hooked.size:
+                break
+            up, by = _jump(up, by, np.multiply)
+            sig *= by[root]
+            root = up[root]
+        merges = rows - int(np.count_nonzero(root == np.arange(rows)))
         if not merges:
             break
-        peeled, core = _peel(core)
+        # Each row, times its multiplier, moves to its root; equal positions sum.
+        key = root[ii] * core.cols + jj
+        order = np.argsort(key)
+        key = key[order]
+        (heads,) = np.concatenate(([True], key[1:] != key[:-1])).nonzero()
+        sums = np.add.reduceat((vals * sig[ii])[order], heads)
+        nz = sums != 0
+        key = key[heads[nz]]
+        # Sorted unique keys and nonzero int64 sums: the checks hold already.
+        merged = SparseIntMatrix._unchecked(rows, core.cols, key // core.cols, key % core.cols, sums[nz])
+        peeled, core = _peel(merged)
         k += merges + peeled
     return k, core
 
 
-def _merge_round(M: SparseIntMatrix, rnd: int) -> tuple[int, SparseIntMatrix]:
-    """One round of ``_merge_doubletons``: the number of merges and the
-    matrix after them, with the leaf rows and chosen columns left empty.
-    Its arrays are freed before the peel that follows.
+def _hooks(rows: int, r: np.ndarray, ent: np.ndarray, unit: np.ndarray, rank: np.ndarray):
+    """One merge step's hooks.  Doubleton t joins roots r[t], ranked rank[t],
+    with entries ent[t], ±1 where ``unit``.  Its lower end hooks onto the
+    other when its entry is ±1; if none does, the ranking is reversed.  Each
+    root keeps one hook, by a scatter.  Returns the hooked roots, and each
+    root's parent and multiplier -U*V (the identity where it did not hook)."""
+    low = rank[:, 1] < rank[:, 0]
+    fire = np.where(low, unit[:, 1], unit[:, 0])
+    if not fire.any():
+        low = ~low
+        fire = np.where(low, unit[:, 1], unit[:, 0])
+    child = np.compress(fire, np.where(low, r[:, 1], r[:, 0]))
+    parent = np.compress(fire, np.where(low, r[:, 0], r[:, 1]))
+    mult = -np.compress(fire, ent[:, 0] * ent[:, 1])
+    hook = np.full(rows, -1)
+    hook[child] = np.arange(child.size)
+    (hooked,) = (hook >= 0).nonzero()
+    up, by = np.arange(rows), np.ones(rows, dtype=np.int64)
+    up[hooked], by[hooked] = parent[hook[hooked]], mult[hook[hooked]]
+    return hooked, up, by
 
-    A doubleton column's two entries are found by scatter, with no sort:
-    every entry writes its index at its column, and of a doubleton's two
-    writes one is kept and the other lost.  Which one is kept does not
-    matter, as the pair is used unordered: the entry in a leaf and the entry
-    in a center are told apart by their rows.  The candidates stay in column
-    order, and each leaf takes its first one by a minimum over positions,
-    again with no sort."""
-    ii, jj, vals = M.ii, M.jj, M.vals
-    if vals.dtype == object or not vals.size:
-        return 0, M
-    ccnt = np.bincount(jj, minlength=M.cols)
-    (two,) = (ccnt == 2).nonzero()
-    idx = np.arange(jj.size)
-    at = np.empty(M.cols, dtype=np.int64)
-    at[jj] = idx
-    e0 = at[two]
-    (lost,) = (at[jj] != idx).nonzero()
-    at[jj[lost]] = lost
-    e1 = at[two]
-    del idx, at, lost  # freed before the merged arrays are built
-    pos = np.arange(M.rows, dtype=np.uint64) + np.uint64(rnd << 32)
-    leaf = (pos * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(63)).astype(bool)
-    # Each doubleton as (entry in a leaf, entry in a center), if it has both.
-    in_leaf = leaf[ii[e0]]
-    ea, eb = np.where(in_leaf, e0, e1), np.where(in_leaf, e1, e0)
-    (unit,) = ((in_leaf != leaf[ii[e1]]) & (np.abs(vals[ea]) == 1)).nonzero()
-    ea, eb = ea[unit], eb[unit]
-    # Each leaf takes the first of its candidates, which are in column order.
-    first = np.full(M.rows, ea.size)
-    np.minimum.at(first, ii[ea], np.arange(ea.size))
-    (a,) = (first < ea.size).nonzero()
-    ea, eb = ea[first[a]], eb[first[a]]
-    if not a.size:
-        return 0, M
-    big = max(int(vals.max()), -int(vals.min()))
-    far = max(int(vals[eb].max()), -int(vals[eb].min()))
-    if big * (1 + int(ccnt.max()) * far) >= 2**62:
-        return 0, M
-    # A leaf's entries move to its center, times -v*u; then equal positions sum.
-    to = np.arange(M.rows)
-    to[a] = ii[eb]
-    scale = np.ones(M.rows, dtype=np.int64)
-    scale[a] = -vals[ea] * vals[eb]
-    key = to[ii] * M.cols + jj
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    (heads,) = np.concatenate(([True], key[1:] != key[:-1])).nonzero()
-    sums = np.add.reduceat((vals * scale[ii])[order], heads)
-    nz = sums != 0
-    key = key[heads[nz]]
-    # Sorted unique keys and nonzero int64 sums: the checks hold already.
-    return a.size, SparseIntMatrix._unchecked(M.rows, M.cols, key // M.cols, key % M.cols, sums[nz])
+
+def _priorities(n: int, step: int) -> np.ndarray:
+    """Hash ranks of rows 0..n-1 at a merge step, with no ties: splitmix64 of row + step * 2^64/phi."""
+    x = np.arange(n, dtype=np.uint64) + np.uint64(step * 0x9E3779B97F4A7C15 % 2**64)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        x ^= x >> np.uint64(shift)
+        x *= np.uint64(factor)
+    return x ^ (x >> np.uint64(31))
+
+
+def _jump(up: np.ndarray, by: np.ndarray, compose) -> tuple[np.ndarray, np.ndarray]:
+    """Pointer jumping: each node's root, where up[root] == root, and the
+    composition of ``by`` along its path there; roots hold the identity."""
+    while True:
+        nxt = up[up]
+        if (nxt == up).all():
+            return up, by
+        by, up = compose(by, by[up]), nxt
 
 
 @dataclass(frozen=True)

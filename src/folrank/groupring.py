@@ -467,27 +467,3 @@ def right_window_matrix(f: RingMatrix, E: "np.ndarray | Sequence[GroupElement]")
     """
     return _block_operator(f, coords_of(f.spec, E), left=True)
 
-
-def column_vector(entries: Sequence[RingElem]) -> RingMatrix:
-    """An n x 1 matrix from a sequence of ring elements."""
-    if not entries:
-        raise InputError("empty column vector")
-    spec = entries[0].spec
-    return RingMatrix(spec, [[e] for e in entries], cols=1)
-
-
-def coefficient_vector(
-    x: RingMatrix, elems: Sequence[GroupElement]
-) -> list:
-    """Flatten an n x 1 column of ring elements supported in ``elems`` into the
-    coefficient layout used by ``window_matrix`` columns (coordinate-major)."""
-    if x.cols != 1:
-        raise InputError("expected a column vector")
-    pos = {g: i for i, g in enumerate(elems)}
-    out = [0] * (x.rows * len(elems))
-    for k in range(x.rows):
-        for g, c in x.entries[k][0].coeffs.items():
-            if g not in pos:
-                raise InputError("vector is not supported in the given window")
-            out[k * len(elems) + pos[g]] = c
-    return out

@@ -10,8 +10,7 @@ a benchmark run.
 The `large-windows` jobs also keep their certificate primes at job seed 0.
 The recorded values ignore primes, so these pins are what holds the largest
 windows to their certificates: every one is ranked fraction-free, with no
-prime, because the peel and the doubleton merges leave a core of at most
-150 cells.
+prime, because the peel and the doubleton merges leave an empty core.
 """
 
 import json
@@ -28,7 +27,7 @@ _jobs = runpy.run_path(str(JOBS))
 _EXPECTED = _jobs["load_expected"]()
 # (L, primes) of every series record, recorded at job seed 0.
 _LARGE_WINDOW_PRIMES = {
-    # Binomial windows merge to 2xN cores.
+    # Binomial windows merge away.
     "vnd-xy_minus_one": {16: [], 32: [], 48: [], 64: []},
     # Diagonal windows peel away.
     "mrank-two_over_z2": {16: [], 32: [], 48: [], 64: []},

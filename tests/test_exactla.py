@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from folrank import exactla
 from folrank.errors import InputError, UnsupportedGroupError
@@ -18,7 +18,6 @@ from folrank.exactla import (
     _echelon,
     _is_prime,
     _merge_doubletons,
-    _merge_round,
     _peel,
     _plan_layout,
     _ranks_mod_primes,
@@ -495,59 +494,79 @@ def test_merges_skip_values_past_the_int64_guard(value):
     assert rank_q(A, rng=random.Random(0)).rank == bareiss_rank(dense)
 
 
-def _merge_round_by_argsort(M, rnd):
-    # Reference for _merge_round: doubleton entries paired by a stable
-    # argsort, and each leaf's column chosen by np.unique.
-    ii, jj, vals = M.ii, M.jj, M.vals
-    if vals.dtype == object or not vals.size:
-        return 0, M
-    ccnt = np.bincount(jj, minlength=M.cols)
-    (two,) = (ccnt == 2).nonzero()
-    at = np.cumsum(ccnt)[two]
-    e0, e1 = np.argsort(jj, kind="stable")[[at - 2, at - 1]]
-    pos = np.arange(M.rows, dtype=np.uint64) + np.uint64(rnd << 32)
-    leaf = (pos * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(63)).astype(bool)
-    # Each doubleton as (entry in a leaf, entry in a center), if it has both.
-    ea, eb = np.where(leaf[ii[e0]], e0, e1), np.where(leaf[ii[e0]], e1, e0)
-    unit = leaf[ii[ea]] & ~leaf[ii[eb]] & (np.abs(vals[ea]) == 1)
-    a, first = np.unique(ii[ea[unit]], return_index=True)
-    ea, eb = ea[unit][first], eb[unit][first]
-    if not a.size:
-        return 0, M
-    big = max(int(vals.max()), -int(vals.min()))
-    far = max(int(vals[eb].max()), -int(vals[eb].min()))
-    if big * (1 + int(ccnt.max()) * far) >= 2**62:
-        return 0, M
-    # A leaf's entries move to its center, times -v*u; then equal positions sum.
-    to = np.arange(M.rows)
-    to[a] = ii[eb]
-    scale = np.ones(M.rows, dtype=np.int64)
-    scale[a] = -vals[ea] * vals[eb]
-    key = to[ii] * M.cols + jj
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    (heads,) = np.r_[True, key[1:] != key[:-1]].nonzero()
-    sums = np.add.reduceat((vals * scale[ii])[order], heads)
-    nz = sums != 0
-    key = key[heads[nz]]
-    return a.size, SparseIntMatrix(M.rows, M.cols, key // M.cols, key % M.cols, sums[nz])
-
+def _merge_one_at_a_time(dense):
+    # Reference for _merge_doubletons: pivot one unit doubleton column at a
+    # time over Python-int rows, the merged-away row and its column leaving
+    # with 1 added to the rank, until no column is one.
+    rows = [[int(x) for x in row] for row in dense]
+    k = 0
+    while True:
+        for j in range(len(rows[0]) if rows else 0):
+            at = [i for i, row in enumerate(rows) if row[j]]
+            if len(at) == 2 and 1 in (abs(rows[at[0]][j]), abs(rows[at[1]][j])):
+                a, b = at if abs(rows[at[0]][j]) == 1 else at[::-1]
+                f = rows[b][j] * rows[a][j]
+                rows[b] = [y - f * x for x, y in zip(rows[a], rows[b])]
+                del rows[a]
+                k += 1
+                break
+        else:
+            return k, rows
 
 
 @settings(max_examples=300, deadline=None)
-@given(dense=doubleton_graphs(), rnd=st.integers(0, 20), data=st.data())
-def test_merge_round_pairing_matches_the_argsort(dense, rnd, data):
-    # The scatter keeps one entry of each doubleton by its place in the
-    # arrays, so the entries also come in a drawn order.
+@given(dense=doubleton_graphs(), data=st.data())
+def test_merges_match_one_merge_at_a_time(dense, data):
+    # The scatter pairs a doubleton's entries by their places in the arrays,
+    # so the entries also come in a drawn order.
+    k, rest = _merge_one_at_a_time(dense)
+    want = bareiss_rank(dense)
+    assert k + bareiss_rank(rest) == want
     A = M(dense)
     order = np.array(data.draw(st.permutations(range(A.nnz()))), dtype=np.int64)
     for B in (A, SparseIntMatrix(A.rows, A.cols, A.ii[order], A.jj[order], A.vals[order])):
-        merges, merged = _merge_round(B, rnd)
-        want_merges, want = _merge_round_by_argsort(B, rnd)
-        assert merges == want_merges
-        _same_matrix(merged, want)
-        # The round skips the constructor's checks; its arrays pass them.
-        SparseIntMatrix(merged.rows, merged.cols, merged.ii, merged.jj, merged.vals)
+        peeled, core = _peel(B)
+        merged, rest = _merge_doubletons(core)
+        assert peeled + merged + bareiss_rank(rest.to_dense()) == want
+        # The merges skip the constructor's checks; their arrays pass them.
+        _rebuilt(rest)
+
+
+def _unit_doubletons(A):
+    # The columns of A with two nonzeros, both ±1.
+    counts = np.bincount(A.jj, minlength=A.cols)
+    units = np.bincount(A.jj[np.abs(A.vals) == 1], minlength=A.cols)
+    return ((counts == 2) & (units == 2)).nonzero()[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense=doubleton_graphs())
+def test_no_unit_doubleton_is_left(dense):
+    # Inside the guard, a column with ±1 at both ends always hooks one way
+    # round, so the merges stop only when none is left.
+    A = M(dense)
+    assume(A.vals.dtype == np.int64 and int(np.abs(A.vals).max()) * int(np.bincount(A.jj).max()) < 2**62)
+    _, core = _peel(A)
+    _, rest = _merge_doubletons(core)
+    assert rest.vals.dtype == np.int64
+    assert _unit_doubletons(rest).size == 0
+
+
+@pytest.mark.parametrize("n, u, v", [(128, 1, 2), (64, -1, 5)])
+def test_one_sided_merges_stay_inside_int64(n, u, v, monkeypatch):
+    # Each column has one ±1 end, so every hook's multiplier is ±v times
+    # the other end's multiplier, and chains of hooks compose powers of v
+    # past 2^62.  The guard must trip: a step that chooses its hooks twice
+    # has kept only those with ±1 at both ends.
+    dense = _cycle_with_chords(n, u, v)
+    hooks, steps = [], []
+    choose, rank = exactla._hooks, exactla._priorities
+    monkeypatch.setattr(exactla, "_hooks", lambda *args: hooks.append(1) or choose(*args))
+    monkeypatch.setattr(exactla, "_priorities", lambda *args: steps.append(1) or rank(*args))
+    k, rest = _merge_doubletons(M(dense))
+    assert len(hooks) > len(steps)
+    assert rest.vals.dtype == np.int64
+    assert k + bareiss_rank(rest.to_dense()) == bareiss_rank(dense)
 
 
 @pytest.mark.parametrize(
@@ -579,10 +598,10 @@ def test_kernel_sees_only_peeled_cores(fixture, L, monkeypatch):
 
 # The structured elimination of the benchmark's largest windows, as the
 # module docstring quotes it: the window's shape, the peel's k and core,
-# then the merges' k, the rounds that merged and the merged core.
+# then the merges' k, their hooking steps and the merged core.
 _LARGEST_WINDOW_PATHS = {
-    ("vnd", "xy_minus_one", 64): ((4224, 8192), 128, (4096, 8064), (4094, 15, (2, 75))),
-    ("vnd", "heisenberg_ab", 4): ((3427, 5346), 794, (2633, 4552), (2631, 13, (2, 28))),
+    ("vnd", "xy_minus_one", 64): ((4224, 8192), 128, (4096, 8064), (4095, 7, (0, 0))),
+    ("vnd", "heisenberg_ab", 4): ((3427, 5346), 794, (2633, 4552), (2632, 6, (0, 0))),
     # Diagonal: the peel leaves nothing to merge.
     ("mrank", "two_over_z2", 64): ((4096, 4096), 4096, (0, 0), None),
 }
@@ -596,16 +615,11 @@ def test_structured_elimination_of_the_largest_windows(command, fixture, L, monk
     k, core = _peel(A)
     merged = None
     if core.rows * core.cols > exactla.SMALL_DIM_CUTOFF**2:
-        rounds = []
-        merge_round = exactla._merge_round
-
-        def counted(M, rnd):
-            rounds.append(merge_round(M, rnd))
-            return rounds[-1]
-
-        monkeypatch.setattr(exactla, "_merge_round", counted)
+        steps = []
+        rank = exactla._priorities
+        monkeypatch.setattr(exactla, "_priorities", lambda *args: steps.append(1) or rank(*args))
         merges, rest = _merge_doubletons(core)
-        merged = (merges, sum(1 for n, _ in rounds if n), (rest.rows, rest.cols))
+        merged = (merges, len(steps), (rest.rows, rest.cols))
     assert ((A.rows, A.cols), k, (core.rows, core.cols), merged) == _LARGEST_WINDOW_PATHS[command, fixture, L]
 
 
@@ -738,7 +752,8 @@ def test_rank_q_window_above_cutoff_permuted_and_transposed():
     cperm = list(range(W.cols))
     rng.shuffle(rperm)
     rng.shuffle(cperm)
-    variants = (W, W.submatrix(rperm, range(W.cols)), W.submatrix(range(W.rows), cperm), W.transpose())
+    transpose = SparseIntMatrix(W.cols, W.rows, W.jj, W.ii, W.vals)
+    variants = (W, W.submatrix(rperm, range(W.cols)), W.submatrix(range(W.rows), cperm), transpose)
     for mat in variants:
         cert = rank_q(mat, rng=random.Random(2))
         assert cert.method == "modular-multi-prime"
@@ -762,8 +777,7 @@ _PINNED_WINDOWS = {
     # A rank that needs no prime leaves the rng as it was.  Diagonal
     # (256x256): the peel leaves an empty core.
     ("two_over_z2", 16): (256, None),
-    # The same shapes with unit entries: the merges leave a 2x4 and an
-    # empty core.
+    # The same shapes with unit entries: the merges leave empty cores.
     ("xy_minus_one", 8): (79, None),
     ("heisenberg_ab", 2): (338, None),
 }
@@ -878,7 +892,7 @@ def test_block_ranks_certify_each_block_as_rank_q_alone():
         fixture_window("hhard", 2),  # peels to a 213x324 core: modular
         SparseIntMatrix(3, 0),
         SparseIntMatrix(0, 4),
-        fixture_window("xy_minus_one", 8),  # merges to a 2x4 core: Bareiss
+        fixture_window("xy_minus_one", 8),  # merges away: an empty core
         M([[0, 0], [0, 0]]),
         fixture_window("z2hard", 8),
     ]

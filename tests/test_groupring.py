@@ -8,8 +8,6 @@ from folrank.errors import InputError
 from folrank.groupring import (
     RingElem,
     RingMatrix,
-    coefficient_vector,
-    column_vector,
     right_window_matrix,
     window_matrix,
 )
@@ -155,6 +153,22 @@ def test_support_of_product(data):
     b = data.draw(_elem_strategy(H3))
     prod_support = {H3.mul(u, v) for u in a.support() for v in b.support()}
     assert (a * b).support() <= prod_support
+
+
+def column_vector(entries):
+    """An n x 1 matrix from a sequence of ring elements."""
+    return RingMatrix(entries[0].spec, [[e] for e in entries], cols=1)
+
+
+def coefficient_vector(x, elems):
+    """The coefficients of an n x 1 column supported in ``elems``, in the
+    layout of ``window_matrix`` columns (coordinate-major)."""
+    pos = {g: i for i, g in enumerate(elems)}
+    out = [0] * (x.rows * len(elems))
+    for k in range(x.rows):
+        for g, c in x.entries[k][0].coeffs.items():
+            out[k * len(elems) + pos[g]] = c
+    return out
 
 
 @pytest.mark.parametrize("spec", [Z, Z2, H3], ids=["Z", "Z2", "H3"])

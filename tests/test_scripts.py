@@ -113,7 +113,20 @@ def test_pass_times_prints_one_line_per_seed_and_the_mean(capsys):
     assert abs(times[2] - (times[0] + times[1]) / 2) < 1e-3
 
 
-@pytest.mark.parametrize("argv", [["--seeds", ""], ["--passes", "0"], ["--seeds", "x"]])
+def test_pass_times_compares_this_tree_with_itself(capsys):
+    script = load("pass_times")
+    src = Path(script.folrank.__file__).resolve().parents[1]
+    argv = ["--workload", "large-windows", "--seeds", "0", "--against", str(src), "--pairs", "1"]
+    assert script.main(argv) == 0
+    pair, wins = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert pair[:3] == ["large-windows", "pair=1", "this"] and pair[4:6] == ["s", "against"]
+    assert float(pair[3]) > 0 and float(pair[6]) > 0
+    assert wins[:2] == ["large-windows", "wins"] and wins[3:] == ["of", "1"] and wins[2] in ("0", "1")
+
+
+@pytest.mark.parametrize(
+    "argv", [["--seeds", ""], ["--passes", "0"], ["--seeds", "x"], ["--pairs", "0"], ["--against", "no/such/tree"]]
+)
 def test_pass_times_rejects_bad_arguments(argv, capsys):
     script = load("pass_times")
     with pytest.raises(SystemExit) as exc:
