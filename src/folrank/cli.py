@@ -1,8 +1,10 @@
 """Batch job runner binding the rank engines, the estimator and the suites.
 
-JSON in, JSON + CSV out.  All rationals in reports are exact decimal
-strings "p/q"; the only floats are the labeled metric-mean-dimension slope
-columns.  Reports are byte-identical across reruns of the same job.
+JSON in, JSON + CSV out.  The report format lives here, and only here: each
+command computes its own fields and `_report` adds the shared header and
+writes the files.  All rationals in reports are exact decimal strings "p/q";
+the only floats are the labeled metric-mean-dimension slope columns.
+Reports are byte-identical across reruns of the same job.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import BudgetExceededError, FolrankError, InputError, UnsupportedGroupError
+from .errors import BudgetExceededError, FolrankError, InputError, UnsupportedGroupError, check_keys
 from .groupring import RingMatrix
 from .groups import DEFAULT_MAX_WINDOW_ELEMENTS
 from .mmdim import DEFAULT_EPS_SCHEDULE, mmdim_estimate
@@ -26,7 +28,7 @@ from .ranks import (
     DEFAULT_TOLERANCE,
     DensitySeries,
     ModulePresentation,
-    _frac_str,
+    _truncate_schedule,
     _validate_schedule,
     derived_rng,
     erank_of_presentation,
@@ -41,18 +43,9 @@ from .ranks import (
     vnd_of_presentation,
 )
 
-COMMANDS = (
-    "vnd",
-    "mrank",
-    "erank",
-    "mmdim",
-    "identity-check",
-    "oracle",
-    "compare",
-    "verify-suite",
-)
-
 DEFAULT_SCHEDULE = (4, 8, 16, 32)
+
+JOB_KEYS = ("command", "matrix", "schedule", "tolerance", "seed", "epsilons", "budgets")
 
 
 @dataclass
@@ -73,8 +66,6 @@ class JobSpec:
     stem: str = "job"
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise InputError(f"unknown command {self.command!r}")
         if self.tolerance <= 0:
             raise InputError("tolerance must be positive")
         if any(b <= a for a, b in zip(self.schedule, self.schedule[1:])):
@@ -128,6 +119,7 @@ def _read_input(path: Path) -> tuple[dict, RingMatrix | None]:
     obj = _load_json(path)
     if not (isinstance(obj, dict) and "command" in obj):
         return {}, RingMatrix.from_json(obj)
+    check_keys("job file", obj, JOB_KEYS)
     inner = obj.get("matrix")
     return obj, None if inner is None else RingMatrix.from_json(inner)
 
@@ -140,83 +132,77 @@ def load_matrix(path: Path) -> RingMatrix:
     return matrix
 
 
-def _series_json(series: DensitySeries) -> list[dict]:
-    out = []
+def _frac_str(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _csv(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _report(job: JobSpec, quantity: str, fields: dict, csv_text: str | None = None) -> None:
+    """Write `<command>-<stem>.json`: `fields` under the shared header of the
+    quantity, the seed and (but for `verify-suite`) the group and the
+    presentation; and `csv_text`, if any, as `<command>-<stem>.csv`."""
+    report = {"quantity": quantity, "seed": job.seed, **fields}
+    if job.command != "verify-suite":
+        report.update(group=job.matrix.spec.to_json(), presentation=job.matrix.to_json())
+    name = f"{job.command}-{job.stem}"
+    job.out_dir.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    (job.out_dir / f"{name}.json").write_text(text, encoding="utf-8")
+    if csv_text is not None:
+        (job.out_dir / f"{name}.csv").write_text(csv_text, encoding="utf-8")
+
+
+def _density_series(job: JobSpec, P: ModulePresentation, command: str) -> DensitySeries:
+    kwargs = dict(tolerance=job.tolerance, seed=job.seed, max_window_elements=job.max_window_elements)
+    if command == "erank":
+        return erank_of_presentation(P, job.schedule, growth_steps=job.growth_steps, **kwargs)
+    engine = mrank_of_presentation if command == "mrank" else vnd_of_presentation
+    return engine(P, job.schedule, **kwargs)
+
+
+def _run_series(job: JobSpec) -> int:
+    P = ModulePresentation(job.matrix)
+    series = _density_series(job, P, job.command)
+    records, rows = [], []
     for r in series.records:
         primes = list(r.certificate.primes) if r.certificate else []
-        out.append(
+        density = _frac_str(r.density)
+        records.append(
             {
                 "L": r.L,
                 "F_size": r.f_size,
                 "numerator": str(r.numerator),
-                "density": _frac_str(r.density),
+                "density": density,
                 "primes": primes,
                 "stabilized": r.stabilized,
             }
         )
-    return out
-
-
-def _series_csv(series: DensitySeries) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["L", "F_size", "numerator", "density", "primes"])
-    for r in series.records:
-        primes = ";".join(str(p) for p in r.certificate.primes) if r.certificate else ""
-        writer.writerow([r.L, r.f_size, r.numerator, _frac_str(r.density), primes])
-    return buf.getvalue()
-
-
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-
-
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _series_report(job: JobSpec, series: DensitySeries) -> dict:
-    P = ModulePresentation(job.matrix)
-    snap = rationality_snap(series, job.matrix.spec)
-    return {
-        "quantity": series.quantity,
-        "group": job.matrix.spec.to_json(),
-        "presentation": job.matrix.to_json(),
-        "series": _series_json(series),
-        "limit_estimate": _frac_str(series.limit_estimate),
+        rows.append([r.L, r.f_size, r.numerator, density, ";".join(map(str, primes))])
+    snap = rationality_snap(series, P.spec)
+    estimate = _frac_str(series.limit_estimate)
+    fields = {
+        "series": records,
+        "limit_estimate": estimate,
         "running_min": _frac_str(series.running_min),
-        "snap": snap.to_json(),
+        "snap": {
+            "raw": _frac_str(snap.raw),
+            "grid_denominator": snap.grid_denominator,
+            "snapped": _frac_str(snap.snapped),
+            "residual": _frac_str(snap.residual),
+        },
         "status": series.status,
         "tolerance": _frac_str(series.tolerance),
-        "seed": job.seed,
         "module_rank_bound": P.n,
     }
-
-
-def _series_kwargs(job: JobSpec) -> dict:
-    return dict(
-        tolerance=job.tolerance,
-        seed=job.seed,
-        max_window_elements=job.max_window_elements,
-    )
-
-
-def _run_series_command(job: JobSpec) -> int:
-    P = ModulePresentation(job.matrix)
-    engine = {
-        "mrank": mrank_of_presentation,
-        "vnd": vnd_of_presentation,
-        "erank": erank_of_presentation,
-    }[job.command]
-    kwargs = _series_kwargs(job)
-    if job.command == "erank":
-        kwargs["growth_steps"] = job.growth_steps
-    series = engine(P, job.schedule, **kwargs)
-    report = _series_report(job, series)
-    _write(job.out_dir / f"{job.command}-{job.stem}.json", _dump(report))
-    _write(job.out_dir / f"{job.command}-{job.stem}.csv", _series_csv(series))
-    print(f"{job.command}: limit_estimate {report['limit_estimate']} status {series.status}")
+    _report(job, series.quantity, fields, _csv(["L", "F_size", "numerator", "density", "primes"], rows))
+    print(f"{job.command}: limit_estimate {estimate} status {series.status}")
     return 0 if series.status == "converged" else 2
 
 
@@ -229,106 +215,69 @@ def _run_mmdim(job: JobSpec) -> int:
         seed=job.seed,
         max_window_elements=job.max_window_elements,
     )
-    report = {
-        "quantity": "mmdim",
-        "group": job.matrix.spec.to_json(),
-        "presentation": job.matrix.to_json(),
+    fields = {
         "interval": [est.lower, est.upper],
         "flagged": est.flagged,
         "epsilons": [repr(e) for e in sorted(est.lower_slopes)],
         "L": list(job.schedule),
-        "seed": job.seed,
         "note": "interval along the canonical window sequence only",
     }
-    buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf,
-        fieldnames=["L", "F_size", "epsilon", "lower_count", "upper_log", "lower_slope", "upper_slope"],
-        lineterminator="\n",
-    )
-    writer.writeheader()
-    for row in est.csv_rows():
-        writer.writerow(row)
-    _write(job.out_dir / f"mmdim-{job.stem}.json", _dump(report))
-    _write(job.out_dir / f"mmdim-{job.stem}.csv", buf.getvalue())
+    header = ["L", "F_size", "epsilon", "lower_count", "upper_log", "lower_slope", "upper_slope"]
+    rows = [
+        [r.L, r.f_size, repr(r.eps), r.lower_count, repr(r.upper_log)]
+        + [repr(est.lower_slopes[r.eps]), repr(est.upper_slopes[r.eps])]
+        for r in est.reports
+    ]
+    _report(job, "mmdim", fields, _csv(header, rows))
     print(f"mmdim: estimate interval [{est.lower:.6f}, {est.upper:.6f}] (flagged {est.flagged})")
     return 0
 
 
 def _run_identity_check(job: JobSpec) -> int:
+    """The window identity on each scheduled window within the budget; a
+    schedule cut by the budget writes the checks made and exits 2."""
     f = job.matrix
+    kept, truncated = _truncate_schedule(f.spec, _validate_schedule(job.schedule), job.max_window_elements)
     checks = []
-    all_ok = True
-    for L in _validate_schedule(job.schedule):
+    for L in kept:
         F = folner_set(f.spec, L, job.max_window_elements)
-        rng = derived_rng(job.seed, "identity-cli", L)
-        ok = per_window_identity_check(f, F, rng=rng)
-        checks.append({"L": L, "ok": ok})
-        all_ok = all_ok and ok
-    report = {
-        "quantity": "identity-check",
-        "group": f.spec.to_json(),
-        "presentation": f.to_json(),
-        "checks": checks,
-        "all_ok": all_ok,
-        "seed": job.seed,
-    }
-    _write(job.out_dir / f"identity-check-{job.stem}.json", _dump(report))
-    print(f"identity-check: {'all windows agree' if all_ok else 'MISMATCH'}")
-    return 0 if all_ok else 1
+        checks.append({"L": L, "ok": per_window_identity_check(f, F, rng=derived_rng(job.seed, "identity-cli", L))})
+    all_ok = all(c["ok"] for c in checks)
+    _report(job, "identity-check", {"checks": checks, "all_ok": all_ok})
+    verdict = "all windows agree" if all_ok else "MISMATCH"
+    print(f"identity-check: {verdict}" + (" (window budget reached)" if truncated else ""))
+    return 1 if not all_ok else 2 if truncated else 0
 
 
 def _run_oracle(job: JobSpec) -> int:
-    P = ModulePresentation(job.matrix)
-    value = oracle_value(P, seed=job.seed)
-    report = {
-        "quantity": "oracle",
-        "group": job.matrix.spec.to_json(),
-        "presentation": job.matrix.to_json(),
-        "value": _frac_str(value),
-        "seed": job.seed,
-    }
-    _write(job.out_dir / f"oracle-{job.stem}.json", _dump(report))
+    value = oracle_value(ModulePresentation(job.matrix), seed=job.seed)
+    _report(job, "oracle", {"value": _frac_str(value)})
     print(value)
     return 0
 
 
 def _run_compare(job: JobSpec) -> int:
     P = ModulePresentation(job.matrix)
-    common = _series_kwargs(job)
-    mrank = mrank_of_presentation(P, job.schedule, **common)
-    vnd = vnd_of_presentation(P, job.schedule, **common)
-    erank = erank_of_presentation(P, job.schedule, growth_steps=job.growth_steps, **common)
+    series = {name: _density_series(job, P, name) for name in ("mrank", "vnd", "erank")}
+    columns = {name: s.limit_estimate for name, s in series.items()}
     try:
-        oracle = oracle_value(P, seed=job.seed)
+        columns["oracle"] = oracle_value(P, seed=job.seed)
     except UnsupportedGroupError:
-        oracle = None
-    columns = {
-        "mrank": mrank.limit_estimate,
-        "vnd": vnd.limit_estimate,
-        "erank": erank.limit_estimate,
-    }
-    if oracle is not None:
-        columns["oracle"] = oracle
-    values = list(columns.values())
-    max_gap = max(abs(a - b) for a in values for b in values)
-    report = {
-        "quantity": "compare",
-        "group": job.matrix.spec.to_json(),
-        "presentation": job.matrix.to_json(),
+        pass
+    max_gap = max(abs(a - b) for a in columns.values() for b in columns.values())
+    statuses = {name: s.status for name, s in series.items()}
+    fields = {
         "columns": {k: _frac_str(v) for k, v in columns.items()},
         "max_pairwise_gap": _frac_str(max_gap),
         "within_tolerance": max_gap <= job.tolerance,
         "tolerance": _frac_str(job.tolerance),
-        "statuses": {"mrank": mrank.status, "vnd": vnd.status, "erank": erank.status},
-        "seed": job.seed,
+        "statuses": statuses,
     }
-    _write(job.out_dir / f"compare-{job.stem}.json", _dump(report))
+    _report(job, "compare", fields)
     for name, value in columns.items():
         print(f"{name:>8}: {value}")
     print(f"max pairwise gap {max_gap} (tolerance {job.tolerance})")
-    statuses = (mrank.status, vnd.status, erank.status)
-    return 0 if all(s == "converged" for s in statuses) else 2
+    return 0 if all(s == "converged" for s in statuses.values()) else 2
 
 
 def _run_verify_suite(job: JobSpec) -> int:
@@ -337,39 +286,43 @@ def _run_verify_suite(job: JobSpec) -> int:
         run_superadditivity_suite(job.seed, cases=job.cases),
         run_submodularity_suite(job.seed, cases=job.cases),
     ]
-    all_pass = True
     for s in suites:
         status = "PASS" if s.passed else "FAIL"
         print(f"{status} {s.name}: {s.cases} cases, {len(s.failures)} failures, {s.flagged} flagged")
         for msg in s.failures[:10]:
             print(f"  {msg}")
-        all_pass = all_pass and s.passed
-    report = {
-        "quantity": "verify-suite",
-        "seed": job.seed,
+    all_pass = all(s.passed for s in suites)
+    fields = {
         "cases": job.cases,
-        "suites": [s.to_json() for s in suites],
+        "suites": [
+            {"name": s.name, "cases": s.cases, "failures": list(s.failures), "flagged": s.flagged, "passed": s.passed}
+            for s in suites
+        ],
         "all_pass": all_pass,
     }
-    _write(job.out_dir / f"verify-suite-{job.stem}.json", _dump(report))
+    _report(job, "verify-suite", fields)
     return 0 if all_pass else 1
+
+
+# The command-line choices, in this order, and the runner of each.
+_RUNNERS = {
+    "vnd": _run_series,
+    "mrank": _run_series,
+    "erank": _run_series,
+    "mmdim": _run_mmdim,
+    "identity-check": _run_identity_check,
+    "oracle": _run_oracle,
+    "compare": _run_compare,
+    "verify-suite": _run_verify_suite,
+}
+COMMANDS = tuple(_RUNNERS)
 
 
 def run(job: JobSpec) -> int:
     """Execute one job; returns the process exit code."""
-    if job.command == "verify-suite":
-        return _run_verify_suite(job)
-    if job.matrix is None:
+    if job.matrix is None and job.command != "verify-suite":
         raise InputError(f"command {job.command!r} needs --input")
-    if job.command in ("mrank", "vnd", "erank"):
-        return _run_series_command(job)
-    if job.command == "mmdim":
-        return _run_mmdim(job)
-    if job.command == "identity-check":
-        return _run_identity_check(job)
-    if job.command == "oracle":
-        return _run_oracle(job)
-    return _run_compare(job)
+    return _RUNNERS[job.command](job)
 
 
 def _job_int(name: str, value) -> int:
@@ -397,9 +350,7 @@ def _job_budgets(value) -> dict:
     }
     if not isinstance(value, dict):
         raise InputError(f"job field 'budgets': expected an object, got {value!r}")
-    unknown = sorted(set(value) - set(budgets))
-    if unknown:
-        raise InputError(f"job field 'budgets': unknown keys {unknown}, expected some of {sorted(budgets)}")
+    check_keys("job field 'budgets'", value, budgets)
     budgets.update((key, _job_int(f"budgets.{key}", v)) for key, v in value.items())
     return budgets
 
@@ -409,9 +360,8 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
     if args.input:
         stem = Path(args.input).stem
         file_job, matrix = _read_input(Path(args.input))
-    command = args.command or file_job.get("command")
-    if command is None:
-        raise InputError("no command given")
+    if file_job.get("command", args.command) != args.command:
+        raise InputError(f"job field 'command': {file_job['command']!r}, but the command given is {args.command!r}")
     schedule = _job_list("schedule", file_job.get("schedule", list(DEFAULT_SCHEDULE)))
     schedule = [_job_int("schedule", L) for L in schedule]
     if args.L:
@@ -429,7 +379,7 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
     seed = args.seed if args.seed is not None else _job_int("seed", file_job.get("seed", 0))
     budgets = _job_budgets(file_job.get("budgets", {}))
     return JobSpec(
-        command=command,
+        command=args.command,
         matrix=matrix,
         schedule=tuple(schedule),
         tolerance=tolerance,

@@ -15,3 +15,10 @@ class BudgetExceededError(FolrankError):
 
 class UnsupportedGroupError(FolrankError):
     """The operation is not defined for this group family."""
+
+
+def check_keys(where: str, obj: dict, known) -> None:
+    """Reject an input object with a key that is not in `known`."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise InputError(f"{where}: unknown keys {unknown}, expected some of {sorted(known)}")

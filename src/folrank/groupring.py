@@ -45,7 +45,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_keys
 from .exactla import SparseIntMatrix, int_array
 from .groups import FolnerSet, GroupElement, GroupSpec, coords_of, unique_rows
 
@@ -275,6 +275,7 @@ class RingMatrix:
     def from_json(cls, obj: object) -> "RingMatrix":
         if not isinstance(obj, dict):
             raise InputError(f"matrix: expected an object, got {type(obj).__name__}")
+        check_keys("matrix", obj, ("group", "rows", "cols", "entries"))
         for field in ("group", "rows", "cols"):
             if field not in obj:
                 raise InputError(f"matrix.{field}: missing")
@@ -287,6 +288,7 @@ class RingMatrix:
             where = f"matrix.entries[{i}]"
             if not isinstance(ent, dict):
                 raise InputError(f"{where}: expected an object")
+            check_keys(where, ent, ("row", "col", "terms"))
             j, k = ent.get("row"), ent.get("col")
             if not isinstance(j, int) or not 0 <= j < m:
                 raise InputError(f"{where}.row: out of range for {m} rows")
@@ -297,6 +299,7 @@ class RingMatrix:
                 twhere = f"{where}.terms[{t}]"
                 if not isinstance(term, dict) or "coeff" not in term or "elem" not in term:
                     raise InputError(f"{twhere}: needs 'coeff' and 'elem'")
+                check_keys(twhere, term, ("coeff", "elem"))
                 try:
                     # Accept typographic minus signs in hand-written fixtures.
                     coeff = Fraction(str(term["coeff"]).replace("−", "-"))

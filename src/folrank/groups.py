@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, check_keys
 
 GroupElement = tuple[int, ...]
 
@@ -244,6 +244,7 @@ class GroupSpec:
     def from_json(cls, obj: object) -> "GroupSpec":
         if not isinstance(obj, dict):
             raise InputError(f"group: expected an object, got {type(obj).__name__}")
+        check_keys("group", obj, ("family", "d", "orders"))
         family = obj.get("family")
         if not isinstance(family, str):
             raise InputError("group.family: missing or not a string")

@@ -373,22 +373,6 @@ class MmdimEstimate:
     def contains(self, value: float, slack: float = 1e-9) -> bool:
         return self.lower - slack <= value <= self.upper + slack
 
-    def csv_rows(self) -> list[dict]:
-        rows = []
-        for r in self.reports:
-            rows.append(
-                {
-                    "L": r.L,
-                    "F_size": r.f_size,
-                    "epsilon": repr(r.eps),
-                    "lower_count": r.lower_count,
-                    "upper_log": repr(r.upper_log),
-                    "lower_slope": repr(self.lower_slopes.get(r.eps, float("nan"))),
-                    "upper_slope": repr(self.upper_slopes.get(r.eps, float("nan"))),
-                }
-            )
-        return rows
-
 
 def mmdim_estimate(
     f: RingMatrix,

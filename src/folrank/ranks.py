@@ -273,14 +273,6 @@ class RationalitySnap:
     snapped: Fraction
     residual: Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "raw": _frac_str(self.raw),
-            "grid_denominator": self.grid_denominator,
-            "snapped": _frac_str(self.snapped),
-            "residual": _frac_str(self.residual),
-        }
-
 
 @dataclass(frozen=True)
 class DensitySeries:
@@ -293,11 +285,6 @@ class DensitySeries:
 
     def densities(self) -> list[Fraction]:
         return [r.density for r in self.records]
-
-
-def _frac_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def rationality_snap(series_or_value, spec: GroupSpec) -> RationalitySnap:
@@ -686,15 +673,6 @@ class SuiteResult:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "cases": self.cases,
-            "failures": list(self.failures),
-            "flagged": self.flagged,
-            "passed": self.passed,
-        }
 
 
 def random_ring_elem(

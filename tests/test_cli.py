@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -162,6 +163,17 @@ def test_mmdim_command(tmp_path):
     assert header == "L,F_size,epsilon,lower_count,upper_log,lower_slope,upper_slope"
 
 
+def test_mmdim_csv_has_a_row_per_window_and_epsilon(tmp_path):
+    argv = ["mmdim", "--input", str(FIXTURES / "two_over_z.json"), "--L", "3,4", "--epsilon", "1/4,1/8"]
+    assert run_cli([*argv, "--samples", "60", "--seed", "1"], tmp_path) == 0
+    with open(tmp_path / "mmdim-two_over_z.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["L", "F_size", "epsilon", "lower_count", "upper_log", "lower_slope", "upper_slope"]
+    assert all(len(row) == 7 for row in rows)
+    # Larger scales first, and within a scale the windows in order.
+    assert [(row[0], row[2]) for row in rows[1:]] == [("3", "0.25"), ("4", "0.25"), ("3", "0.125"), ("4", "0.125")]
+
+
 @pytest.mark.parametrize("text", ["-8^0.5", "10^400", "1e400", "nan", "inf", "1/0", "2^x"])
 def test_parse_epsilon_rejects_what_is_not_a_finite_real(text):
     with pytest.raises(InputError):
@@ -259,6 +271,50 @@ def test_exit_code_on_budget_exhaustion(tmp_path):
     assert [r["L"] for r in report["series"]] == [2, 4]
 
 
+def test_identity_check_writes_the_windows_within_budget(tmp_path, capsys):
+    # As the series engines do: the L = 64 window (4,096 elements) is cut by
+    # the budget, and the checks made on L = 2 and 4 are written.
+    argv = ["identity-check", "--input", str(FIXTURES / "xy_minus_one.json"), "--L", "2,4,64"]
+    assert run_cli([*argv, "--max-window-elements", "100"], tmp_path) == 2
+    report = json.loads((tmp_path / "identity-check-xy_minus_one.json").read_text())
+    assert report["checks"] == [{"L": 2, "ok": True}, {"L": 4, "ok": True}]
+    assert report["all_ok"] is True
+    assert "window budget reached" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda m: m.update(entires=m.pop("entries")), "matrix: unknown keys ['entires']"),
+        (lambda m: m["entries"][0].update(column=0), "matrix.entries[0]: unknown keys ['column']"),
+        (lambda m: m["entries"][0]["terms"][0].update(exp=2), "matrix.entries[0].terms[0]: unknown keys ['exp']"),
+        (lambda m: m["group"].update(dim=1), "group: unknown keys ['dim']"),
+    ],
+    ids=["matrix-entires", "entry", "term", "group-dim"],
+)
+def test_unknown_matrix_key_is_an_input_error(edit, named, tmp_path, capsys):
+    # A misspelt 'entries' would otherwise present the zero matrix, whose
+    # kernel density is 1, not the 0 of f = 2.
+    matrix = json.loads((FIXTURES / "two_over_z.json").read_text())
+    edit(matrix)
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(matrix))
+    assert run_cli(["vnd", "--input", str(path), "--L", "2,4"], tmp_path) == 1
+    assert capsys.readouterr().err.startswith(f"input error: {named}")
+    assert not list(tmp_path.glob("vnd-*"))
+
+
+def test_job_file_command_must_match_the_command_given(tmp_path, capsys):
+    matrix = json.loads((FIXTURES / "one_plus_2T.json").read_text())
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "mrank", "matrix": matrix, "schedule": [2, 4]}))
+    assert main(["vnd", "--input", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: job field 'command'") and "'mrank'" in err and "'vnd'" in err
+    assert not list(tmp_path.glob("*-job.*"))
+    assert main(["mrank", "--input", str(path), "--out", str(tmp_path)]) == 0
+
+
 def test_jobspec_file_input(tmp_path):
     matrix = json.loads((FIXTURES / "one_plus_2T.json").read_text())
     job = {
@@ -290,6 +346,8 @@ def test_jobspec_file_input(tmp_path):
         ({"budgets": {"growth_steps": True}}, "'budgets.growth_steps'"),
         ({"budgets": {"max_windw_elements": 100}}, "max_windw_elements"),
         ({"budgets": {"max_primes": 16}}, "max_primes"),
+        ({"shedule": [2, 4]}, "shedule"),
+        ({"cases": 5}, "cases"),
     ],
     ids=[
         "seed",
@@ -302,6 +360,8 @@ def test_jobspec_file_input(tmp_path):
         "budget-bool",
         "budget-typo",
         "max_primes",
+        "shedule",
+        "cases",
     ],
 )
 def test_malformed_job_file_is_an_input_error(fields, named, tmp_path, capsys):

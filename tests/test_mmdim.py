@@ -649,12 +649,3 @@ def test_estimate_checks_every_window_budget_before_building(monkeypatch):
     with pytest.raises(BudgetExceededError, match="window of index 8 has 8 elements, budget is 7"):
         mmdim_estimate(TWO, (7, 8), [0.25], budget=20, max_window_elements=7)
     assert not calls
-
-
-def test_estimate_csv_rows_have_expected_columns():
-    est = mmdim_estimate(TWO, (3, 4), [0.25, 0.125], budget=60, seed=1)
-    rows = est.csv_rows()
-    assert rows
-    assert set(rows[0]) == {
-        "L", "F_size", "epsilon", "lower_count", "upper_log", "lower_slope", "upper_slope",
-    }

@@ -54,6 +54,16 @@ def test_report_digest_is_stable(capsys):
     assert len(digests) == 6 and all(len(line[4]) == 64 for line in digests)
 
 
+def test_reports_match_the_recorded_digests(capsys):
+    # Every report of every workload at job seed 0, byte for byte.  A change
+    # that alters a report re-records the file and says so:
+    #   PYTHONPATH=src python scripts/report_digest.py --seeds 0 > tests/golden/report_digest_seed0.txt
+    script = load("report_digest")
+    assert script.main(["--seeds", "0"]) == 0
+    recorded = (ROOT / "tests" / "golden" / "report_digest_seed0.txt").read_text()
+    assert capsys.readouterr().out.splitlines() == recorded.splitlines()
+
+
 def test_report_digest_covers_the_fixtures_no_benchmark_reads(capsys):
     script = load("report_digest")
     assert script.main(["--workload", "fixtures", "--seeds", "0"]) == 0
