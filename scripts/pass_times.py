@@ -58,26 +58,35 @@ def pass_time(jobs, seed: int) -> float:
     return elapsed
 
 
-def tree_mean(src: Path, args) -> float:
+def fresh_stdout(script: str, src: Path, argv: list[str]) -> str:
+    """The output of `script` with these arguments, in a fresh process that
+    imports `folrank` from the source tree `src`."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, script, *argv], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def compare(trees, pairs: int, measure, unit: str = "s") -> None:
+    """Alternate `measure` over two source trees, this one first: `measure(src)`
+    gives a time per label.  For each pair and label print both times, this
+    tree's first, then for each label how many pairs this tree won (a lower
+    time).  Which tree goes first flips from one pair to the next."""
+    wins = {}
+    for pair in range(1, pairs + 1):
+        got = [{}, {}]
+        for t in (0, 1) if pair % 2 else (1, 0):
+            got[t] = measure(trees[t])
+        for label, this in got[0].items():
+            wins[label] = wins.get(label, 0) + (this < got[1][label])
+            print(f"{label} pair={pair} this {this:.4f} {unit} against {got[1][label]:.4f} {unit}")
+    for label, won in wins.items():
+        print(f"{label} wins {won} of {pairs}")
+
+
+def tree_mean(src: Path, args) -> dict[str, float]:
     """The mean pass time over the seeds, in a fresh process that imports
     `folrank` from the source tree `src`."""
-    argv = [sys.executable, __file__, "--workload", args.workload, "--seeds", args.seeds, "--passes", str(args.passes)]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
-    return float(out.splitlines()[-1].split()[2])
-
-
-def compare(args) -> None:
-    """Print each pair's means, this tree's first, then this tree's wins."""
-    trees = (Path(folrank.__file__).resolve().parents[1], args.against)
-    wins = 0
-    for pair in range(1, args.pairs + 1):
-        means = [0.0, 0.0]
-        for t in (0, 1) if pair % 2 else (1, 0):
-            means[t] = tree_mean(trees[t], args)
-        wins += means[0] < means[1]
-        print(f"{args.workload} pair={pair} this {means[0]:.4f} s against {means[1]:.4f} s")
-    print(f"{args.workload} wins {wins} of {args.pairs}")
+    argv = ["--workload", args.workload, "--seeds", args.seeds, "--passes", str(args.passes)]
+    return {args.workload: float(fresh_stdout(__file__, src, argv).splitlines()[-1].split()[2])}
 
 
 def main(argv=None) -> int:
@@ -102,7 +111,7 @@ def main(argv=None) -> int:
     if args.against is not None:
         if not (args.against / "folrank").is_dir():
             parser.error(f"--against: no folrank package in {args.against}")
-        compare(args)
+        compare((Path(folrank.__file__).resolve().parents[1], args.against), args.pairs, lambda src: tree_mean(src, args))
         return 0
     jobs = workloads[args.workload]
     pass_time(jobs, seeds[0])

@@ -277,7 +277,7 @@ def _run_compare(job: JobSpec) -> int:
     for name, value in columns.items():
         print(f"{name:>8}: {value}")
     print(f"max pairwise gap {max_gap} (tolerance {job.tolerance})")
-    return 0 if all(s == "converged" for s in statuses.values()) else 2
+    return 0 if fields["within_tolerance"] and all(s == "converged" for s in statuses.values()) else 2
 
 
 def _run_verify_suite(job: JobSpec) -> int:

@@ -16,8 +16,9 @@ group element is a bijection, so for each anchor and entry (j, k) of f
 distinct terms land on distinct products: every matrix entry is exactly one
 scaled coefficient and nothing is summed.  The result is a COO
 ``SparseIntMatrix``.  On a 2-vCPU host the Z^2 L=64 window of xy_minus_one
-(4224x8192) builds in 5 ms, from 0.10-0.11 s with one Python group
-multiplication per pair, and the Heisenberg L=4 window in 3 ms, from 27-34 ms.
+(4224x8192) builds in 0.7-1.2 ms, from 0.10-0.11 s with one Python group
+multiplication per pair, and the Heisenberg L=4 window in 0.6-0.8 ms, from
+27-34 ms (``scripts/build_times.py``).
 
 The builder takes a batch of blocks over one group and returns the
 block-diagonal union of their matrices with its block offsets.  A block is
@@ -25,21 +26,23 @@ one or more (terms, anchors) parts that share one numbering of their
 products, side by side; a single window is the batch of one block of one
 part.  ``quotient_span_rank``'s matrix [W | V^T] is such a block of two
 parts: the right window of f on a growth window and that of the generators
-on F^{-1}.  A tiny window spends most of its build in fixed costs: the sort
-behind ``unique_rows`` and the checks of the ``SparseIntMatrix``
-constructor.  In a batch each part's products and entries are still
-broadcast over its own anchors, but one ``unique_rows`` over (block,
-product) numbers the products of every block and one constructor checks
-the union.  A verify-suite pass at job seed 1 builds 1,520 blocks in 17
-such batches: the suites' 1,300 fixed windows in 8, in about 30 ms on a
-2-vCPU host, and for ``quotient_span_rank`` 88 generator windows in 4 and
-132 blocks [W | V^T] in 5.
+on F^{-1}.  One part is broadcast over its anchors.  A batch of more parts
+is laid out flat, with no numpy call per part: the anchors, supports and
+terms of all parts are concatenated once, and each (anchor, support
+element) pair and (anchor, term) entry finds its part from per-anchor
+counts and offsets.  On one part that layout is 1.4-2.4 times slower than
+the broadcast, so the builder picks its path by the number of parts.  One
+``unique_rows`` over (block, product) numbers the products of every block
+and one constructor checks the union.  A verify-suite pass at job seed 1
+builds 1,652 parts in 17 batches, in 9-15 ms on a 2-vCPU host, from
+27-47 ms with a loop over the parts: the suites' 1,300 fixed windows in 8
+batches, and for ``quotient_span_rank`` 88 generator windows in 4 and 132
+blocks [W | V^T] in 5.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -372,61 +375,105 @@ def window_operator(
     ``anchor_rows``.  ``quotient_span_rank``'s matrix [W | V^T] is the block
     of f on a growth window and of B on F^{-1}, on the left.
 
-    Each part's products and entries are broadcast over its anchors and
-    written into arrays for the whole batch, while the costs that do not
-    grow with a block are paid once: one ``unique_rows`` over (block,
-    product) numbers every block's products, and one constructor checks the
-    union.  A matrix alone is the batch of one block of one part.
+    One part is broadcast over its (anchor, support element) and (anchor,
+    term) grids.  More parts are laid out flat, with no numpy call per part:
+    the anchors, supports and terms of all parts are concatenated once, and
+    each pair and entry finds its anchor, support element and term from
+    per-anchor counts and offsets.  That layout's fixed costs make it slower
+    on one part, so the number of parts picks the path.  Either way one
+    ``unique_rows`` over (block, product) numbers every block's products
+    and one constructor checks the union.
     """
     parts = [part for block in batch for part in block]
     Ks = [t.support if len(t.support) or anchor_rows else spec.coords([spec.identity()]) for t, _ in parts]
-    Ps = [
-        spec.mul_array(anchors[:, None], K[None]) if left else spec.mul_array(K[None], anchors[:, None])
-        for (_, anchors), K in zip(parts, Ks)
-    ]
-    p_at = list(accumulate((P.shape[0] * P.shape[1] for P in Ps), initial=0))
-    P = np.concatenate([P.reshape(P.shape[0] * P.shape[1], spec.coord_len) for P in Ps])
-    # Each block's products are numbered among its own; one block needs no
-    # block key.
-    if len(batch) > 1:
-        block = np.repeat(np.repeat(np.arange(len(batch)), [len(b) for b in batch]), np.diff(p_at))
+    if len(parts) == 1:
+        row_at, col_at, elems, ii, jj, vals = _one_part(spec, *parts[0], *Ks, left, anchor_rows)
     else:
-        block = None
+        row_at, col_at, elems, ii, jj, vals = _flat_parts(spec, batch, parts, Ks, left, anchor_rows)
+    return SparseIntMatrix(row_at[-1], col_at[-1], ii, jj, vals), row_at, col_at, elems
+
+
+def _one_part(spec, t, anchors, K, left, anchor_rows):
+    """``window_operator``'s offsets, products and entries for the one part
+    (t, anchors) with products on K, broadcast over its anchors."""
+    P = spec.mul_array(anchors[:, None], K[None]) if left else spec.mul_array(K[None], anchors[:, None])
+    elems, pos = unique_rows(P.reshape(len(anchors) * len(K), spec.coord_len))
+    inn, b, n_in, n_b = (t.row, t.col, t.m, t.n) if left else (t.col, t.row, t.n, t.m)
+    # The products go first and the entries go into arrays made for them:
+    # then a large build leaves no heap to hand back to the system and
+    # fault in again, page by page, on the next one.
+    del P
+    shape = (len(anchors), len(t.vals))
+    ii, jj, vals = np.empty(shape, np.int64), np.empty(shape, np.int64), np.empty(shape, t.vals.dtype)
+    on_products, on_anchors = (jj, ii) if anchor_rows else (ii, jj)
+    # The product of anchor a and term e, and a's index in the anchor axis.
+    np.add(pos.reshape(len(anchors), len(K))[:, t.elem], b * len(elems), out=on_products)
+    a = np.arange(len(anchors))[:, None]
+    np.add(a * n_in if anchor_rows else a, inn if anchor_rows else inn * len(anchors), out=on_anchors)
+    vals[:] = t.vals
+    anchor_at, prod_at = [0, len(anchors) * n_in], [0, n_b * len(elems)]
+    row_at, col_at = (anchor_at, prod_at) if anchor_rows else (prod_at, anchor_at)
+    return row_at, col_at, [elems], ii.ravel(), jj.ravel(), vals.ravel()
+
+
+def _flat_parts(spec, batch, parts, Ks, left, anchor_rows):
+    """``window_operator``'s offsets, products and entries for many parts,
+    from per-part counts: a part's anchors each pair with its support
+    elements, in order, and each carry its terms, in order."""
+    terms, anchors = zip(*parts)
+    m, n, row, col, elem, vals, _ = zip(*terms)
+    # Per part: its anchors, its products per anchor and its terms.
+    na, ns, nt = (np.fromiter(map(len, x), np.int64, len(parts)) for x in (anchors, Ks, vals))
+    n_in, n_b = (np.array(m), np.array(n)) if left else (np.array(n), np.array(m))
+    sizes = [len(block) for block in batch]
+    blk, last = np.repeat(np.arange(len(batch)), sizes), np.cumsum(sizes) - 1
+    # Per anchor: its pairs and entries, and where they start.
+    ns_a, nt_a = np.repeat(ns, na), np.repeat(nt, na)
+    pair_at, e_at = np.cumsum(ns_a) - ns_a, np.cumsum(nt_a) - nt_a
+    # Pair p of an anchor whose pairs start at pair_at takes support element
+    # p - pair_at of its part, whose support starts at k_at.
+    k_at = np.cumsum(ns) - ns
+    k = np.arange(int(ns_a.sum())) - np.repeat(pair_at - np.repeat(k_at, na), ns_a)
+    G = np.repeat(np.concatenate(anchors), ns_a, axis=0)
+    H = np.concatenate(Ks)[k]
+    P = spec.mul_array(G, H) if left else spec.mul_array(H, G)
+    block = np.repeat(blk, na * ns) if len(batch) > 1 else None
     elems, pos = unique_rows(P, block)
+    del G, H, P, k
     if block is None:
-        y_at = [0, len(elems)]
+        y_at = np.array([0, len(elems)])
     else:
         # A block's products take a run of the numbers: it ends after its largest.
-        last = np.full(len(batch), -1)
-        np.maximum.at(last, block, pos)
-        y_at = [0] + (np.maximum.accumulate(last) + 1).tolist()
-    out_elems = [elems[s:e] for s, e in zip(y_at, y_at[1:])]
-    e_at = list(accumulate((len(anchors) * len(t.vals) for t, anchors in parts), initial=0))
-    ii, jj = np.empty(e_at[-1], dtype=np.int64), np.empty(e_at[-1], dtype=np.int64)
-    vals = np.empty(e_at[-1], dtype=object if any(t.vals.dtype == object for t, _ in parts) else np.int64)
-    # Index arrays of the product axis and of the anchor axis.
-    on_products, on_anchors = (jj, ii) if anchor_rows else (ii, jj)
-    prod_at, anchor_at = [0], [0]
-    p = 0
-    for blk, ys, elems in zip(batch, y_at, out_elems):
-        ny, a0 = len(elems), anchor_at[-1]
-        for t, anchors in blk:
-            (s, e), na, P, shape = e_at[p : p + 2], len(anchors), Ps[p], (len(anchors), len(t.vals))
-            # The product of anchor a and term e, numbered ys + its number in the block.
-            y = pos[p_at[p] : p_at[p] + P.shape[0] * P.shape[1]].reshape(P.shape[:2])[:, t.elem]
-            inn, b, n_in, n_b = (t.row, t.col, t.m, t.n) if left else (t.col, t.row, t.n, t.m)
-            np.add(y, b * ny + (prod_at[-1] - ys), out=on_products[s:e].reshape(shape))
-            if anchor_rows:
-                np.add(np.arange(na)[:, None] * n_in + a0, inn, out=on_anchors[s:e].reshape(shape))
-            else:
-                np.add(np.arange(a0, a0 + na)[:, None], inn * na, out=on_anchors[s:e].reshape(shape))
-            vals[s:e].reshape(shape)[:] = t.vals
-            a0, p = a0 + na * n_in, p + 1
-        prod_at.append(prod_at[-1] + n_b * ny)
-        anchor_at.append(a0)
+        top = np.full(len(batch), -1)
+        np.maximum.at(top, block, pos)
+        y_at = np.concatenate(([0], np.maximum.accumulate(top) + 1))
+    ny = np.diff(y_at)
+    prod_at = np.concatenate(([0], np.cumsum(n_b[last] * ny)))
+    width = na * n_in
+    anchor_at = np.concatenate(([0], np.cumsum(width)[last]))
+    # Entry e of an anchor whose entries start at e_at is term e - e_at of its
+    # part, whose terms start at t_at.
+    t_at = np.cumsum(nt) - nt
+    term = np.arange(int(nt_a.sum())) - np.repeat(e_at - np.repeat(t_at, na), nt_a)
+    row, col, elem, vals = map(np.concatenate, (row, col, elem, vals))
+    inn, b = (row, col) if left else (col, row)
+    # An entry's product is the pair of its anchor and its term's support
+    # element; its row (column with anchor_rows) adds its term's b, in
+    # steps of the block's products, and the block's offset.
+    on_products = b * np.repeat(ny[blk], nt) + np.repeat((prod_at[:-1] - y_at[:-1])[blk], nt)
+    on_products = pos[np.repeat(pair_at, nt_a) + elem[term]] + on_products[term]
+    # Each part's first anchor in the batch, and its first index on the anchor axis.
+    aoff, a0 = np.cumsum(na) - na, np.cumsum(width) - width
+    if anchor_rows:
+        anc = (np.arange(len(ns_a)) - np.repeat(aoff, na)) * np.repeat(n_in, na) + np.repeat(a0, na)
+    else:
+        anc, inn = np.arange(len(ns_a)) + np.repeat(a0 - aoff, na), inn * np.repeat(na, nt)
+    on_anchors = np.repeat(anc, nt_a) + inn[term]
+    vals = vals[term]
     row_at, col_at = (anchor_at, prod_at) if anchor_rows else (prod_at, anchor_at)
-    M = SparseIntMatrix(row_at[-1], col_at[-1], ii, jj, vals)
-    return M, row_at, col_at, out_elems
+    ii, jj = (on_anchors, on_products) if anchor_rows else (on_products, on_anchors)
+    y_at = y_at.tolist()
+    return row_at.tolist(), col_at.tolist(), [elems[s:e] for s, e in zip(y_at, y_at[1:])], ii, jj, vals
 
 
 class WindowMatrix:

@@ -124,6 +124,21 @@ def test_mrank_of_more_relations_than_generators(tmp_path):
     assert report["status"] == "exhausted-budget"
 
 
+def test_compare_exits_2_when_converged_columns_disagree(tmp_path):
+    # 1 - x^5 over Z: mrank, vnd and the oracle read 0, but erank's first
+    # windows read 1, and every series stops on two equal values.
+    matrix = {"group": {"family": "Zd", "d": 1}, "rows": 1, "cols": 1, "entries": [
+        {"row": 0, "col": 0, "terms": [{"coeff": "1", "elem": [0]}, {"coeff": "-1", "elem": [5]}]},
+    ]}
+    path = tmp_path / "x5.json"
+    path.write_text(json.dumps(matrix))
+    assert run_cli(["compare", "--input", str(path), "--L", "2,4"], tmp_path) == 2
+    report = json.loads((tmp_path / "compare-x5.json").read_text())
+    assert report["columns"] == {"mrank": "0/1", "vnd": "0/1", "erank": "1/1", "oracle": "0/1"}
+    assert set(report["statuses"].values()) == {"converged"}
+    assert report["within_tolerance"] is False
+
+
 def test_compare_of_more_relations_than_generators(tmp_path):
     code = run_cli(["compare", "--input", str(FIXTURES / "ztriv.json"), "--L", "2,4,8,16"], tmp_path)
     assert code == 2

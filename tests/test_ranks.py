@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import lcm
@@ -820,16 +822,38 @@ def test_suites_small():
     assert r.passed and r.flagged <= 1
 
 
+# The sha256 of the JSON list of the ranks that each ranks.block_ranks call
+# returns, call by call, in one verify-suite --cases 100 pass at each job
+# seed: the submodule ranks and the window ranks behind the kernel
+# dimensions, built in batches of up to 250 parts.
+_SUITE_RANKS = {
+    0: "3b7145bc0a86c95b898fd97dc456cbd17aa1a63c2a12d2092f2b94540fb4cfb0",
+    1: "ac9197cb17d3adae960d975d6258ac2724578067b732e905c0a9b3c64b805342",
+    2: "93c3fda897f6e43e04bbb60a4a8d10bdfaac5c3c85926974cae25d1a529a6f13",
+    3: "0f264f84b6833a530de88c0799efbf3d2cfb0399869437b3cdd1640ba4ca0b30",
+}
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_verify_suite_results_pinned(seed):
+def test_verify_suite_results_pinned(seed, monkeypatch):
     # verify-suite --cases 100 at job seeds 0-3, recorded before the suites
     # drew their cases first and built and ranked them in batches.
+    seen = []
+    block_ranks = ranks.block_ranks
+
+    def recording(*args):
+        out = block_ranks(*args)
+        seen.append([c.rank for c in out])
+        return out
+
+    monkeypatch.setattr(ranks, "block_ranks", recording)
     suites = (run_identity_suite(seed), run_superadditivity_suite(seed), run_submodularity_suite(seed))
     assert [(s.name, s.cases, s.failures, s.flagged) for s in suites] == [
         ("per-window-identity", 100, [], 0),
         ("superadditivity", 100, [], 0),
         ("submodularity", 100, [], 0),
     ]
+    assert hashlib.sha256(json.dumps(seen).encode()).hexdigest() == _SUITE_RANKS[seed]
 
 
 def test_rank_generators_are_built_at_their_first_draw(monkeypatch):

@@ -143,3 +143,14 @@ def test_pass_times_rejects_bad_arguments(argv, capsys):
         script.main(["--workload", "small-exact", *argv])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_build_times_prints_each_build_and_the_suite_batches(capsys):
+    script = load("build_times")
+    assert script.main(["--repeats", "1", "--passes", "1"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [line[0] for line in lines] == [label for label, *_ in script.BUILDS] + ["window_operator/verify-suite/seed=1"]
+    assert all(float(line[1]) > 0 and line[2] == "ms" for line in lines)
+    # The suites build every part in a few batches.
+    batches, parts = int(lines[-1][4]), int(lines[-1][7])
+    assert 0 < batches < parts

@@ -213,39 +213,44 @@ def cases(draw):
     return _matrix(draw, spec), _window(draw, spec)
 
 
+def _part(draw, spec, f):
+    """f's terms and a window.  A quarter of the time f is scaled by 2^64,
+    so its values are Python ints; a Heisenberg window is moved past 2^31
+    half the time, so its coordinates and products are Python ints.  One
+    batch can mix such parts with int64 ones, empty windows and zero
+    matrices."""
+    if draw(st.integers(0, 3)) == 0:
+        f = RingMatrix(spec, [[e * 2**64 for e in row] for row in f.entries], cols=f.cols)
+    anchors = spec.coords(_window(draw, spec))
+    if spec.family == "Heisenberg" and draw(st.booleans()):
+        anchors = spec.mul_array(anchors, spec.coords([(2**31, 0, 0)]))
+    return f.terms(), anchors
+
+
 @st.composite
 def batches(draw):
-    """Up to four (terms, anchors) pairs over one group, a side and a row
-    layout.  A Heisenberg window is moved past 2^31 half the time, so its
-    coordinates and products are Python ints."""
+    """One to twelve (terms, anchors) pairs (``_part``) over one group, a
+    side and a row layout."""
     spec = draw(st.sampled_from(SPECS))
-    batch = []
-    for _ in range(draw(st.integers(1, 4))):
-        anchors = spec.coords(_window(draw, spec))
-        if spec.family == "Heisenberg" and draw(st.booleans()):
-            anchors = spec.mul_array(anchors, spec.coords([(2**31, 0, 0)]))
-        batch.append((_matrix(draw, spec).terms(), anchors))
+    batch = [_part(draw, spec, _matrix(draw, spec)) for _ in range(draw(st.integers(1, 12)))]
     return spec, batch, draw(st.booleans()), draw(st.booleans())
 
 
 @st.composite
 def blocks(draw):
-    """Up to three blocks of one to three parts each over one group, a side
-    and a row layout.  The parts of a block share the range of the index of
-    f that does not go with the anchor: f's columns on the left, its rows
-    on the right."""
+    """One to six blocks of one to four parts (``_part``) each over one
+    group, a side and a row layout.  The parts of a block share the range
+    of the index of f that does not go with the anchor: f's columns on the
+    left, its rows on the right."""
     spec = draw(st.sampled_from(SPECS))
     left, anchor_rows = draw(st.booleans()), draw(st.booleans())
     batch = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, 6))):
         shared = draw(st.integers(1 if left else 0, 2))
         block = []
-        for _ in range(draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(1, 4))):
             f = _matrix(draw, spec, n=shared) if left else _matrix(draw, spec, m=shared)
-            anchors = spec.coords(_window(draw, spec))
-            if spec.family == "Heisenberg" and draw(st.booleans()):
-                anchors = spec.mul_array(anchors, spec.coords([(2**31, 0, 0)]))
-            block.append((f.terms(), anchors))
+            block.append(_part(draw, spec, f))
         batch.append(block)
     return spec, batch, left, anchor_rows
 
