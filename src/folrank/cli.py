@@ -28,6 +28,7 @@ from .ranks import (
     DEFAULT_TOLERANCE,
     DensitySeries,
     ModulePresentation,
+    _identity_checks,
     _truncate_schedule,
     _validate_schedule,
     derived_rng,
@@ -35,7 +36,6 @@ from .ranks import (
     folner_set,
     mrank_of_presentation,
     oracle_value,
-    per_window_identity_check,
     rationality_snap,
     run_identity_suite,
     run_submodularity_suite,
@@ -238,10 +238,8 @@ def _run_identity_check(job: JobSpec) -> int:
     schedule cut by the budget writes the checks made and exits 2."""
     f = job.matrix
     kept, truncated = _truncate_schedule(f.spec, _validate_schedule(job.schedule), job.max_window_elements)
-    checks = []
-    for L in kept:
-        F = folner_set(f.spec, L, job.max_window_elements)
-        checks.append({"L": L, "ok": per_window_identity_check(f, F, rng=derived_rng(job.seed, "identity-cli", L))})
+    cases = [(f, folner_set(f.spec, L, job.max_window_elements), derived_rng(job.seed, "identity-cli", L)) for L in kept]
+    checks = [{"L": L, "ok": ok} for L, ok in zip(kept, _identity_checks(f.spec, cases))]
     all_ok = all(c["ok"] for c in checks)
     _report(job, "identity-check", {"checks": checks, "all_ok": all_ok})
     verdict = "all windows agree" if all_ok else "MISMATCH"

@@ -24,20 +24,20 @@ The builder takes a batch of blocks over one group and returns the
 block-diagonal union of their matrices with its block offsets.  A block is
 one or more (terms, anchors) parts that share one numbering of their
 products, side by side; a single window is the batch of one block of one
-part.  ``quotient_span_rank``'s matrix [W | V^T] is such a block of two
-parts: the right window of f on a growth window and that of the generators
-on F^{-1}.  One part is broadcast over its anchors.  A batch of more parts
-is laid out flat, with no numpy call per part: the anchors, supports and
-terms of all parts are concatenated once, and each (anchor, support
-element) pair and (anchor, term) entry finds its part from per-anchor
-counts and offsets.  On one part that layout is 1.4-2.4 times slower than
-the broadcast, so the builder picks its path by the number of parts.  One
-``unique_rows`` over (block, product) numbers the products of every block
-and one constructor checks the union.  A verify-suite pass at job seed 1
-builds 1,652 parts in 17 batches, in 9-15 ms on a 2-vCPU host, from
-27-47 ms with a loop over the parts: the suites' 1,300 fixed windows in 8
-batches, and for ``quotient_span_rank`` 88 generator windows in 4 and 132
-blocks [W | V^T] in 5.
+part.  ``quotient_span_rank``'s [W | V^T], a growth step of both erank
+engines, is such a block of two parts: the right windows of f on a growth
+window (or its interior) and of the generators on F^{-1}.  One part is
+broadcast over its anchors.  A batch of more parts is laid out flat, with
+no numpy call per part: the anchors, supports and terms of all parts are
+concatenated once, and each (anchor, support element) pair and (anchor,
+term) entry finds its part from per-anchor counts and offsets.  On one part
+that layout is 1.4-2.4 times slower than the broadcast, so the builder
+picks its path by the number of parts.  One ``unique_rows`` over (block,
+product) numbers the products of every block and one constructor checks the
+union.  A verify-suite pass at job seed 1 builds 1,652 parts in 17 batches,
+in 9-15 ms on a 2-vCPU host, from 27-47 ms with a loop over the parts: the
+suites' 1,300 fixed windows in 8 batches, and for ``quotient_span_rank`` 88
+generator windows in 4 and 132 blocks [W | V^T] in 5.
 """
 
 from __future__ import annotations
@@ -373,7 +373,7 @@ def window_operator(
     window its transpose is the dual-constraint matrix.  The submodule matrix
     of F^{-1}A is one part on the left on anchors F^{-1}, with
     ``anchor_rows``.  ``quotient_span_rank``'s matrix [W | V^T] is the block
-    of f on a growth window and of B on F^{-1}, on the left.
+    of f on a growth window (or its interior) and of B on F^{-1}, on the left.
 
     One part is broadcast over its (anchor, support element) and (anchor,
     term) grids.  More parts are laid out flat, with no numpy call per part:

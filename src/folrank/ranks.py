@@ -31,6 +31,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter
 from typing import Sequence
 
@@ -50,7 +51,7 @@ from .groupring import (
     RingElem,
     RingMatrix,
     Terms,
-    right_window_matrix,
+    right_window_matrix,  # noqa: F401  no caller here; perfbench traces it as ranks.right_window_matrix
     terms_of,
     window_matrix,
     window_operator,
@@ -63,8 +64,6 @@ from .groups import (
     coords_of,
     dilate,
     folner_set,
-    inverse_set,
-    positions,
     unique_rows,
     with_products,
     zd,
@@ -341,19 +340,18 @@ def _truncate_schedule(spec: GroupSpec, schedule: Sequence[int], max_elements: i
 
 
 def _series(
-    P: ModulePresentation, schedule, quantity, tolerance, max_window_elements, record, estimate, lowest=0
+    P: ModulePresentation, schedule, quantity, tolerance, max_window_elements, records, estimate, lowest=0
 ):
-    """The one series driver: one record per scheduled window that fits the
-    budget, each density checked against [lowest, n], then the limit
-    estimate (``estimate`` of the densities, at least 0, as every limit is)
-    and the convergence status."""
+    """The one series driver: one ``records(Ls, Fs)`` call gives a record
+    for every scheduled window that fits the budget, each density checked
+    against [lowest, n], then the limit estimate (``estimate`` of the
+    densities, at least 0, as every limit is) and the convergence status."""
     schedule = _validate_schedule(schedule)
     kept, truncated = _truncate_schedule(P.spec, schedule, max_window_elements)
-    records = []
-    for L in kept:
-        records.append(record(L, folner_set(P.spec, L, max_window_elements)))
-        if not lowest <= records[-1].density <= P.n:
-            raise InputError(f"density {records[-1].density} escaped [{lowest}, {P.n}]")
+    records = list(records(kept, [folner_set(P.spec, L, max_window_elements) for L in kept]))
+    for r in records:
+        if not lowest <= r.density <= P.n:
+            raise InputError(f"density {r.density} escaped [{lowest}, {P.n}]")
     value = max(Fraction(0), estimate([r.density for r in records]))
     status = "exhausted-budget" if truncated else _series_status(records, tolerance, value, P.spec)
     return DensitySeries(quantity, tuple(records), tolerance, value, min(r.density for r in records), status)
@@ -380,7 +378,8 @@ def mrank_of_presentation(
         return SeriesRecord(L, len(F), rank, P.n - Fraction(rank, len(F)), cert)
 
     # n - min rank/|F| is the largest density.
-    return _series(P, schedule, "mrank-submodule", tolerance, max_window_elements, record, max, P.n - P.m)
+    records = partial(map, record)
+    return _series(P, schedule, "mrank-submodule", tolerance, max_window_elements, records, max, P.n - P.m)
 
 
 def vnd_of_presentation(
@@ -401,7 +400,8 @@ def vnd_of_presentation(
         dim, cert = window_kernel_dim(P, F, rng=_RankRng(seed, "vnd", L))
         return SeriesRecord(L, len(F), dim, Fraction(dim, len(F)), cert)
 
-    return _series(P, schedule, "vnd-kernel-density", tolerance, max_window_elements, record, itemgetter(-1))
+    records = partial(map, record)
+    return _series(P, schedule, "vnd-kernel-density", tolerance, max_window_elements, records, itemgetter(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +430,6 @@ def _saturated(spec: GroupSpec, E: np.ndarray) -> bool:
     group, so a nonempty E closed under it is the whole group, and a finite
     E can be that only in a finite group."""
     return not len(E) or spec.is_finite and len(E) == spec.group_order()
-
-
-def _stabilize(spec: GroupSpec, E: np.ndarray, value_fn, growth_steps: int) -> StabilizedDim:
-    """Grow the sorted, distinct E by ``dilate`` until ``value_fn(E, step)``
-    repeats: ``_stabilize_all`` of one window."""
-    return _stabilize_all(spec, [E], lambda _, Es, step: [value_fn(Es[0], step)], [growth_steps])[0]
 
 
 def _stabilize_all(spec: GroupSpec, windows, values, growth_steps) -> list[StabilizedDim]:
@@ -469,6 +463,12 @@ def _initial_erank_window(spec: GroupSpec, finv, K) -> np.ndarray:
     return with_products(spec, finv, spec.inverse_array(coords_of(spec, K)))
 
 
+def _identity(P: ModulePresentation) -> list[list[RingElem]]:
+    """The n x n identity over P's group: the canonical generators of P."""
+    one, zero = RingElem.one(P.spec), RingElem.zero(P.spec)
+    return [[one if j == k else zero for k in range(P.n)] for j in range(P.n)]
+
+
 def erank_span_dim(
     P: ModulePresentation,
     F,
@@ -477,14 +477,10 @@ def erank_span_dim(
 ) -> StabilizedDim:
     """dim over Q of the span of the window translates of the canonical
     generators inside the quotient: ``quotient_span_rank`` of the n x n
-    identity.  Its translates span every vector on F^{-1}, so V^T is a unit
-    in each row at F^{-1} and rank [W | V^T] = rank C + n|F|, with C the
-    rows of W outside F^{-1}: the value is n|F| minus the
-    dimension of the relation-row span supported in F^{-1}, grown window by
-    window from below until it stabilizes."""
-    one, zero = RingElem.one(P.spec), RingElem.zero(P.spec)
-    identity = [[one if j == k else zero for k in range(P.n)] for j in range(P.n)]
-    return quotient_span_rank(P.relations, identity, F, growth_steps, seed)
+    identity, n|F| minus the dimension of the relation-row span supported
+    in F^{-1} (``erank_dual_restriction_dim`` gives the proof), grown window
+    by window from below until it stabilizes."""
+    return _quotient_span_ranks(P.spec, [(P.relations, _identity(P), F, growth_steps, seed)])[0]
 
 
 def _interior(spec: GroupSpec, E: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -509,24 +505,20 @@ def erank_dual_restriction_dim(
     I(E) = {u : u.K inside E}.  Constraint (j, u) carries f_{j,k,s} at
     (k, u.s), which is entry ((k, u.s), (j, u)) of
     W = right_window_matrix(f, I(E)): the constraint matrix is W transposed,
-    with zero columns at E outside I(E).K.  So on E containing F^{-1} the
-    solutions restricted to F^{-1} have dimension
-    n|F| - rank W + rank(W without its rows at F^{-1}); the value is
-    nonincreasing in E and stabilizes at the true restriction dimension."""
-    _check_growth_steps(growth_steps)
-    spec, F = P.spec, coords_of(P.spec, F)
-    if P.m == 0 or P.relations.is_zero():
-        return StabilizedDim(P.n * len(F), True, 0, 0)
-    finv, K = inverse_set(spec, F), P.relations.terms().support
+    with zero columns at E outside I(E).K.  Let D be W's n|F| rows at F^{-1}
+    (zero where W has none) and C the others.  With F^{-1} inside E, x on
+    F^{-1} extends to a solution iff D^T x is in im C^T, so the restrictions
+    are the kernel of x |-> D^T x mod im C^T, of dimension
+    n|F| - rank W + rank C.  The value is nonincreasing in E and stabilizes
+    at the true restriction dimension.
 
-    def value(E, step):
-        rng = _RankRng(seed, "erank-dual", len(E), step)
-        W = right_window_matrix(P.relations, _interior(spec, E, K))
-        keep = np.flatnonzero(np.tile(positions(W.row_coords, finv) < 0, W.row_blocks))
-        rank = rank_q(W.data, rng=rng).rank
-        return P.n * len(F) - rank + rank_q(W.data.submatrix(keep, np.arange(W.data.cols)), rng=rng).rank
-
-    return _stabilize(spec, _initial_erank_window(spec, finv, K), value, growth_steps)
+    It is ``quotient_span_rank`` of the n x n identity with W anchored on
+    I(E) (``_quotient_span_ranks`` with ``interior``), as for B = I_n
+    rank [W | V^T] - rank W = n|F| - rank W + rank C.  Proof: V^T has one
+    column for each row (k, s) at F^{-1}, the unit vector there.  Column
+    operations with them clear D, and the n|F| unit columns are independent
+    of C, so rank [W | V^T] = n|F| + rank C."""
+    return _quotient_span_ranks(P.spec, [(P.relations, _identity(P), F, growth_steps, seed)], interior=True)[0]
 
 
 def erank_of_presentation(
@@ -537,13 +529,17 @@ def erank_of_presentation(
     growth_steps: int = DEFAULT_GROWTH_STEPS,
     max_window_elements: int = DEFAULT_MAX_WINDOW_ELEMENTS,
 ) -> DensitySeries:
-    """Series of dual-restriction dimensions over |F|; running-minimum estimate."""
+    """Series of ``erank_dual_restriction_dim`` over |F|, every window grown in
+    one ``_quotient_span_ranks`` call; running-minimum estimate."""
 
-    def record(L: int, F) -> SeriesRecord:
-        sd = erank_dual_restriction_dim(P, F, growth_steps=growth_steps, seed=seed)
-        return SeriesRecord(L, len(F), sd.value, Fraction(sd.value, len(F)), None, sd.stabilized)
+    def records(Ls, Fs) -> list[SeriesRecord]:
+        cases = [(P.relations, _identity(P), F, growth_steps, seed) for F in Fs]
+        return [
+            SeriesRecord(L, len(F), d.value, Fraction(d.value, len(F)), None, d.stabilized)
+            for L, F, d in zip(Ls, Fs, _quotient_span_ranks(P.spec, cases, interior=True))
+        ]
 
-    return _series(P, schedule, "erank", tolerance, max_window_elements, record, min)
+    return _series(P, schedule, "erank", tolerance, max_window_elements, records, min)
 
 
 def quotient_span_rank(
@@ -582,7 +578,7 @@ def quotient_span_rank(
     return _quotient_span_ranks(f.spec, [(f, B, F, growth_steps, seed)])[0]
 
 
-def _quotient_span_ranks(spec: GroupSpec, cases) -> list[StabilizedDim]:
+def _quotient_span_ranks(spec: GroupSpec, cases, interior: bool = False) -> list[StabilizedDim]:
     """``quotient_span_rank`` of each (f, B, F, growth_steps, seed) case
     over spec, built and ranked in batches.
 
@@ -590,11 +586,14 @@ def _quotient_span_ranks(spec: GroupSpec, cases) -> list[StabilizedDim]:
     rank V, from one build and rank of their generator windows.  The other
     cases take S from one build of theirs, then go one growth step at a
     time (``_stabilize_all``): one ``window_operator`` call builds each
-    case's block [W | V^T], and W is its first m|E| columns.  One
-    ``block_ranks`` ranks the Ws and one the blocks, and the value is
-    rank [W | V^T] - rank W (``quotient_span_rank`` gives the proof).  A
-    case's rank generator at a step serves its W first and its block second,
-    as for the case alone."""
+    case's block [W | V^T], and W is its first m|X| columns, X the anchors
+    of f.  One ``block_ranks`` ranks the Ws and one the blocks, and the
+    value is rank [W | V^T] - rank W (``quotient_span_rank`` gives the
+    proof).  A case's rank generator at a step serves its W first and its
+    block second, as for the case alone.
+
+    With ``interior``, W on a growth window E is anchored on its interior
+    {u : u.K inside E}: ``erank_dual_restriction_dim`` of B = I_n."""
     # B's terms and F^{-1} of each case: the generator part of its blocks.
     gens = [(_generator_terms(B, spec), spec.inverse_array(coords_of(spec, F))) for _, B, F, *_ in cases]
     spanned = []
@@ -621,10 +620,11 @@ def _quotient_span_ranks(spec: GroupSpec, cases) -> list[StabilizedDim]:
     def values(at, Es, step):
         act = [grown[a] for a in at]
         rngs = [_RankRng(cases[c][4], "quotient-span", len(E), step) for c, E in zip(act, Es)]
-        batch = [[(cases[c][0].terms(), E), gens[c]] for c, E in zip(act, Es)]
+        fs = [cases[c][0].terms() for c in act]
+        batch = [[(t, _interior(spec, E, t.support) if interior else E), gens[c]] for c, t, E in zip(act, fs, Es)]
         M, row_at, col_at, _ = window_operator(spec, batch, left=True)
-        # W is the first m|E| columns of each block.
-        w_at = np.cumsum([0] + [cases[c][0].rows * len(E) for c, E in zip(act, Es)])
+        # W is the first m|X| columns of each block, X the anchors of its f.
+        w_at = np.cumsum([0] + [t.m * len(X) for (t, X), _ in batch])
         w_cols = np.arange(w_at[-1]) + np.repeat(np.subtract(col_at[:-1], w_at[:-1]), np.diff(w_at))
         W = M.submatrix(np.arange(M.rows), w_cols)
         rank_w = block_ranks(W, row_at, w_at, rngs)

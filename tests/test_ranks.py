@@ -30,7 +30,7 @@ from folrank.ranks import (
     _RankRng,
     _rows_of,
     _saturated,
-    _stabilize,
+    _stabilize_all,
     derived_rng,
     window_kernel_density,
     erank_dual_restriction_dim,
@@ -52,7 +52,7 @@ from folrank.ranks import (
     submodule_rank_matrix,
     vnd_of_presentation,
 )
-from test_window_builder import cases as window_cases, integral_rows, ref_dual_constraint_matrix
+from test_window_builder import SPECS, _matrix, cases as window_cases, integral_rows, ref_dual_constraint_matrix
 
 Z = zd(1)
 Z2 = zd(2)
@@ -323,7 +323,9 @@ def _restriction_dims(P, F, growth_steps):
         return restricted(C, C.submatrix(range(C.rows), keep))
 
     E0 = _initial_erank_window(spec, finv, f.terms().support)
-    return _stabilize(spec, E0, span, growth_steps), _stabilize(spec, E0, dual, growth_steps)
+    return tuple(
+        _stabilize_all(spec, [E0], lambda _, Es, step: [value(*Es, step)], [growth_steps])[0] for value in (span, dual)
+    )
 
 
 def _blocked(elems, blocks):
@@ -339,6 +341,47 @@ def test_erank_engines_match_the_restriction_formula(case, growth_steps, seed):
     span, dual = _restriction_dims(P, F, growth_steps)
     assert erank_span_dim(P, F, growth_steps, seed) == span
     assert erank_dual_restriction_dim(P, F, growth_steps, seed) == dual
+
+
+@st.composite
+def erank_schedules(draw):
+    """A presentation over any group family with 0-3 relation rows and 1-2
+    columns (so m > n is drawn, and a zero f one time in six) and a schedule
+    of one to three windows."""
+    spec = draw(st.sampled_from(SPECS))
+    f = _matrix(draw, spec, m=draw(st.integers(0, 3)))
+    top = 2 if spec.family == "Heisenberg" else 4
+    return ModulePresentation(f), sorted(draw(st.sets(st.integers(1, top), min_size=1, max_size=3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=erank_schedules(), growth_steps=st.integers(0, 3), seed=st.integers(0, 3))
+def test_erank_series_gives_each_window_its_value_alone(case, growth_steps, seed):
+    # The series grows all of its windows in one batch; each record is the
+    # window's own erank_dual_restriction_dim.
+    P, schedule = case
+    series = erank_of_presentation(P, schedule, seed=seed, growth_steps=growth_steps)
+    assert [r.L for r in series.records] == schedule
+    for r in series.records:
+        F = folner_set(P.spec, r.L)
+        alone = erank_dual_restriction_dim(P, F, growth_steps, seed)
+        assert (r.f_size, r.numerator, r.density, r.stabilized) == (
+            len(F), alone.value, Fraction(alone.value, len(F)), alone.stabilized
+        )
+
+
+def test_erank_dual_grows_from_an_empty_interior():
+    # f = (1 + T^-2; T) over Z and F = {0}: E0 = {-1, 0, 2} has no u with
+    # u + {-2, 0, 1} inside it, so the first W has no columns and the value
+    # starts at n|F| = 1.  W anchored on E0 itself would give 0 there.
+    f = RingMatrix(Z, [[zp((-2, 1), (0, 1))], [zp((1, 1))]])
+    P, F, K = ModulePresentation(f), folner_set(Z, 1), f.terms().support
+    E0 = _initial_erank_window(Z, inverse_set(Z, F.coords), K)
+    assert E0.tolist() == [[-1], [0], [2]] and ranks._interior(Z, E0, K).tolist() == []
+    assert erank_dual_restriction_dim(P, F, growth_steps=0) == StabilizedDim(1, False, 0, 3)
+    assert erank_dual_restriction_dim(P, F) == StabilizedDim(0, True, 2, 8)
+    assert _restriction_dims(P, F, 0)[1] == StabilizedDim(1, False, 0, 3)
+    assert _restriction_dims(P, F, ranks.DEFAULT_GROWTH_STEPS)[1] == StabilizedDim(0, True, 2, 8)
 
 
 # -- rationality snaps --------------------------------------------------------------------
@@ -555,7 +598,7 @@ def _quotient_span_rank_reference(f, B, F, growth_steps, seed):
         stacked_matrix = SparseIntMatrix(row_base, V.cols, ii, jj, list(stacked.values()))
         return rank_q(stacked_matrix, rng=rng).rank - dim_n
 
-    return _stabilize(spec, E0, value, growth_steps)
+    return _stabilize_all(spec, [E0], lambda _, Es, step: [value(*Es, step)], [growth_steps])[0]
 
 
 def _quotient_case(rng: random.Random):
@@ -690,7 +733,9 @@ def test_an_unstabilized_value_reports_the_last_window_evaluated(monkeypatch):
 
     monkeypatch.setattr(ranks, "dilate", recording_dilate)
     E0 = folner_set(Z2, 2).coords
-    assert _stabilize(Z2, E0, value, 3) == StabilizedDim(3, False, 3, evaluated[-1])
+    assert _stabilize_all(Z2, [E0], lambda _, Es, step: [value(*Es, step)], [3]) == [
+        StabilizedDim(3, False, 3, evaluated[-1])
+    ]
     assert evaluated == [4, 16, 36, 64]
     # No dilate follows the last step.
     assert dilated == evaluated[:-1]

@@ -1,6 +1,8 @@
 """The runnable experiments in scripts/, called through their main(argv)."""
 
 import importlib.util
+import json
+import os
 from pathlib import Path
 
 import pytest
@@ -154,3 +156,30 @@ def test_build_times_prints_each_build_and_the_suite_batches(capsys):
     # The suites build every part in a few batches.
     batches, parts = int(lines[-1][4]), int(lines[-1][7])
     assert 0 < batches < parts
+
+
+def test_bench_writes_one_record_per_selected_job(tmp_path, capsys):
+    script = load("bench")
+    out = tmp_path / "bench.json"
+    names = ["commands/oracle-one_plus_2T", "fixtures/compare-ztriv"]
+    assert script.main(["--only", ",".join(names), "--out", str(out)]) == 0
+    bench = json.loads(out.read_text())
+    assert set(bench) == {"commit", "cpu_count", "python", "numpy", "jobs"}
+    assert bench["cpu_count"] == os.cpu_count()
+    assert [job["name"] for job in bench["jobs"]] == names
+    for job in bench["jobs"]:
+        assert set(job) == {"name", "argv", "exit", "wall_s", "peak_rss_mb"}
+        assert job["wall_s"] > 0 and job["peak_rss_mb"] > 0
+        assert job["argv"][job["argv"].index("--out") + 1] == "OUT"
+    # compare exits 2 on ztriv (report_digest's fixtures workload says why).
+    assert [job["exit"] for job in bench["jobs"]] == [0, 2]
+    assert bench["jobs"][0]["argv"][:3] == ["oracle", "--input", "fixtures/one_plus_2T.json"]
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_bench_rejects_an_unknown_job(tmp_path, capsys):
+    script = load("bench")
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--only", "commands/no-such-job", "--out", str(tmp_path / "bench.json")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "bench.json").exists()
