@@ -2,9 +2,11 @@
 """Wall time and peak RSS of a fixed CLI job list, one fresh process per job.
 
 The jobs are the `fixtures` and `commands` workloads of
-`scripts/report_digest.py` and two jobs whose window cores reach the
+`scripts/report_digest.py`, two jobs whose window cores reach the
 modular rank kernel (`kernel`): `vnd z2hard --L 128,256` and
-`vnd hhard --L 5,6`.  Each job runs as `python -m folrank.cli` in its own
+`vnd hhard --L 5,6`, and two whose cores all go through the doubleton
+merges, at sizes no benchmark workload reaches (`merges`):
+`vnd xy_minus_one --L 128,256` and `vnd heisenberg_ab --L 5,6`.  Each job runs as `python -m folrank.cli` in its own
 process, with the `folrank` that this script imports and a fresh output
 directory.  The process is reaped with `os.wait4`, so its peak RSS is its
 own: `RUSAGE_CHILDREN` would keep the largest peak of all children so far.
@@ -39,6 +41,7 @@ import folrank
 
 ROOT = Path(__file__).resolve().parents[1]
 KERNEL_JOBS = (("vnd", "z2hard", "128,256"), ("vnd", "hhard", "5,6"))
+MERGE_JOBS = (("vnd", "xy_minus_one", "128,256"), ("vnd", "heisenberg_ab", "5,6"))
 SEED = 0
 
 
@@ -56,6 +59,7 @@ def bench_jobs() -> dict:
         "fixtures": digest.FIXTURE_JOBS,
         "commands": digest.command_jobs(),
         "kernel": tuple(digest.FixtureJob(*job) for job in KERNEL_JOBS),
+        "merges": tuple(digest.FixtureJob(*job) for job in MERGE_JOBS),
     }
     return {f"{name}/{job.name}": job for name, jobs in workloads.items() for job in jobs}
 

@@ -66,8 +66,9 @@ with two nonzeros, one of them ±1, is a pivot that needs no division, and a
 pass merges whole trees of such columns with one rebuild of the core.  This
 is exact over Q, like the peel.  The windows of binomial presentations are
 signed incidence matrices, with +1 and -1 in every column, and they merge
-away: the Z^2 L=64 and Heisenberg L=4 cores end empty after one pass of 7
-and 6 hooking steps.  So does each of the 45 cores above the test after the
+away: the first hooking step follows the window's row order, and the Z^2
+L=64 and Heisenberg L=4 cores end empty after one pass of 1 and 4 hooking
+steps (7 and 6 with a hash ranking at every step).  So does each of the 45 cores above the test after the
 peel over job seeds 0-3 of every benchmark job, in-process, and no
 benchmark rank draws a prime.  Cores without unit entries do not merge: the
 Z^2 window of (2 + 3x, 5 + 7y) at L=8 peels to 64x112, and the Heisenberg
@@ -85,8 +86,8 @@ columns, so the reordering changes no result.  On a 2-vCPU host, on the
 Z^2 L=64 window (4224x8192, 16,384 nonzeros), planning the layout takes
 1.0 ms (5.0 ms from a dict of entries).  Three primes on its peeled
 4096x8064 core take 0.17-0.18 s in the kernel alone (0.43-0.71 s and 262 MB
-with one zero-filled m*n array per prime); the merges take 2.4-2.6 ms and
-leave nothing (6.6-8.4 ms and a 2x75 core with one rebuild per batch).
+with one zero-filled m*n array per prime); the merges take 1.7-1.9 ms and
+leave nothing (3.0-3.3 ms with a hash ranking at every step, side by side).
 
 Cores of at most 64x64 cells, after the peel or after the merges (not M's
 size), are ranked exactly, for less than the modular protocol's fixed cost
@@ -452,14 +453,25 @@ def _merge_doubletons(core: SparseIntMatrix) -> tuple[int, SparseIntMatrix]:
     and a multiplier s_x; a root stands for the sum of s_x * row_x over its
     tree.  A doubleton between two trees is a doubleton of those sums, with
     entries U = s_a*u and V = s_b*v.  Each step, ``_hooks`` hooks the lower
-    root of such a column in a hash ranking (no rng) onto the higher when
-    its entry is ±1: a (±1, ±1) column always hooks, a one-sided (±1, v)
-    column only from its ±1 end.  Hooks go up the ranking, so they form
-    trees, and a hook's column meets only its two roots: merging leaves
+    root of such a column in a ranking (``_priorities``, no rng) onto the
+    higher when its entry is ±1: a (±1, ±1) column always hooks, a one-sided
+    (±1, v) column only from its ±1 end.  Hooks go up the ranking, so they
+    form trees, and a hook's column meets only its two roots: merging leaves
     first, each with multiplier -U*V, changes no other hook's column.
-    Pointer jumping composes the multipliers in int64.  When nothing hooks,
-    one rebuild moves every row, times s, to its root, where a hook's column
-    sums to V - U*V*U = 0.  A ``_peel`` follows; passes repeat while one merges.
+    Pointer jumping composes the multipliers in int64.  When a later step
+    hooks nothing or no column joins two trees, one rebuild moves every row,
+    times s, to its root, where a hook's column sums to V - U*V*U = 0.  A
+    ``_peel`` follows; passes repeat while one merges.
+
+    The first step of a call ranks the roots by row position, which in a
+    window is the product order of the group coordinates, and fires only
+    (±1, ±1) columns.  In a binomial box window almost every row has a later
+    row that such a column joins to it, so that step hooks almost every row
+    into long chains, which pointer jumping flattens in a few rounds.  Fired
+    in row order, one-sided (±1, 2) columns would chain powers of 2 into the
+    guard below, so they wait for the hash ranking of the later steps, which
+    keeps the expected number of steps O(log n) on any graph.  A first step
+    that hooks nothing does not end the pass.
 
     Values stay int64: nothing merges when they are Python ints or when
     max|value| * (most entries in a column) reaches 2^62, and each |s_x| is
@@ -495,6 +507,11 @@ def _merge_doubletons(core: SparseIntMatrix) -> tuple[int, SparseIntMatrix]:
             # Multipliers never shrink: a column with no ±1 entry is done.
             live = (r[:, 0] != r[:, 1]) & (unit[:, 0] | unit[:, 1])
             ends, val, r, ent, unit = (np.compress(live, x, axis=0) for x in (ends, val, r, ent, unit))
+            if not len(ends):
+                break
+            if not step:
+                # Ranked by row position: one-sided columns wait for the hash.
+                unit &= (unit[:, 0] & unit[:, 1])[:, None]
             rank = _priorities(rows, step)[r]
             step += 1
             hooked, up, by = _hooks(rows, r, ent, unit, rank)
@@ -503,11 +520,12 @@ def _merge_doubletons(core: SparseIntMatrix) -> tuple[int, SparseIntMatrix]:
                 if (lg[root] + np.log2(np.abs(sig))).max() >= limit - 1e-6:
                     unit &= (unit[:, 0] & unit[:, 1])[:, None]
                     hooked, up, by = _hooks(rows, r, ent, unit, rank)
-            if not hooked.size:
+            if hooked.size:
+                up, by = _jump(up, by, np.multiply)
+                sig *= by[root]
+                root = up[root]
+            elif step > 1:
                 break
-            up, by = _jump(up, by, np.multiply)
-            sig *= by[root]
-            root = up[root]
         merges = rows - int(np.count_nonzero(root == np.arange(rows)))
         if not merges:
             break
@@ -549,7 +567,10 @@ def _hooks(rows: int, r: np.ndarray, ent: np.ndarray, unit: np.ndarray, rank: np
 
 
 def _priorities(n: int, step: int) -> np.ndarray:
-    """Hash ranks of rows 0..n-1 at a merge step, with no ties: splitmix64 of row + step * 2^64/phi."""
+    """Ranks of rows 0..n-1 at a merge step, with no ties: the row position
+    at step 0, then splitmix64 of row + step * 2^64/phi."""
+    if not step:
+        return np.arange(n)
     x = np.arange(n, dtype=np.uint64) + np.uint64(step * 0x9E3779B97F4A7C15 % 2**64)
     for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         x ^= x >> np.uint64(shift)

@@ -433,7 +433,8 @@ def _flat_parts(spec, batch, parts, Ks, left, anchor_rows):
     # Pair p of an anchor whose pairs start at pair_at takes support element
     # p - pair_at of its part, whose support starts at k_at.
     k_at = np.cumsum(ns) - ns
-    k = np.arange(int(ns_a.sum())) - np.repeat(pair_at - np.repeat(k_at, na), ns_a)
+    k = np.arange(int(ns_a.sum()))
+    k -= np.repeat(pair_at - np.repeat(k_at, na), ns_a)
     G = np.repeat(np.concatenate(anchors), ns_a, axis=0)
     H = np.concatenate(Ks)[k]
     P = spec.mul_array(G, H) if left else spec.mul_array(H, G)
@@ -454,21 +455,29 @@ def _flat_parts(spec, batch, parts, Ks, left, anchor_rows):
     # Entry e of an anchor whose entries start at e_at is term e - e_at of its
     # part, whose terms start at t_at.
     t_at = np.cumsum(nt) - nt
-    term = np.arange(int(nt_a.sum())) - np.repeat(e_at - np.repeat(t_at, na), nt_a)
+    term = np.arange(int(nt_a.sum()))
+    term -= np.repeat(e_at - np.repeat(t_at, na), nt_a)
     row, col, elem, vals = map(np.concatenate, (row, col, elem, vals))
     inn, b = (row, col) if left else (col, row)
     # An entry's product is the pair of its anchor and its term's support
     # element; its row (column with anchor_rows) adds its term's b, in
-    # steps of the block's products, and the block's offset.
-    on_products = b * np.repeat(ny[blk], nt) + np.repeat((prod_at[:-1] - y_at[:-1])[blk], nt)
-    on_products = pos[np.repeat(pair_at, nt_a) + elem[term]] + on_products[term]
+    # steps of the block's products, and the block's offset.  The entries
+    # go into arrays made for them, as in ``_one_part``, filled in place;
+    # on_anchors holds each entry's support element until its own fill.
+    b = b * np.repeat(ny[blk], nt) + np.repeat((prod_at[:-1] - y_at[:-1])[blk], nt)
+    on_products, on_anchors = np.empty(term.size, np.int64), np.empty(term.size, np.int64)
+    at = np.repeat(pair_at, nt_a)
+    at += np.take(elem, term, out=on_anchors)
+    np.take(pos, at, out=on_products)
+    on_products += np.take(b, term, out=at)
     # Each part's first anchor in the batch, and its first index on the anchor axis.
     aoff, a0 = np.cumsum(na) - na, np.cumsum(width) - width
     if anchor_rows:
         anc = (np.arange(len(ns_a)) - np.repeat(aoff, na)) * np.repeat(n_in, na) + np.repeat(a0, na)
     else:
         anc, inn = np.arange(len(ns_a)) + np.repeat(a0 - aoff, na), inn * np.repeat(na, nt)
-    on_anchors = np.repeat(anc, nt_a) + inn[term]
+    np.take(inn, term, out=on_anchors)
+    on_anchors += np.repeat(anc, nt_a)
     vals = vals[term]
     row_at, col_at = (anchor_at, prod_at) if anchor_rows else (prod_at, anchor_at)
     ii, jj = (on_anchors, on_products) if anchor_rows else (on_products, on_anchors)

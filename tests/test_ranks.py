@@ -231,6 +231,36 @@ def test_erank_series():
     assert series.limit_estimate == Fraction(1, 16)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="erank's tolerance verdict reads two equal window values as convergence; "
+    "ROADMAP items 1 and 5 (the certified bracket as the verdict) fix it",
+)
+def test_erank_does_not_converge_above_the_limit():
+    # 1 - x^5 over Z presents a module of mean rank 0, and mrank and vnd
+    # give 0 on both windows.  erank gives 1 on both and calls it converged.
+    P = ModulePresentation(RingMatrix(Z, [[zp((0, 1), (5, -1))]]))
+    assert [mrank_of_presentation(P, (2, 4)).limit_estimate, vnd_of_presentation(P, (2, 4)).limit_estimate] == [0, 0]
+    series = erank_of_presentation(P, (2, 4))
+    assert series.status != "converged" or series.limit_estimate == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the erank growth stops on two equal values above the restriction dimension; "
+    "ROADMAP item 1 (erank as an upper bound) and item 5 (the growth loop's stop rule) fix it",
+)
+def test_erank_dual_restriction_matches_the_span_on_a_2x2_presentation():
+    # f = [[0, 3T^-2], [0, -2T - T^2]] at F = {0}: the dual restriction
+    # reports 2 as stabilized, while the quotient span of the identity, the
+    # same value by the proof in its docstring, gives 1.
+    f = RingMatrix(Z, [[RingElem.zero(Z), zp((-2, 3))], [RingElem.zero(Z), zp((1, -2), (2, -1))]])
+    P = ModulePresentation(f)
+    F = folner_set(Z, 1)
+    assert erank_span_dim(P, F).value == 1
+    assert erank_dual_restriction_dim(P, F).value == 1
+
+
 def test_erank_flagged_when_budget_too_small():
     # With no growth allowed, stabilization cannot be observed; the result is
     # flagged rather than guessed and the series reports exhausted-budget.

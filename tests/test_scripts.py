@@ -177,6 +177,17 @@ def test_bench_writes_one_record_per_selected_job(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2
 
 
+def test_bench_job_groups(tmp_path):
+    jobs = load("bench").bench_jobs()
+    assert {name.split("/")[0] for name in jobs} == {"fixtures", "commands", "kernel", "merges"}
+    # The merges jobs: binomial windows above every benchmark workload's size.
+    merges = {name: jobs[name].argv(0, tmp_path) for name in jobs if name.startswith("merges/")}
+    assert {name: (argv[0], Path(argv[2]).name, argv[4]) for name, argv in merges.items()} == {
+        "merges/vnd-xy_minus_one": ("vnd", "xy_minus_one.json", "128,256"),
+        "merges/vnd-heisenberg_ab": ("vnd", "heisenberg_ab.json", "5,6"),
+    }
+
+
 def test_bench_rejects_an_unknown_job(tmp_path, capsys):
     script = load("bench")
     with pytest.raises(SystemExit) as exc:
