@@ -6,8 +6,10 @@ The jobs are the `fixtures` and `commands` workloads of
 modular rank kernel (`kernel`): `vnd z2hard --L 128,256` and
 `vnd hhard --L 5,6`, and two whose cores all go through the doubleton
 merges, at sizes no benchmark workload reaches (`merges`):
-`vnd xy_minus_one --L 128,256` and `vnd heisenberg_ab --L 5,6`.  Each job runs as `python -m folrank.cli` in its own
-process, with the `folrank` that this script imports and a fresh output
+`vnd xy_minus_one --L 128,256` and `vnd heisenberg_ab --L 5,6`, and
+`verify-suite` at 100 and at 1000 cases (`suites`), where drawing the cases
+is a large part of the run.  Each job runs as `python -m folrank.cli` in its
+own process, with the `folrank` that this script imports and a fresh output
 directory.  The process is reaped with `os.wait4`, so its peak RSS is its
 own: `RUSAGE_CHILDREN` would keep the largest peak of all children so far.
 
@@ -33,6 +35,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy
@@ -42,7 +45,22 @@ import folrank
 ROOT = Path(__file__).resolve().parents[1]
 KERNEL_JOBS = (("vnd", "z2hard", "128,256"), ("vnd", "hhard", "5,6"))
 MERGE_JOBS = (("vnd", "xy_minus_one", "128,256"), ("vnd", "heisenberg_ab", "5,6"))
+SUITE_CASES = (100, 1000)
 SEED = 0
+
+
+@dataclass(frozen=True)
+class SuiteJob:
+    """`verify-suite` at one case count."""
+
+    cases: int
+
+    @property
+    def name(self) -> str:
+        return f"verify-suite-{self.cases}"
+
+    def argv(self, seed: int, out_dir: Path) -> list[str]:
+        return ["verify-suite", "--cases", str(self.cases), "--seed", str(seed), "--out", str(out_dir)]
 
 
 def _report_digest():
@@ -60,6 +78,7 @@ def bench_jobs() -> dict:
         "commands": digest.command_jobs(),
         "kernel": tuple(digest.FixtureJob(*job) for job in KERNEL_JOBS),
         "merges": tuple(digest.FixtureJob(*job) for job in MERGE_JOBS),
+        "suites": tuple(SuiteJob(cases) for cases in SUITE_CASES),
     }
     return {f"{name}/{job.name}": job for name, jobs in workloads.items() for job in jobs}
 

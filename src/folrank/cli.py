@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import BudgetExceededError, FolrankError, InputError, UnsupportedGroupError, check_keys
-from .groupring import RingMatrix
+from .groupring import RingMatrix, star_terms
 from .groups import DEFAULT_MAX_WINDOW_ELEMENTS
 from .mmdim import DEFAULT_EPS_SCHEDULE, mmdim_estimate
 from .ranks import (
@@ -238,7 +238,10 @@ def _run_identity_check(job: JobSpec) -> int:
     schedule cut by the budget writes the checks made and exits 2."""
     f = job.matrix
     kept, truncated = _truncate_schedule(f.spec, _validate_schedule(job.schedule), job.max_window_elements)
-    cases = [(f, folner_set(f.spec, L, job.max_window_elements), derived_rng(job.seed, "identity-cli", L)) for L in kept]
+    t = f.terms()
+    (star,) = star_terms(f.spec, [t])
+    windows = [folner_set(f.spec, L, job.max_window_elements) for L in kept]
+    cases = [(t, star, F, derived_rng(job.seed, "identity-cli", L)) for L, F in zip(kept, windows)]
     checks = [{"L": L, "ok": ok} for L, ok in zip(kept, _identity_checks(f.spec, cases))]
     all_ok = all(c["ok"] for c in checks)
     _report(job, "identity-check", {"checks": checks, "all_ok": all_ok})

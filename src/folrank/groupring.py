@@ -20,6 +20,11 @@ scaled coefficient and nothing is summed.  The result is a COO
 multiplication per pair, and the Heisenberg L=4 window in 0.6-0.8 ms, from
 27-34 ms (``scripts/build_times.py``).
 
+Terms also come without ring elements: ``terms_by_case`` makes them for
+many matrices at once from one flat table of (matrix, row, col, element,
+value) terms, as the verify-suite samplers draw them, and ``star_terms``
+takes the star of f on its terms.
+
 The builder takes a batch of blocks over one group and returns the
 block-diagonal union of their matrices with its block offsets.  A block is
 one or more (terms, anchors) parts that share one numbering of their
@@ -86,11 +91,15 @@ class RingElem:
 
     @classmethod
     def from_terms(cls, spec: GroupSpec, terms: Iterable[tuple[Sequence[int], object]]) -> "RingElem":
+        """The sum of the terms c.g: each g reduced and each c checked once,
+        then zero sums dropped and integral sums made ints."""
         acc: dict[GroupElement, object] = {}
         for g, c in terms:
             g = spec.reduce(g)
             acc[g] = acc.get(g, 0) + _norm_coeff(c)
-        return cls(spec, acc)
+        elem = object.__new__(cls)
+        elem.spec, elem.coeffs = spec, {g: _norm_coeff(c) for g, c in acc.items() if c}
+        return elem
 
     # -- queries -------------------------------------------------------------
 
@@ -342,6 +351,59 @@ def terms_of(spec: GroupSpec, rows: Sequence[Sequence[RingElem]], n: int) -> Ter
     j, k, g, vals = zip(*found) if found else ((), (), (), ())
     j, k, g = (np.array(x, dtype=np.int64) for x in (j, k, [pos[u] for u in g]))
     return Terms(len(rows), n, j, k, g, int_array(vals), spec.coords(support))
+
+
+def terms_by_case(shapes, case, row, col, coords, vals) -> list[Terms]:
+    """The terms of many matrices from one flat table: term t is ``vals[t]``
+    times the element ``coords[t]`` in entry (``row[t]``, ``col[t]``) of
+    matrix ``case[t]``, whose shape is ``shapes[case[t]]``.
+
+    One sort keyed by (case, row, col) sums the terms at each element of an
+    entry and drops the zero sums, as ``RingElem.from_terms`` does; a second,
+    keyed by case, gives each matrix its sorted support.  A matrix's terms
+    come in (row, col, element) order."""
+    rows, width = max([1] + [m for m, _ in shapes]), max([1] + [n for _, n in shapes])
+    entries = (case * rows + row) * width + col
+    keys, at = unique_rows(coords, entries)
+    sums = np.zeros(len(keys), vals.dtype)
+    np.add.at(sums, at, vals)
+    entry = np.empty(len(keys), np.int64)
+    entry[at] = entries
+    (kept,) = sums.nonzero()
+    keys, sums, entry = keys[kept], sums[kept], entry[kept]
+    owner = entry // (rows * width)
+    support, elem = unique_rows(keys, owner)
+    s_owner = np.empty(len(support), np.int64)
+    s_owner[elem] = owner
+    cuts = np.arange(len(shapes) + 1)
+    t_at, s_at = np.searchsorted(owner, cuts), np.searchsorted(s_owner, cuts)
+    elem -= s_at[owner]
+    row, col = entry // width % rows, entry % width
+    t_at, s_at = t_at.tolist(), s_at.tolist()
+    return [
+        Terms(m, n, row[a:b], col[a:b], elem[a:b], sums[a:b], support[s:e])
+        for (m, n), a, b, s, e in zip(shapes, t_at, t_at[1:], s_at, s_at[1:])
+    ]
+
+
+def star_terms(spec: GroupSpec, ts: Sequence[Terms]) -> list[Terms]:
+    """The star of each matrix: (f*)_{k,j} carries the coefficients of
+    f_{j,k} at the inverses, so the terms keep their values with row and
+    column swapped and each element inverted."""
+    if not ts:
+        return []
+    offsets = np.cumsum([0] + [len(t.support) for t in ts[:-1]])
+    sizes = [len(t.vals) for t in ts]
+    support = np.concatenate([t.support for t in ts])
+    elem = np.concatenate([t.elem for t in ts]) + np.repeat(offsets, sizes)
+    return terms_by_case(
+        [(t.n, t.m) for t in ts],
+        np.repeat(np.arange(len(ts)), sizes),
+        np.concatenate([t.col for t in ts]),
+        np.concatenate([t.row for t in ts]),
+        spec.inverse_array(support[elem]),
+        np.concatenate([t.vals for t in ts]),
+    )
 
 
 def window_operator(

@@ -52,6 +52,8 @@ from .groupring import (
     RingMatrix,
     Terms,
     right_window_matrix,  # noqa: F401  no caller here; perfbench traces it as ranks.right_window_matrix
+    star_terms,
+    terms_by_case,
     terms_of,
     window_matrix,
     window_operator,
@@ -173,15 +175,15 @@ def _generator_terms(A, spec: GroupSpec) -> Terms:
 
 def _generator_windows(spec: GroupSpec, cases) -> tuple[SparseIntMatrix, list[int], list[int], list]:
     """``window_operator`` of the submodule_rank_matrix of each (A, F, ...)
-    case over spec: the union, its block offsets, and the sorted elements of
-    each F^{-1}.support(A)."""
-    batch = [[(_generator_terms(A, spec), spec.inverse_array(coords_of(spec, F)))] for A, F, *_ in cases]
+    case over spec, A its generators' ``Terms``: the union, its block
+    offsets, and the sorted elements of each F^{-1}.support(A)."""
+    batch = [[(A, spec.inverse_array(coords_of(spec, F)))] for A, F, *_ in cases]
     return window_operator(spec, batch, left=True, anchor_rows=True)
 
 
 def _submodule_ranks(spec: GroupSpec, cases) -> list[int]:
-    """rank(<F^{-1}A>) of each (A, F, rng) case over spec, built and ranked
-    as one batch."""
+    """rank(<F^{-1}A>) of each (A, F, rng) case over spec, A its generators'
+    ``Terms``, built and ranked as one batch."""
     M, row_at, col_at, _ = _generator_windows(spec, cases)
     return [c.rank for c in block_ranks(M, row_at, col_at, [rng for *_, rng in cases])]
 
@@ -193,7 +195,7 @@ def submodule_rank_matrix(
     for s in F and a in A; columns indexed by coordinate x F^{-1}.support(A).
     Row (s, a) sits at index(s) * |A| + index(a); a row of A with fractions is
     scaled by the lcm of its denominators."""
-    return _generator_windows(spec, [(A, F)])[0]
+    return _generator_windows(spec, [(_generator_terms(A, spec), F)])[0]
 
 
 def submodule_rank(A, F, spec: GroupSpec, rng: random.Random | None = None) -> tuple[int, RankCertificate]:
@@ -230,21 +232,22 @@ def window_kernel_density(P: ModulePresentation, F, rng: random.Random | None = 
 def per_window_identity_check(f: RingMatrix, F, rng: random.Random | None = None) -> bool:
     """rank(<F^{-1} rows(f)>) == m|F| - dim ker(window of f*): two independent
     computations of the same number; inequality is a genuine failure."""
-    return _identity_checks(f.spec, [(f, F, rng)])[0]
+    t = f.terms()
+    return _identity_checks(f.spec, [(t, *star_terms(f.spec, [t]), F, rng)])[0]
 
 
 def _identity_checks(spec: GroupSpec, cases) -> list[bool]:
-    """``per_window_identity_check`` of each (f, F, rng) case over spec, as
-    two batches: the left sides, then the windows of f*.  A case's rng
-    serves both of its ranks, in that order."""
-    lhs = _submodule_ranks(spec, cases)
-    batch = [[(f.star().terms(), coords_of(spec, F))] for f, F, _ in cases]
+    """``per_window_identity_check`` of each (f, f*, F, rng) case over spec,
+    f and f* as ``Terms``, as two batches: the left sides, then the windows
+    of f*.  A case's rng serves both of its ranks, in that order."""
+    lhs = _submodule_ranks(spec, [(f, F, rng) for f, _, F, rng in cases])
+    batch = [[(star, coords_of(spec, F))] for _, star, F, _ in cases]
     W, row_at, col_at, _ = window_operator(spec, batch, left=False)
     rhs = block_ranks(W, row_at, col_at, [rng for *_, rng in cases])
     checks = []
-    for (f, _, _), [(_, F)], rank, c0, c1, cert in zip(cases, batch, lhs, col_at, col_at[1:], rhs):
+    for (f, *_), [(_, F)], rank, c0, c1, cert in zip(cases, batch, lhs, col_at, col_at[1:], rhs):
         kernel_dim = c1 - c0 - cert.rank
-        checks.append(rank == f.rows * len(F) - kernel_dim)
+        checks.append(rank == f.m * len(F) - kernel_dim)
     return checks
 
 
@@ -463,10 +466,11 @@ def _initial_erank_window(spec: GroupSpec, finv, K) -> np.ndarray:
     return with_products(spec, finv, spec.inverse_array(coords_of(spec, K)))
 
 
-def _identity(P: ModulePresentation) -> list[list[RingElem]]:
-    """The n x n identity over P's group: the canonical generators of P."""
-    one, zero = RingElem.one(P.spec), RingElem.zero(P.spec)
-    return [[one if j == k else zero for k in range(P.n)] for j in range(P.n)]
+def _identity(P: ModulePresentation) -> Terms:
+    """The terms of the n x n identity over P's group: the canonical
+    generators of P."""
+    at = np.arange(P.n)
+    return Terms(P.n, P.n, at, at, np.zeros_like(at), np.ones_like(at), P.spec.coords([P.spec.identity()][: P.n]))
 
 
 def erank_span_dim(
@@ -480,7 +484,7 @@ def erank_span_dim(
     identity, n|F| minus the dimension of the relation-row span supported
     in F^{-1} (``erank_dual_restriction_dim`` gives the proof), grown window
     by window from below until it stabilizes."""
-    return _quotient_span_ranks(P.spec, [(P.relations, _identity(P), F, growth_steps, seed)])[0]
+    return _quotient_span_ranks(P.spec, [(P.relations.terms(), _identity(P), F, growth_steps, seed)])[0]
 
 
 def _interior(spec: GroupSpec, E: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -518,7 +522,7 @@ def erank_dual_restriction_dim(
     column for each row (k, s) at F^{-1}, the unit vector there.  Column
     operations with them clear D, and the n|F| unit columns are independent
     of C, so rank [W | V^T] = n|F| + rank C."""
-    return _quotient_span_ranks(P.spec, [(P.relations, _identity(P), F, growth_steps, seed)], interior=True)[0]
+    return _quotient_span_ranks(P.spec, [(P.relations.terms(), _identity(P), F, growth_steps, seed)], interior=True)[0]
 
 
 def erank_of_presentation(
@@ -533,7 +537,7 @@ def erank_of_presentation(
     one ``_quotient_span_ranks`` call; running-minimum estimate."""
 
     def records(Ls, Fs) -> list[SeriesRecord]:
-        cases = [(P.relations, _identity(P), F, growth_steps, seed) for F in Fs]
+        cases = [(P.relations.terms(), _identity(P), F, growth_steps, seed) for F in Fs]
         return [
             SeriesRecord(L, len(F), d.value, Fraction(d.value, len(F)), None, d.stabilized)
             for L, F, d in zip(Ls, Fs, _quotient_span_ranks(P.spec, cases, interior=True))
@@ -575,12 +579,12 @@ def quotient_span_rank(
 
     This is ``_quotient_span_ranks`` of one case.
     """
-    return _quotient_span_ranks(f.spec, [(f, B, F, growth_steps, seed)])[0]
+    return _quotient_span_ranks(f.spec, [(f.terms(), _generator_terms(B, f.spec), F, growth_steps, seed)])[0]
 
 
 def _quotient_span_ranks(spec: GroupSpec, cases, interior: bool = False) -> list[StabilizedDim]:
     """``quotient_span_rank`` of each (f, B, F, growth_steps, seed) case
-    over spec, built and ranked in batches.
+    over spec, f and B as ``Terms``, built and ranked in batches.
 
     A case whose B has no translate on F is 0, and one with a zero f is
     rank V, from one build and rank of their generator windows.  The other
@@ -595,17 +599,17 @@ def _quotient_span_ranks(spec: GroupSpec, cases, interior: bool = False) -> list
     With ``interior``, W on a growth window E is anchored on its interior
     {u : u.K inside E}: ``erank_dual_restriction_dim`` of B = I_n."""
     # B's terms and F^{-1} of each case: the generator part of its blocks.
-    gens = [(_generator_terms(B, spec), spec.inverse_array(coords_of(spec, F))) for _, B, F, *_ in cases]
+    gens = [(B, spec.inverse_array(coords_of(spec, F))) for _, B, F, *_ in cases]
     spanned = []
     for c, ((f, _, _, growth_steps, _), (terms, finv)) in enumerate(zip(cases, gens)):
         _check_growth_steps(growth_steps)
         if len(terms.support) and len(finv):
-            if terms.n != f.cols:
+            if terms.n != f.n:
                 raise InputError(f"case {c}: the generators and the relations have different numbers of columns")
             spanned.append(c)
     out = [StabilizedDim(0, True, 0, 0)] * len(cases)
-    free = [c for c in spanned if cases[c][0].is_zero()]
-    grown = [c for c in spanned if not cases[c][0].is_zero()]
+    free = [c for c in spanned if not len(cases[c][0].vals)]
+    grown = [c for c in spanned if len(cases[c][0].vals)]
 
     def generator_windows(at):
         return window_operator(spec, [[gens[c]] for c in at], left=True, anchor_rows=True)
@@ -620,7 +624,7 @@ def _quotient_span_ranks(spec: GroupSpec, cases, interior: bool = False) -> list
     def values(at, Es, step):
         act = [grown[a] for a in at]
         rngs = [_RankRng(cases[c][4], "quotient-span", len(E), step) for c, E in zip(act, Es)]
-        fs = [cases[c][0].terms() for c in act]
+        fs = [cases[c][0] for c in act]
         batch = [[(t, _interior(spec, E, t.support) if interior else E), gens[c]] for c, t, E in zip(act, fs, Es)]
         M, row_at, col_at, _ = window_operator(spec, batch, left=True)
         # W is the first m|X| columns of each block, X the anchors of its f.
@@ -631,7 +635,7 @@ def _quotient_span_ranks(spec: GroupSpec, cases, interior: bool = False) -> list
         return [b.rank - w.rank for b, w in zip(block_ranks(M, row_at, col_at, rngs), rank_w)]
 
     Ss = generator_windows(grown)[3]
-    E0s = [_initial_erank_window(spec, S, cases[c][0].terms().support) for c, S in zip(grown, Ss)]
+    E0s = [_initial_erank_window(spec, S, cases[c][0].support) for c, S in zip(grown, Ss)]
     for c, sd in zip(grown, _stabilize_all(spec, E0s, values, [cases[c][3] for c in grown])):
         out[c] = sd
     return out
@@ -675,6 +679,48 @@ class SuiteResult:
         return not self.failures
 
 
+class _TermTable:
+    """Random matrices over one group, drawn straight into flat term lists:
+    one table holds the cases of one suite and group.
+
+    ``matrix`` draws the next case entry by entry along its rows.  An entry
+    makes the rng calls of ``random_ring_elem``: ``randint(0, max_terms)``
+    terms, each with ``randrange(k)`` for each finite order k and
+    ``randint(-radius, radius)`` for each free coordinate (all three for
+    Heisenberg), then ``randint(-coeff_bound, coeff_bound)``.  Drawn
+    coordinates are already reduced.  ``arrays`` gives the flat
+    (case, row, col, coords, vals) arrays, and ``terms`` each case's
+    ``Terms``, its equal terms summed (``terms_by_case``)."""
+
+    def __init__(self, spec: GroupSpec):
+        self.spec = spec
+        self.shapes: list[tuple[int, int]] = []
+        self.at: list[tuple[int, int, int]] = []
+        self.coords: list[list[int]] = []
+        self.vals: list[int] = []
+
+    def matrix(self, rng: random.Random, m: int, n: int, radius=2, coeff_bound=3, max_terms=3) -> int:
+        """Draw an m x n matrix as the next case; its case number."""
+        case = len(self.shapes)
+        self.shapes.append((m, n))
+        randint, randrange, orders = rng.randint, rng.randrange, self.spec.orders
+        free = range(self.spec.coord_len - len(orders))
+        for j in range(m):
+            for k in range(n):
+                for _ in range(randint(0, max_terms)):
+                    self.coords.append([randrange(q) for q in orders] + [randint(-radius, radius) for _ in free])
+                    self.vals.append(randint(-coeff_bound, coeff_bound))
+                    self.at.append((case, j, k))
+        return case
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        at = np.array(self.at, dtype=np.int64).reshape(len(self.at), 3)
+        return at[:, 0], at[:, 1], at[:, 2], self.spec.coords(self.coords), np.array(self.vals, dtype=np.int64)
+
+    def terms(self) -> list[Terms]:
+        return terms_by_case(self.shapes, *self.arrays())
+
+
 def random_ring_elem(
     rng: random.Random,
     spec: GroupSpec,
@@ -682,13 +728,7 @@ def random_ring_elem(
     coeff_bound: int = 3,
     max_terms: int = 3,
 ) -> RingElem:
-    terms = []
-    # Each finite coordinate, then each free one (all three for Heisenberg).
-    free = spec.coord_len - len(spec.orders)
-    for _ in range(rng.randint(0, max_terms)):
-        g = [rng.randrange(k) for k in spec.orders] + [rng.randint(-radius, radius) for _ in range(free)]
-        terms.append((g, rng.randint(-coeff_bound, coeff_bound)))
-    return RingElem.from_terms(spec, terms)
+    return random_ring_matrix(rng, spec, 1, 1, radius, coeff_bound, max_terms).entries[0][0]
 
 
 def random_ring_matrix(
@@ -700,11 +740,13 @@ def random_ring_matrix(
     coeff_bound: int = 3,
     max_terms: int = 3,
 ) -> RingMatrix:
-    rows = [
-        [random_ring_elem(rng, spec, radius, coeff_bound, max_terms) for _ in range(n)]
-        for _ in range(m)
-    ]
-    return RingMatrix(spec, rows, cols=n)
+    """An m x n matrix drawn as one ``_TermTable`` case."""
+    table = _TermTable(spec)
+    table.matrix(rng, m, n, radius, coeff_bound, max_terms)
+    entries = [[[] for _ in range(n)] for _ in range(m)]
+    for (_, j, k), g, c in zip(table.at, table.coords, table.vals):
+        entries[j][k].append((g, c))
+    return RingMatrix(spec, [[RingElem.from_terms(spec, e) for e in row] for row in entries], cols=n)
 
 
 def _by_group(cases, run) -> list:
@@ -726,23 +768,55 @@ def run_identity_suite(
     """Randomized exact check of the window identity
     rank(<F^{-1} rows(f)>) = m|F| - dim ker(f* window).
 
-    Every case is drawn first, each from its own generator; then the checks
-    of each group are built and ranked as one batch (``_identity_checks``)."""
+    Every case is drawn first, each from its own generator, into one term
+    table per group (``_TermTable``), and f* is taken from f's terms
+    (``star_terms``); then the checks of each group are built and ranked as
+    one batch (``_identity_checks``)."""
     specs = (zd(1), zd(2))
     windows = {(spec, L): folner_set(spec, L) for spec in specs for L in window_indices}
-    result = SuiteResult("per-window-identity", cases)
-    checks, labels = [], []
+    tables = {spec: _TermTable(spec) for spec in specs}
+    drawn = []
     for i in range(cases):
         rng = derived_rng(seed, "identity", i)
         spec = specs[i % len(specs)]
         m, n = rng.randint(1, 3), rng.randint(1, 3)
-        f = random_ring_matrix(rng, spec, m, n, radius=2, coeff_bound=3)
+        drawn.append((spec, tables[spec].matrix(rng, m, n, radius=2, coeff_bound=3)))
+    terms = {spec: t.terms() for spec, t in tables.items()}
+    stars = {spec: star_terms(spec, ts) for spec, ts in terms.items()}
+    result = SuiteResult("per-window-identity", cases)
+    checks, labels = [], []
+    for i, (spec, c) in enumerate(drawn):
         for L in window_indices:
-            checks.append((spec, (f, windows[spec, L], _RankRng(seed, "identity-rank", i, L))))
+            rng = _RankRng(seed, "identity-rank", i, L)
+            checks.append((spec, (terms[spec][c], stars[spec][c], windows[spec, L], rng)))
             labels.append(f"case {i}: {spec.family} d={spec.d} L={L}")
     ok = _by_group(checks, _identity_checks)
     result.failures += [label for label, good in zip(labels, ok) if not good]
     return result
+
+
+def _superadditivity_terms(spec: GroupSpec, f: _TermTable, c: _TermTable, a3: _TermTable):
+    """Each case's terms of f, of A1 = C.f and of A2 = [A1; A3], from the
+    tables of f, C and A3 over spec.  C.f is taken over pairs of terms: each
+    term of C_{a,j} times each term of f_{j,k} in the same case, C on the
+    left, as the group need not commute."""
+    case, row, col, coords, vals = c.arrays()
+    f_case, f_row, f_col, f_coords, f_vals = f.arrays()
+    # f's terms by (case, row); a term of C_{a,j} meets the run of row j.
+    radix = 1 + max(int(f_row.max(initial=0)), int(col.max(initial=0)))
+    order = np.argsort(f_case * radix + f_row, kind="stable")
+    key = (f_case * radix + f_row)[order]
+    lo, hi = (np.searchsorted(key, case * radix + col, side) for side in ("left", "right"))
+    ci = np.repeat(np.arange(len(case)), hi - lo)
+    fi = order[np.arange(len(ci)) + np.repeat(lo - np.cumsum(hi - lo) + (hi - lo), hi - lo)]
+    a1 = (case[ci], row[ci], f_col[fi], spec.mul_array(coords[ci], f_coords[fi]), vals[ci] * f_vals[fi])
+    # A3's rows go below A1's.
+    a3_case, a3_row, *a3_rest = a3.arrays()
+    top = np.array([r1 for r1, _ in c.shapes], dtype=np.int64)
+    a2 = [np.concatenate(x) for x in zip(a1, (a3_case, a3_row + top[a3_case], *a3_rest))]
+    shapes1 = [(r1, n) for (r1, _), (_, n) in zip(c.shapes, f.shapes)]
+    shapes2 = [(r1 + r3, n) for (r1, n), (r3, _) in zip(shapes1, a3.shapes)]
+    return f.terms(), terms_by_case(shapes1, *a1), terms_by_case(shapes2, *a2)
 
 
 def run_superadditivity_suite(seed: int, cases: int = 100) -> SuiteResult:
@@ -750,33 +824,31 @@ def run_superadditivity_suite(seed: int, cases: int = 100) -> SuiteResult:
     submodule/quotient split: rank<F^{-1}A2> >= rank<F^{-1}A1> +
     rank<F^{-1}pi(A2)> with A2 = A1 u A3', A1 inside the row module.
 
-    Every case is drawn first; then the ranks of A2 and A1 of each group are
-    built and ranked as one batch, and the quotient ranks of each group grow
-    their windows as one batch (``_quotient_span_ranks``)."""
+    Every case is drawn first, f, the coefficients C of A1 = C.f and A3
+    each into one term table per group; A1 and A2 are formed on the term
+    arrays (``_superadditivity_terms``).  Then the ranks of A2 and A1 of
+    each group are built and ranked as one batch, and the quotient ranks of
+    each group grow their windows as one batch (``_quotient_span_ranks``)."""
     specs = (zd(1), zd(2))
     windows = {(spec, L): folner_set(spec, L) for spec in specs for L in (2, 3)}
-    result = SuiteResult("superadditivity", cases)
-    ranked, quotients = [], []
+    small = dict(radius=1, coeff_bound=2, max_terms=2)
+    tables = {spec: [_TermTable(spec) for _ in range(3)] for spec in specs}
+    drawn = []
     for i in range(cases):
         rng = derived_rng(seed, "superadd", i)
         spec = specs[i % len(specs)]
+        f, c, a3 = tables[spec]
         m, n = rng.randint(1, 2), rng.randint(1, 2)
-        f = random_ring_matrix(rng, spec, m, n, radius=1, coeff_bound=2, max_terms=2)
-        rows = f.entries
-        a1 = []
-        for _ in range(rng.randint(1, 2)):
-            combo = tuple(RingElem.zero(spec) for _ in range(n))
-            for row in rows:
-                c = random_ring_elem(rng, spec, radius=1, coeff_bound=2, max_terms=2)
-                combo = tuple(x + c * e for x, e in zip(combo, row))
-            a1.append(combo)
-        a3 = [
-            tuple(random_ring_elem(rng, spec, radius=1, coeff_bound=2, max_terms=2) for _ in range(n))
-            for _ in range(rng.randint(1, 2))
-        ]
-        # As matrices, so that each caches its terms across the calls below.
-        a1, a2 = RingMatrix(spec, a1), RingMatrix(spec, a1 + a3)
-        F = windows[spec, rng.randint(2, 3)]
+        f.matrix(rng, m, n, **small)
+        # Row a of A1 is the sum over j of C_{a,j} times row j of f.
+        c.matrix(rng, rng.randint(1, 2), m, **small)
+        case = a3.matrix(rng, rng.randint(1, 2), n, **small)
+        drawn.append((spec, case, windows[spec, rng.randint(2, 3)]))
+    terms = {spec: _superadditivity_terms(spec, *tabs) for spec, tabs in tables.items()}
+    result = SuiteResult("superadditivity", cases)
+    ranked, quotients = [], []
+    for i, (spec, case, F) in enumerate(drawn):
+        f, a1, a2 = (ts[case] for ts in terms[spec])
         ranked.append((spec, (a2, F, _RankRng(seed, "superadd-r2", i))))
         ranked.append((spec, (a1, F, _RankRng(seed, "superadd-r1", i))))
         # The quotient rank is approached from above, so the windows grow for
@@ -796,32 +868,36 @@ def run_submodularity_suite(seed: int, cases: int = 100) -> SuiteResult:
     """Randomized check of submodularity and right-translation invariance of
     F |-> rank(<F^{-1}A>).
 
-    Every case is drawn first; then the five windows of every case of each
-    group (F1 u F2, F1 n F2, F1, F2 and F1.s) are built and ranked as one
-    batch.  Ranks are exact, so F1's one rank serves both checks."""
+    Every case is drawn first, A into one term table per group; then the
+    five windows of every case of each group (F1 u F2, F1 n F2, F1, F2 and
+    F1.s) are built and ranked as one batch.  Ranks are exact, so F1's one
+    rank serves both checks."""
     specs = (zd(1), zd(2))
-    boxes = {spec: folner_set(spec, 4 if spec.d > 1 else 8).elements for spec in specs}
-    result = SuiteResult("submodularity", cases)
-    ranked = []
+    boxes = {spec: folner_set(spec, 4 if spec.d > 1 else 8).coords for spec in specs}
+    tables = {spec: _TermTable(spec) for spec in specs}
+    drawn = []
     for i in range(cases):
         rng = derived_rng(seed, "submod", i)
         spec = specs[i % len(specs)]
         n = rng.randint(1, 2)
-        A = [
-            tuple(random_ring_elem(rng, spec, radius=1, coeff_bound=2, max_terms=2) for _ in range(n))
-            for _ in range(rng.randint(1, 2))
-        ]
-        A = RingMatrix(spec, A)  # a matrix caches its terms across the windows below
+        case = tables[spec].matrix(rng, rng.randint(1, 2), n, radius=1, coeff_bound=2, max_terms=2)
         box = boxes[spec]
-        cap = min(6, len(box))
-        f1 = tuple(sorted(rng.sample(box, rng.randint(1, cap))))
-        f2 = tuple(sorted(rng.sample(box, rng.randint(1, cap))))
-        union = tuple(sorted(set(f1) | set(f2)))
-        inter = tuple(sorted(set(f1) & set(f2)))
-        s = rng.choice(box)
-        translated = tuple(sorted(spec.mul(g, s) for g in f1))
-        for F, tag in ((union, "u"), (inter, "i"), (f1, "1"), (f2, "2"), (translated, "t")):
-            ranked.append((spec, (A, F, _RankRng(seed, "submod-rank", i, tag))))
+        # The windows are drawn as box positions: sampling them makes the
+        # rng calls that sampling the elements makes, and the box is in
+        # lexicographic order, so sorted positions give sorted windows.
+        at, cap = range(len(box)), min(6, len(box))
+        f1 = sorted(rng.sample(at, rng.randint(1, cap)))
+        f2 = sorted(rng.sample(at, rng.randint(1, cap)))
+        union, inter = sorted(set(f1) | set(f2)), sorted(set(f1) & set(f2))
+        # A translate of a sorted window of Z^d is sorted.
+        translated = spec.mul_array(box[f1], box[rng.choice(at)])
+        drawn.append((spec, case, (box[union], box[inter], box[f1], box[f2], translated)))
+    terms = {spec: t.terms() for spec, t in tables.items()}
+    result = SuiteResult("submodularity", cases)
+    ranked = []
+    for i, (spec, case, Fs) in enumerate(drawn):
+        for F, tag in zip(Fs, "ui12t"):
+            ranked.append((spec, (terms[spec][case], F, _RankRng(seed, "submod-rank", i, tag))))
     ranks = _by_group(ranked, _submodule_ranks)
     for i in range(cases):
         u, meet, r1, r2, t = ranks[5 * i : 5 * i + 5]
@@ -829,25 +905,4 @@ def run_submodularity_suite(seed: int, cases: int = 100) -> SuiteResult:
             result.failures.append(f"case {i}: submodularity broken")
         if t != r1:
             result.failures.append(f"case {i}: translation invariance broken")
-    return result
-
-
-def run_dual_rank_equality_suite(seed: int, cases: int = 50) -> SuiteResult:
-    """Randomized check that the span dimension and the dual-restriction
-    dimension agree on every stabilized window."""
-    spec = zd(1)
-    result = SuiteResult("dual-rank-equality", cases)
-    for i in range(cases):
-        rng = derived_rng(seed, "dual-rank", i)
-        n = rng.choice((1, 2))
-        f = random_ring_matrix(rng, spec, 1, n, radius=2, coeff_bound=3)
-        L = rng.randint(1, 4)
-        F = folner_set(spec, L)
-        P = ModulePresentation(f)
-        span = erank_span_dim(P, F, growth_steps=DEFAULT_GROWTH_STEPS, seed=seed + i)
-        dual = erank_dual_restriction_dim(P, F, growth_steps=DEFAULT_GROWTH_STEPS, seed=seed + i)
-        if not (span.stabilized and dual.stabilized):
-            result.flagged += 1
-        elif span.value != dual.value:
-            result.failures.append(f"case {i}: span {span.value} != dual {dual.value} (L={L})")
     return result

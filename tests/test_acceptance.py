@@ -16,12 +16,12 @@ from folrank.ranks import (
     mrank_of_presentation,
     oracle_value,
     rationality_snap,
-    run_dual_rank_equality_suite,
     run_identity_suite,
     run_submodularity_suite,
     run_superadditivity_suite,
     vnd_of_presentation,
 )
+from test_ranks import run_dual_rank_equality_suite
 
 Z = zd(1)
 Z2 = zd(2)

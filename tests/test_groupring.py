@@ -51,6 +51,17 @@ def test_ring_mul_examples():
     assert t * t == RingElem.from_terms(C2, [((0,), 2), ((1,), 2)])
 
 
+def test_from_terms_sums_to_clean_coefficients():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    e = RingElem.from_terms(Z, [((0,), half), ([0], half), ((1,), 2), ((1,), -2), ((2,), third)])
+    assert e.coeffs == {(0,): 1, (2,): third} and type(e.coeffs[(0,)]) is int
+    assert e == RingElem(Z, e.coeffs) == RingElem(Z, {(0,): Fraction(1), (1,): 0, (2,): third})
+    # Elements are reduced once, into the finite factor.
+    assert RingElem.from_terms(C2, [((3,), 1), ((1,), 1)]).coeffs == {(1,): 2}
+    with pytest.raises(InputError, match="coefficient"):
+        RingElem.from_terms(Z, [((0,), 1.5)])
+
+
 def test_involution_examples():
     f = one_plus_2T()
     fs = f.star()

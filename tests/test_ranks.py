@@ -23,9 +23,11 @@ from folrank.groups import (
     zd,
 )
 from folrank.ranks import (
+    DEFAULT_GROWTH_STEPS,
     GeneratorList,
     ModulePresentation,
     StabilizedDim,
+    SuiteResult,
     _initial_erank_window,
     _RankRng,
     _rows_of,
@@ -43,7 +45,6 @@ from folrank.ranks import (
     random_ring_elem,
     random_ring_matrix,
     rationality_snap,
-    run_dual_rank_equality_suite,
     run_identity_suite,
     run_submodularity_suite,
     run_superadditivity_suite,
@@ -694,6 +695,11 @@ def _batch_case(rng: random.Random, kind: str):
     return f, B, F
 
 
+def _terms_case(f, B, F, growth_steps, seed):
+    """A quotient-span case as the batch takes it: f and B as ``Terms``."""
+    return f.terms(), ranks._generator_terms(B, f.spec), F, growth_steps, seed
+
+
 def _record_rank_rngs(mp) -> dict:
     """Make ``ranks`` record every rank generator it makes, by key."""
     made = {}
@@ -718,7 +724,7 @@ def test_quotient_batch_matches_each_case_alone(data):
         cases.append((f.spec, (f, B, F, growth_steps, 7 * i)))
     with pytest.MonkeyPatch.context() as mp:
         batch_rngs = _record_rank_rngs(mp)
-        batch = ranks._by_group(cases, ranks._quotient_span_ranks)
+        batch = ranks._by_group([(spec, _terms_case(*case)) for spec, case in cases], ranks._quotient_span_ranks)
         alone_rngs = _record_rank_rngs(mp)
         alone = [quotient_span_rank(*case) for _, case in cases]
     assert batch == alone
@@ -733,9 +739,9 @@ def test_quotient_span_rank_rejects_generators_of_another_width():
     with pytest.raises(InputError, match="numbers of columns"):
         quotient_span_rank(f, [(zp((0, 1)),)], F)
     # In a batch, where the block of one case could reach into the next.
-    good = (one_plus_2T(), [(zp((0, 1)),)], F, 2, 0)
+    good = _terms_case(one_plus_2T(), [(zp((0, 1)),)], F, 2, 0)
     with pytest.raises(InputError, match="case 1"):
-        ranks._quotient_span_ranks(Z, [good, (f, [(zp((0, 1)),)], F, 2, 1), good])
+        ranks._quotient_span_ranks(Z, [good, _terms_case(f, [(zp((0, 1)),)], F, 2, 1), good])
 
 
 def test_quotient_batch_draws_primes_case_by_case():
@@ -744,7 +750,7 @@ def test_quotient_batch_draws_primes_case_by_case():
     cases = [(f, B, F, 1, 5 * i) for i, (f, B, F) in enumerate(cases)]
     with pytest.MonkeyPatch.context() as mp:
         made = _record_rank_rngs(mp)
-        batch = ranks._by_group([(case[0].spec, case) for case in cases], ranks._quotient_span_ranks)
+        batch = ranks._by_group([(case[0].spec, _terms_case(*case)) for case in cases], ranks._quotient_span_ranks)
     # The cores without unit entries went modular and drew primes.
     assert any(r._rng is not None for r in made.values())
     assert batch == [quotient_span_rank(*case) for case in cases]
@@ -771,10 +777,10 @@ def test_an_unstabilized_value_reports_the_last_window_evaluated(monkeypatch):
     assert dilated == evaluated[:-1]
     # The batch, and quotient_span_rank as its batch of one, likewise.
     f, B, F = one_plus_2T(), [(zp((0, 1)),)], folner_set(Z, 3)
-    E0 = _initial_erank_window(Z, ranks._generator_windows(Z, [(B, F)])[3][0], f.terms().support)
+    E0 = _initial_erank_window(Z, ranks._generator_windows(Z, [(ranks._generator_terms(B, Z), F)])[3][0], f.terms().support)
     unstabilized = StabilizedDim(1, False, 0, len(E0))
     assert quotient_span_rank(f, B, F, growth_steps=0) == unstabilized
-    batch = ranks._quotient_span_ranks(Z, [(f, B, F, 0, 0), (f, B, F, 4, 0)])
+    batch = ranks._quotient_span_ranks(Z, [_terms_case(f, B, F, 0, 0), _terms_case(f, B, F, 4, 0)])
     assert batch == [unstabilized, quotient_span_rank(f, B, F)]
 
 
@@ -887,6 +893,27 @@ def test_superadditivity_quotients_pinned(seed, monkeypatch):
 
 
 # -- randomized suites (small smoke runs; acceptance runs the full sizes) ------------------
+
+
+def run_dual_rank_equality_suite(seed: int, cases: int = 50) -> SuiteResult:
+    """Randomized check that the span dimension and the dual-restriction
+    dimension agree on every stabilized window."""
+    spec = zd(1)
+    result = SuiteResult("dual-rank-equality", cases)
+    for i in range(cases):
+        rng = derived_rng(seed, "dual-rank", i)
+        n = rng.choice((1, 2))
+        f = random_ring_matrix(rng, spec, 1, n, radius=2, coeff_bound=3)
+        L = rng.randint(1, 4)
+        F = folner_set(spec, L)
+        P = ModulePresentation(f)
+        span = erank_span_dim(P, F, growth_steps=DEFAULT_GROWTH_STEPS, seed=seed + i)
+        dual = erank_dual_restriction_dim(P, F, growth_steps=DEFAULT_GROWTH_STEPS, seed=seed + i)
+        if not (span.stabilized and dual.stabilized):
+            result.flagged += 1
+        elif span.value != dual.value:
+            result.failures.append(f"case {i}: span {span.value} != dual {dual.value} (L={L})")
+    return result
 
 
 def test_suites_small():

@@ -179,12 +179,18 @@ def test_bench_writes_one_record_per_selected_job(tmp_path, capsys):
 
 def test_bench_job_groups(tmp_path):
     jobs = load("bench").bench_jobs()
-    assert {name.split("/")[0] for name in jobs} == {"fixtures", "commands", "kernel", "merges"}
+    assert {name.split("/")[0] for name in jobs} == {"fixtures", "commands", "kernel", "merges", "suites"}
     # The merges jobs: binomial windows above every benchmark workload's size.
     merges = {name: jobs[name].argv(0, tmp_path) for name in jobs if name.startswith("merges/")}
     assert {name: (argv[0], Path(argv[2]).name, argv[4]) for name, argv in merges.items()} == {
         "merges/vnd-xy_minus_one": ("vnd", "xy_minus_one.json", "128,256"),
         "merges/vnd-heisenberg_ab": ("vnd", "heisenberg_ab.json", "5,6"),
+    }
+    # The suites jobs: verify-suite at the benchmark's case count and ten times it.
+    suites = {name: jobs[name].argv(0, tmp_path)[:3] for name in jobs if name.startswith("suites/")}
+    assert suites == {
+        "suites/verify-suite-100": ["verify-suite", "--cases", "100"],
+        "suites/verify-suite-1000": ["verify-suite", "--cases", "1000"],
     }
 
 
