@@ -801,7 +801,8 @@ def _superadditivity_terms(spec: GroupSpec, f: _TermTable, c: _TermTable, a3: _T
     term of C_{a,j} times each term of f_{j,k} in the same case, C on the
     left, as the group need not commute."""
     case, row, col, coords, vals = c.arrays()
-    f_case, f_row, f_col, f_coords, f_vals = f.arrays()
+    f_arrays = f.arrays()
+    f_case, f_row, f_col, f_coords, f_vals = f_arrays
     # f's terms by (case, row); a term of C_{a,j} meets the run of row j.
     radix = 1 + max(int(f_row.max(initial=0)), int(col.max(initial=0)))
     order = np.argsort(f_case * radix + f_row, kind="stable")
@@ -816,7 +817,7 @@ def _superadditivity_terms(spec: GroupSpec, f: _TermTable, c: _TermTable, a3: _T
     a2 = [np.concatenate(x) for x in zip(a1, (a3_case, a3_row + top[a3_case], *a3_rest))]
     shapes1 = [(r1, n) for (r1, _), (_, n) in zip(c.shapes, f.shapes)]
     shapes2 = [(r1 + r3, n) for (r1, n), (r3, _) in zip(shapes1, a3.shapes)]
-    return f.terms(), terms_by_case(shapes1, *a1), terms_by_case(shapes2, *a2)
+    return terms_by_case(f.shapes, *f_arrays), terms_by_case(shapes1, *a1), terms_by_case(shapes2, *a2)
 
 
 def run_superadditivity_suite(seed: int, cases: int = 100) -> SuiteResult:
