@@ -19,7 +19,7 @@ from pathlib import Path
 
 from folrank.groupring import RingMatrix
 from folrank.groups import folner_set
-from folrank.ranks import ModulePresentation, window_kernel_density, oracle_value
+from folrank.ranks import ModulePresentation, oracle_value, window_kernel_dim
 
 
 def main(argv=None) -> int:
@@ -37,7 +37,7 @@ def main(argv=None) -> int:
     for L in (int(x) for x in args.L.split(",") if x):
         t0 = time.perf_counter()
         F = folner_set(f.spec, L)
-        density = window_kernel_density(P, F)
+        density = Fraction(window_kernel_dim(P, F)[0], len(F))
         gap = abs(density - oracle)
         bound = Fraction(4, L)
         flag = "" if gap <= bound else "  <-- outside 4/L"

@@ -8,7 +8,6 @@ from .exactla import (
     SparseIntMatrix,
     bareiss_rank,
     generic_rank_laurent,
-    kernel_dim_q,
     rank_q,
     regular_rep_kernel,
 )
@@ -36,20 +35,15 @@ from .mmdim import (
 )
 from .ranks import (
     DensitySeries,
-    GeneratorList,
     ModulePresentation,
     RationalitySnap,
     StabilizedDim,
-    window_kernel_density,
     erank_dual_restriction_dim,
     erank_of_presentation,
-    erank_span_dim,
     mrank_of_presentation,
     oracle_value,
-    per_window_identity_check,
     quotient_span_rank,
     rationality_snap,
-    submodule_rank_density,
     vnd_of_presentation,
 )
 

@@ -22,3 +22,9 @@ def check_keys(where: str, obj: dict, known) -> None:
     unknown = sorted(set(obj) - set(known))
     if unknown:
         raise InputError(f"{where}: unknown keys {unknown}, expected some of {sorted(known)}")
+
+
+def is_int(value) -> bool:
+    """Whether a parsed JSON value is an integer.  JSON's true and false
+    parse to Python bools, which are ints too, and are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)

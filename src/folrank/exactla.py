@@ -833,11 +833,6 @@ def _rank_core(k: int, core: SparseIntMatrix, rng: random.Random | None) -> Rank
     return RankCertificate(k + bareiss_rank(core.to_dense()), "fraction-free")
 
 
-def kernel_dim_q(M: SparseIntMatrix, rng: random.Random | None = None) -> int:
-    """dim over Q of the right kernel: cols - rank."""
-    return M.cols - rank_q(M, rng=rng).rank
-
-
 def kernel_basis(rows: Sequence[Sequence[int]], cols: int, p: int = 0) -> list[list]:
     """Right kernel of an integer matrix with ``cols`` columns, over Q when
     p == 0 (Fraction entries) and modulo the prime p otherwise: one vector
@@ -960,4 +955,4 @@ def regular_rep_kernel(f: "RingMatrix", rng: random.Random | None = None) -> Fra
     order = f.spec.group_order()
     F = folner_set(f.spec, 1)
     W = window_matrix(f, F)
-    return Fraction(kernel_dim_q(W.data, rng=rng), order)
+    return Fraction(W.data.cols - rank_q(W.data, rng=rng).rank, order)

@@ -2,8 +2,8 @@
 
 A ring element is a finitely supported map from group elements to rational
 coefficients (integers are kept as Python ints, the exact fast path).  A
-matrix over the group ring carries its support K (union of entry supports)
-and its l1 coefficient norm.  ``window_matrix`` turns the left action
+matrix over the group ring keeps its nonzero terms as arrays, built once
+(``RingMatrix.terms``).  ``window_matrix`` turns the left action
 x |-> f.x on column vectors supported in a window F into an exact integer
 matrix with rows indexed by K.F and columns by F.
 
@@ -53,7 +53,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InputError, check_keys
+from .errors import InputError, check_keys, is_int
 from .exactla import SparseIntMatrix, int_array
 from .groups import FolnerSet, GroupElement, GroupSpec, coords_of, unique_rows
 
@@ -109,9 +109,6 @@ class RingElem:
     def support(self) -> frozenset:
         return frozenset(self.coeffs)
 
-    def norm1(self):
-        return sum(abs(c) for c in self.coeffs.values())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RingElem)
@@ -165,17 +162,13 @@ class RingElem:
             return self * other
         return NotImplemented
 
-    def star(self) -> "RingElem":
-        """Involution: coefficient of s moves to s^{-1}."""
-        inv = self.spec.inverse
-        return RingElem(self.spec, {inv(g): c for g, c in self.coeffs.items()})
-
 
 class RingMatrix:
-    """An m x n matrix over the group ring, with cached support, l1 norm,
-    terms and star."""
+    """An m x n matrix over the group ring, with its terms cached.  The
+    support of f and its star are taken on the terms: ``terms().support``
+    and ``star_terms``."""
 
-    __slots__ = ("spec", "rows", "cols", "entries", "_support", "_norm1", "_terms", "_star")
+    __slots__ = ("spec", "rows", "cols", "entries", "_terms")
 
     def __init__(self, spec: GroupSpec, entries: Sequence[Sequence[RingElem]], cols: int | None = None):
         self.spec = spec
@@ -197,24 +190,7 @@ class RingMatrix:
             for e in row:
                 if e.spec != spec:
                     raise InputError("matrix entry lives over a different group")
-        self._support = None
-        self._norm1 = None
         self._terms = None
-        self._star = None
-
-    def support(self) -> frozenset:
-        if self._support is None:
-            acc: frozenset = frozenset()
-            for row in self.entries:
-                for e in row:
-                    acc = acc | e.support()
-            self._support = acc
-        return self._support
-
-    def norm1(self):
-        if self._norm1 is None:
-            self._norm1 = sum(e.norm1() for row in self.entries for e in row)
-        return self._norm1
 
     def terms(self) -> "Terms":
         """The nonzero terms as arrays, built once per matrix."""
@@ -224,16 +200,6 @@ class RingMatrix:
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
-
-    def star(self) -> "RingMatrix":
-        """The n x m involuted matrix: (f*)_{k,j} has coefficients f_{j,k} at
-        inverses.  Built once per matrix."""
-        if self._star is None:
-            starred = [
-                [self.entries[j][k].star() for j in range(self.rows)] for k in range(self.cols)
-            ]
-            self._star = RingMatrix(self.spec, starred, cols=self.rows)
-        return self._star
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         if self.spec != other.spec:
@@ -293,21 +259,22 @@ class RingMatrix:
                 raise InputError(f"matrix.{field}: missing")
         spec = GroupSpec.from_json(obj["group"])
         m, n = obj["rows"], obj["cols"]
-        if not isinstance(m, int) or not isinstance(n, int) or m < 0 or n < 0:
+        if not is_int(m) or not is_int(n) or m < 0 or n < 0:
             raise InputError("matrix.rows/cols: expected nonnegative integers")
         grid: list[list[RingElem]] = [[RingElem.zero(spec) for _ in range(n)] for _ in range(m)]
-        for i, ent in enumerate(obj.get("entries", [])):
+        for i, ent in enumerate(_json_list("matrix.entries", obj.get("entries", []))):
             where = f"matrix.entries[{i}]"
             if not isinstance(ent, dict):
                 raise InputError(f"{where}: expected an object")
             check_keys(where, ent, ("row", "col", "terms"))
             j, k = ent.get("row"), ent.get("col")
-            if not isinstance(j, int) or not 0 <= j < m:
-                raise InputError(f"{where}.row: out of range for {m} rows")
-            if not isinstance(k, int) or not 0 <= k < n:
-                raise InputError(f"{where}.col: out of range for {n} cols")
+            for field, at, size in (("row", j, m), ("col", k, n)):
+                if not is_int(at):
+                    raise InputError(f"{where}.{field}: expected an integer, got {at!r}")
+                if not 0 <= at < size:
+                    raise InputError(f"{where}.{field}: out of range for {size} {field}s")
             terms = []
-            for t, term in enumerate(ent.get("terms", [])):
+            for t, term in enumerate(_json_list(f"{where}.terms", ent.get("terms", []))):
                 twhere = f"{where}.terms[{t}]"
                 if not isinstance(term, dict) or "coeff" not in term or "elem" not in term:
                     raise InputError(f"{twhere}: needs 'coeff' and 'elem'")
@@ -318,11 +285,17 @@ class RingMatrix:
                 except (ValueError, ZeroDivisionError) as exc:
                     raise InputError(f"{twhere}.coeff: not a rational: {term['coeff']!r}") from exc
                 elem = term["elem"]
-                if not isinstance(elem, list) or not all(isinstance(x, int) for x in elem):
+                if not isinstance(elem, list) or not all(map(is_int, elem)):
                     raise InputError(f"{twhere}.elem: expected a list of integers")
                 terms.append((tuple(elem), coeff))
             grid[j][k] = grid[j][k] + RingElem.from_terms(spec, terms)
         return cls(spec, grid, cols=n)
+
+
+def _json_list(where: str, value) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
 
 
 class Terms(NamedTuple):

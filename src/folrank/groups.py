@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, InputError, check_keys
+from .errors import BudgetExceededError, InputError, check_keys, is_int
 
 GroupElement = tuple[int, ...]
 
@@ -250,9 +250,9 @@ class GroupSpec:
             raise InputError("group.family: missing or not a string")
         d = obj.get("d", 0)
         orders = obj.get("orders", [])
-        if not isinstance(d, int):
+        if not is_int(d):
             raise InputError("group.d: expected an integer")
-        if not isinstance(orders, list) or not all(isinstance(k, int) for k in orders):
+        if not isinstance(orders, list) or not all(map(is_int, orders)):
             raise InputError("group.orders: expected a list of integers")
         return cls(family=family, d=d, orders=tuple(orders))
 

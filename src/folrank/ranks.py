@@ -48,13 +48,11 @@ from .exactla import (
     regular_rep_kernel,
 )
 from .groupring import (
-    RingElem,
     RingMatrix,
     Terms,
     right_window_matrix,  # noqa: F401  no caller here; perfbench traces it as ranks.right_window_matrix
     star_terms,
     terms_by_case,
-    terms_of,
     window_matrix,
     window_operator,
 )
@@ -98,7 +96,7 @@ class _RankRng:
 
 
 # ---------------------------------------------------------------------------
-# presentations and generator lists
+# presentations
 # ---------------------------------------------------------------------------
 
 
@@ -123,54 +121,14 @@ class ModulePresentation:
     def m(self) -> int:
         return self.relations.rows
 
-    def relation_rows(self) -> tuple[tuple[RingElem, ...], ...]:
-        """The canonical generating set of the relation submodule: rows of f."""
-        return self.relations.entries
-
     @classmethod
     def free(cls, spec: GroupSpec, n: int) -> "ModulePresentation":
         return cls(RingMatrix(spec, [], cols=n))
 
 
-@dataclass(frozen=True)
-class GeneratorList:
-    """A finite list of row vectors in (ZG)^{1xn}."""
-
-    spec: GroupSpec
-    vectors: tuple[tuple[RingElem, ...], ...]
-
-    def __post_init__(self):
-        widths = {len(v) for v in self.vectors}
-        if len(widths) > 1:
-            raise InputError("generator vectors have mixed lengths")
-        for v in self.vectors:
-            for e in v:
-                if e.spec != self.spec:
-                    raise InputError("generator entry lives over a different group")
-
-    @property
-    def n(self) -> int:
-        return len(self.vectors[0]) if self.vectors else 0
-
-
-def _rows_of(A) -> tuple[tuple[RingElem, ...], ...]:
-    if isinstance(A, GeneratorList):
-        return A.vectors
-    if isinstance(A, RingMatrix):
-        return A.entries
-    return tuple(tuple(row) for row in A)
-
-
 # ---------------------------------------------------------------------------
 # window-level quantities
 # ---------------------------------------------------------------------------
-
-
-def _generator_terms(A, spec: GroupSpec) -> Terms:
-    if isinstance(A, RingMatrix):
-        return A.terms()
-    rows = _rows_of(A)
-    return terms_of(spec, rows, len(rows[0]) if rows else 0)
 
 
 def _generator_windows(spec: GroupSpec, cases) -> tuple[SparseIntMatrix, list[int], list[int], list]:
@@ -189,27 +147,20 @@ def _submodule_ranks(spec: GroupSpec, cases) -> list[int]:
 
 
 def submodule_rank_matrix(
-    A, F: "FolnerSet | Sequence[GroupElement]", spec: GroupSpec
+    A: RingMatrix, F: "FolnerSet | Sequence[GroupElement]", spec: GroupSpec
 ) -> SparseIntMatrix:
     """Integer matrix whose rows are the coefficient vectors of s^{-1} a
-    for s in F and a in A; columns indexed by coordinate x F^{-1}.support(A).
-    Row (s, a) sits at index(s) * |A| + index(a); a row of A with fractions is
-    scaled by the lcm of its denominators."""
-    return _generator_windows(spec, [(_generator_terms(A, spec), F)])[0]
+    for s in F and a a row of A; columns indexed by coordinate x
+    F^{-1}.support(A).  Row (s, a) sits at index(s) * |A| + index(a); a row
+    of A with fractions is scaled by the lcm of its denominators."""
+    return _generator_windows(spec, [(A.terms(), F)])[0]
 
 
-def submodule_rank(A, F, spec: GroupSpec, rng: random.Random | None = None) -> tuple[int, RankCertificate]:
+def submodule_rank(
+    A: RingMatrix, F, spec: GroupSpec, rng: random.Random | None = None
+) -> tuple[int, RankCertificate]:
     cert = rank_q(submodule_rank_matrix(A, F, spec), rng=rng)
     return cert.rank, cert
-
-
-def submodule_rank_density(A, F, spec: GroupSpec, rng: random.Random | None = None) -> Fraction:
-    """Exact rank(<F^{-1}A>) / |F|."""
-    F = coords_of(spec, F)
-    if not len(F):
-        raise InputError("density needs a nonempty window")
-    rank, _ = submodule_rank(A, F, spec, rng=rng)
-    return Fraction(rank, len(F))
 
 
 def window_kernel_dim(
@@ -221,25 +172,13 @@ def window_kernel_dim(
     return W.data.cols - cert.rank, cert
 
 
-def window_kernel_density(P: ModulePresentation, F, rng: random.Random | None = None) -> Fraction:
-    F = coords_of(P.spec, F)
-    if not len(F):
-        raise InputError("density needs a nonempty window")
-    dim, _ = window_kernel_dim(P, F, rng=rng)
-    return Fraction(dim, len(F))
-
-
-def per_window_identity_check(f: RingMatrix, F, rng: random.Random | None = None) -> bool:
-    """rank(<F^{-1} rows(f)>) == m|F| - dim ker(window of f*): two independent
-    computations of the same number; inequality is a genuine failure."""
-    t = f.terms()
-    return _identity_checks(f.spec, [(t, *star_terms(f.spec, [t]), F, rng)])[0]
-
-
 def _identity_checks(spec: GroupSpec, cases) -> list[bool]:
-    """``per_window_identity_check`` of each (f, f*, F, rng) case over spec,
-    f and f* as ``Terms``, as two batches: the left sides, then the windows
-    of f*.  A case's rng serves both of its ranks, in that order."""
+    """The window identity rank(<F^{-1} rows(f)>) == m|F| - dim ker(window
+    of f*) of each (f, f*, F, rng) case over spec, f and f* as ``Terms``:
+    two independent computations of the same number, so inequality is a
+    genuine failure.  Built and ranked as two batches: the left sides, then
+    the windows of f*.  A case's rng serves both of its ranks, in that
+    order."""
     lhs = _submodule_ranks(spec, [(f, F, rng) for f, _, F, rng in cases])
     batch = [[(star, coords_of(spec, F))] for _, star, F, _ in cases]
     W, row_at, col_at, _ = window_operator(spec, batch, left=False)
@@ -473,20 +412,6 @@ def _identity(P: ModulePresentation) -> Terms:
     return Terms(P.n, P.n, at, at, np.zeros_like(at), np.ones_like(at), P.spec.coords([P.spec.identity()][: P.n]))
 
 
-def erank_span_dim(
-    P: ModulePresentation,
-    F,
-    growth_steps: int = DEFAULT_GROWTH_STEPS,
-    seed: int = 0,
-) -> StabilizedDim:
-    """dim over Q of the span of the window translates of the canonical
-    generators inside the quotient: ``quotient_span_rank`` of the n x n
-    identity, n|F| minus the dimension of the relation-row span supported
-    in F^{-1} (``erank_dual_restriction_dim`` gives the proof), grown window
-    by window from below until it stabilizes."""
-    return _quotient_span_ranks(P.spec, [(P.relations.terms(), _identity(P), F, growth_steps, seed)])[0]
-
-
 def _interior(spec: GroupSpec, E: np.ndarray, K: np.ndarray) -> np.ndarray:
     """The sorted elements u with u.K inside the sorted, distinct E."""
     # w.k^{-1} is one-to-one in w, so u occurs in E.K^{-1} once for each k
@@ -548,12 +473,13 @@ def erank_of_presentation(
 
 def quotient_span_rank(
     f: RingMatrix,
-    B,
+    B: RingMatrix,
     F,
     growth_steps: int = DEFAULT_GROWTH_STEPS,
     seed: int = 0,
 ) -> StabilizedDim:
-    """rank of <F^{-1} pi(B)> inside the quotient by the row module of f.
+    """rank of <F^{-1} pi(B)> inside the quotient by the row module of f,
+    for the generators B given as the rows of a matrix.
 
     The value is dim((V + N)/N), where V is the rational span of the window
     translates of B, and N is the part of the relation-row span supported in
@@ -579,7 +505,7 @@ def quotient_span_rank(
 
     This is ``_quotient_span_ranks`` of one case.
     """
-    return _quotient_span_ranks(f.spec, [(f.terms(), _generator_terms(B, f.spec), F, growth_steps, seed)])[0]
+    return _quotient_span_ranks(f.spec, [(f.terms(), B.terms(), F, growth_steps, seed)])[0]
 
 
 def _quotient_span_ranks(spec: GroupSpec, cases, interior: bool = False) -> list[StabilizedDim]:
@@ -684,11 +610,10 @@ class _TermTable:
     one table holds the cases of one suite and group.
 
     ``matrix`` draws the next case entry by entry along its rows.  An entry
-    makes the rng calls of ``random_ring_elem``: ``randint(0, max_terms)``
-    terms, each with ``randrange(k)`` for each finite order k and
-    ``randint(-radius, radius)`` for each free coordinate (all three for
-    Heisenberg), then ``randint(-coeff_bound, coeff_bound)``.  Drawn
-    coordinates are already reduced.  ``arrays`` gives the flat
+    draws ``randint(0, max_terms)`` terms, each with ``randrange(k)`` for
+    each finite order k and ``randint(-radius, radius)`` for each free
+    coordinate (all three for Heisenberg), then ``randint(-coeff_bound,
+    coeff_bound)``.  Drawn coordinates are already reduced.  ``arrays`` gives the flat
     (case, row, col, coords, vals) arrays, and ``terms`` each case's
     ``Terms``, its equal terms summed (``terms_by_case``)."""
 
@@ -719,34 +644,6 @@ class _TermTable:
 
     def terms(self) -> list[Terms]:
         return terms_by_case(self.shapes, *self.arrays())
-
-
-def random_ring_elem(
-    rng: random.Random,
-    spec: GroupSpec,
-    radius: int = 2,
-    coeff_bound: int = 3,
-    max_terms: int = 3,
-) -> RingElem:
-    return random_ring_matrix(rng, spec, 1, 1, radius, coeff_bound, max_terms).entries[0][0]
-
-
-def random_ring_matrix(
-    rng: random.Random,
-    spec: GroupSpec,
-    m: int,
-    n: int,
-    radius: int = 2,
-    coeff_bound: int = 3,
-    max_terms: int = 3,
-) -> RingMatrix:
-    """An m x n matrix drawn as one ``_TermTable`` case."""
-    table = _TermTable(spec)
-    table.matrix(rng, m, n, radius, coeff_bound, max_terms)
-    entries = [[[] for _ in range(n)] for _ in range(m)]
-    for (_, j, k), g, c in zip(table.at, table.coords, table.vals):
-        entries[j][k].append((g, c))
-    return RingMatrix(spec, [[RingElem.from_terms(spec, e) for e in row] for row in entries], cols=n)
 
 
 def _by_group(cases, run) -> list:

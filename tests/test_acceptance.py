@@ -11,7 +11,6 @@ from folrank.groups import finite_cyclic, folner_set, zd
 from folrank.mmdim import mmdim_estimate, packing_report
 from folrank.ranks import (
     ModulePresentation,
-    window_kernel_density,
     erank_of_presentation,
     mrank_of_presentation,
     oracle_value,
@@ -20,6 +19,7 @@ from folrank.ranks import (
     run_submodularity_suite,
     run_superadditivity_suite,
     vnd_of_presentation,
+    window_kernel_dim,
 )
 from test_ranks import run_dual_rank_equality_suite
 
@@ -59,7 +59,7 @@ def test_criterion_1_one_plus_2T_over_z():
         P = ModulePresentation(one_plus_2T())
         schedule = (4, 8, 16, 32, 64, 128, 256)
         for L in schedule:
-            assert window_kernel_density(P, folner_set(Z, L)) == 0
+            assert window_kernel_dim(P, folner_set(Z, L))[0] == 0
         mr = mrank_of_presentation(P, schedule)
         assert mr.limit_estimate == 0
         assert all(d == 0 for d in mr.densities())
@@ -113,7 +113,8 @@ def test_criterion_5_finite_group_grid():
         C2 = finite_cyclic(2)
         f = RingMatrix(C2, [[RingElem.from_terms(C2, [((0,), 1), ((1,), 1)])]])
         P = ModulePresentation(f)
-        density = window_kernel_density(P, folner_set(C2, 1))
+        F = folner_set(C2, 1)
+        density = Fraction(window_kernel_dim(P, F)[0], len(F))
         assert density == Fraction(1, 2)
         snap = rationality_snap(density, C2)
         assert snap.grid_denominator == 2

@@ -319,6 +319,39 @@ def test_unknown_matrix_key_is_an_input_error(edit, named, tmp_path, capsys):
     assert not list(tmp_path.glob("vnd-*"))
 
 
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda m: m.update(entries=5), "matrix.entries: expected a list, got int"),
+        (lambda m: m.update(entries=None), "matrix.entries: expected a list, got NoneType"),
+        (lambda m: m["entries"][0].update(terms=5), "matrix.entries[0].terms: expected a list, got int"),
+        (lambda m: m["entries"][0].update(terms={"coeff": "2"}), "matrix.entries[0].terms: expected a list, got dict"),
+        # Python reads JSON's true and false as the ints 1 and 0.
+        (lambda m: m["group"].update(d=True), "group.d: expected an integer"),
+        (lambda m: m["group"].update(family="FiniteCyclicProduct", d=0, orders=[True]), "group.orders:"),
+        (lambda m: m.update(rows=True), "matrix.rows/cols:"),
+        (lambda m: m.update(cols=True), "matrix.rows/cols:"),
+        (lambda m: m["entries"][0].update(row=True), "matrix.entries[0].row: expected an integer, got True"),
+        (lambda m: m["entries"][0].update(col=False), "matrix.entries[0].col: expected an integer, got False"),
+        (lambda m: m["entries"][0]["terms"][0].update(elem=[True]), "matrix.entries[0].terms[0].elem:"),
+    ],
+    ids=[
+        "entries-int", "entries-null", "terms-int", "terms-object",
+        "bool-group-d", "bool-group-orders", "bool-rows", "bool-cols", "bool-row", "bool-col", "bool-elem",
+    ],
+)
+def test_mistyped_matrix_field_is_an_input_error(edit, named, tmp_path, capsys):
+    # A field of the wrong JSON type is rejected and named, not iterated
+    # into a traceback or read as some other number.
+    matrix = json.loads((FIXTURES / "two_over_z.json").read_text())
+    edit(matrix)
+    path = tmp_path / "mistyped.json"
+    path.write_text(json.dumps(matrix))
+    assert run_cli(["vnd", "--input", str(path), "--L", "2,4"], tmp_path) == 1
+    assert capsys.readouterr().err.startswith(f"input error: {named}")
+    assert not list(tmp_path.glob("vnd-*"))
+
+
 def test_job_file_command_must_match_the_command_given(tmp_path, capsys):
     matrix = json.loads((FIXTURES / "one_plus_2T.json").read_text())
     path = tmp_path / "job.json"

@@ -25,7 +25,6 @@ from folrank.exactla import (
     block_ranks,
     generic_rank_laurent,
     kernel_basis,
-    kernel_dim_q,
     nullspace_q,
     point_rank_laurent,
     random_prime,
@@ -101,9 +100,9 @@ def test_sparse_matrix_validation():
 
 
 def test_kernel_dim_examples():
-    assert kernel_dim_q(M([[1, 0], [2, 1], [0, 2]])) == 0
-    assert kernel_dim_q(SparseIntMatrix(3, 2)) == 2
-    assert kernel_dim_q(M([[1, 1], [1, 1]])) == 1
+    # The kernel dimension, cols - rank, is the size of a kernel basis.
+    for mat, dim in ((M([[1, 0], [2, 1], [0, 2]]), 0), (SparseIntMatrix(3, 2), 2), (M([[1, 1], [1, 1]]), 1)):
+        assert mat.cols - rank_q(mat).rank == len(nullspace_q(mat)) == dim
 
 
 def test_certificate_invariants():
@@ -946,7 +945,7 @@ def test_rank_plus_kernel_is_cols(rows, cols, seed):
     rng = random.Random(seed)
     dense = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
     mat = M(dense)
-    assert rank_q(mat).rank + kernel_dim_q(mat) == cols
+    assert rank_q(mat).rank + len(nullspace_q(mat)) == cols
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,9 +9,11 @@ from folrank.groupring import (
     RingElem,
     RingMatrix,
     right_window_matrix,
+    star_terms,
     window_matrix,
 )
 from folrank.groups import finite_cyclic, folner_set, heisenberg, zd
+from ring_reference import sorted_terms, star
 
 Z = zd(1)
 Z2 = zd(2)
@@ -62,38 +64,38 @@ def test_from_terms_sums_to_clean_coefficients():
         RingElem.from_terms(Z, [((0,), 1.5)])
 
 
+def _star(f: RingMatrix):
+    """The terms of f*, as ``star_terms`` takes them."""
+    return star_terms(f.spec, [f.terms()])[0]
+
+
 def test_involution_examples():
     f = one_plus_2T()
-    fs = f.star()
-    assert fs.entries[0][0] == zpoly((0, 1), (-1, 2))
-    assert RingMatrix(Z, [[RingElem.zero(Z)]]).star().is_zero()
+    assert sorted_terms(_star(f)) == sorted_terms(RingMatrix(Z, [[zpoly((0, 1), (-1, 2))]]).terms())
+    zero = _star(RingMatrix(Z, [[RingElem.zero(Z)]]))
+    assert (zero.m, zero.n, len(zero.vals)) == (1, 1, 0)
     g = xy_minus_one()
-    gs = g.star()
-    assert gs.rows == 2 and gs.cols == 1
-    assert gs.entries[0][0] == RingElem.from_terms(Z2, [((-1, 0), 1), ((0, 0), -1)])
-    assert gs.entries[1][0] == RingElem.from_terms(Z2, [((0, -1), 1), ((0, 0), -1)])
-    assert gs.star() == g
-
-
-def test_star_is_built_once():
-    h = RingElem.from_terms(H3, [((1, 0, 0), 2), ((0, 1, 1), -1)])
-    for f in (one_plus_2T(), xy_minus_one(), RingMatrix(H3, [[h, RingElem.one(H3)]]), RingMatrix(Z, [], cols=2)):
-        fs = f.star()
-        assert f.star() is fs
-        fresh = [[f.entries[j][k].star() for j in range(f.rows)] for k in range(f.cols)]
-        assert fs == RingMatrix(f.spec, fresh, cols=f.rows)
+    gs = _star(g)
+    assert gs.m == 2 and gs.n == 1
+    expected = [
+        [RingElem.from_terms(Z2, [((-1, 0), 1), ((0, 0), -1)])],
+        [RingElem.from_terms(Z2, [((0, -1), 1), ((0, 0), -1)])],
+    ]
+    assert sorted_terms(gs) == sorted_terms(RingMatrix(Z2, expected).terms())
+    assert sorted_terms(star_terms(Z2, [gs])[0]) == sorted_terms(g.terms())
 
 
 def test_norm_and_support_examples():
-    f = one_plus_2T()
-    assert f.norm1() == 3
-    assert f.support() == frozenset({(0,), (1,)})
-    z = RingMatrix(Z, [[RingElem.zero(Z)]])
-    assert z.norm1() == 0
-    assert z.support() == frozenset()
-    g = xy_minus_one()
-    assert g.norm1() == 4
-    assert g.support() == frozenset({(0, 0), (1, 0), (0, 1)})
+    # The support and the l1 norm of f as production reads them, from its terms.
+    t = one_plus_2T().terms()
+    assert abs(t.vals).sum() == 3
+    assert t.support.tolist() == [[0], [1]]
+    z = RingMatrix(Z, [[RingElem.zero(Z)]]).terms()
+    assert abs(z.vals).sum() == 0
+    assert z.support.tolist() == []
+    g = xy_minus_one().terms()
+    assert abs(g.vals).sum() == 4
+    assert g.support.tolist() == [[0, 0], [0, 1], [1, 0]]
 
 
 def test_window_matrix_example():
@@ -154,7 +156,7 @@ def test_involution_antimultiplicative(spec, data):
     rows_b = [[data.draw(_elem_strategy(spec, max_terms=2)) for _ in range(2)] for _ in range(2)]
     fa = RingMatrix(spec, rows_a)
     fb = RingMatrix(spec, rows_b)
-    assert (fa @ fb).star() == fb.star() @ fa.star()
+    assert star(fa @ fb) == star(fb) @ star(fa)
 
 
 @settings(max_examples=40, deadline=None)

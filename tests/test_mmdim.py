@@ -34,7 +34,8 @@ from folrank.mmdim import (
     theta,
     theta_pseudometric,
 )
-from folrank.ranks import derived_rng, random_ring_matrix
+from folrank.ranks import derived_rng
+from ring_reference import random_ring_matrix, support
 
 Z = zd(1)
 
@@ -119,7 +120,7 @@ def test_interior_set_definition():
     F = folner_set(Z, 4)
     fprime = interior_set(ONE_PLUS_2T, F)
     # Every reported member satisfies K^{-1} s inside F; nothing else does.
-    K = sorted(ONE_PLUS_2T.support())
+    K = sorted(support(ONE_PLUS_2T))
     fset = set(F.elements)
     members = set(map(tuple, fprime.tolist()))
     for s in F.elements:
@@ -131,7 +132,7 @@ def test_interior_set_definition():
 def _interior_reference(f, felems):
     """F' by its definition, on tuples and sets."""
     spec, fset = f.spec, set(felems)
-    K = sorted(f.support())
+    K = sorted(support(f))
     return [list(s) for s in felems if all(spec.mul(spec.inverse(k), s) in fset for k in K)]
 
 

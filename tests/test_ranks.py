@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from folrank import ranks
 from folrank.errors import InputError
 from folrank.exactla import SparseIntMatrix, nullspace_q, rank_q
-from folrank.groupring import RingElem, RingMatrix, right_window_matrix
+from folrank.groupring import RingElem, RingMatrix, right_window_matrix, star_terms
 from folrank.groups import (
     coords_of,
     dilate,
@@ -24,35 +24,29 @@ from folrank.groups import (
 )
 from folrank.ranks import (
     DEFAULT_GROWTH_STEPS,
-    GeneratorList,
     ModulePresentation,
     StabilizedDim,
     SuiteResult,
     _initial_erank_window,
     _RankRng,
-    _rows_of,
     _saturated,
     _stabilize_all,
     derived_rng,
-    window_kernel_density,
     erank_dual_restriction_dim,
     erank_of_presentation,
-    erank_span_dim,
     mrank_of_presentation,
     oracle_value,
-    per_window_identity_check,
     quotient_span_rank,
-    random_ring_elem,
-    random_ring_matrix,
     rationality_snap,
     run_identity_suite,
     run_submodularity_suite,
     run_superadditivity_suite,
     submodule_rank,
-    submodule_rank_density,
     submodule_rank_matrix,
     vnd_of_presentation,
+    window_kernel_dim,
 )
+from ring_reference import random_ring_elem, random_ring_matrix, support
 from test_window_builder import SPECS, _matrix, cases as window_cases, integral_rows, ref_dual_constraint_matrix
 
 Z = zd(1)
@@ -74,24 +68,47 @@ def xy_minus_one():
     return RingMatrix(Z2, [[x1, y1]])
 
 
+def eye(P: ModulePresentation) -> RingMatrix:
+    """The n x n identity over P's group: the canonical generators of P."""
+    spec, n = P.spec, P.n
+    rows = [[RingElem.one(spec) if j == k else RingElem.zero(spec) for k in range(n)] for j in range(n)]
+    return RingMatrix(spec, rows, cols=n)
+
+
+def submodule_density(A: RingMatrix, F, spec) -> Fraction:
+    """rank(<F^{-1}A>) / |F|, ranked as the mean-rank engine ranks it."""
+    return Fraction(submodule_rank(A, F, spec)[0], len(F))
+
+
+def kernel_density(P: ModulePresentation, F) -> Fraction:
+    """dim ker(window of f on F) / |F|, as the kernel-density engine computes it."""
+    return Fraction(window_kernel_dim(P, F)[0], len(F))
+
+
+def identity_check(f: RingMatrix, F, rng=None) -> bool:
+    """The window identity of f on F, checked as ``identity-check`` checks it."""
+    t = f.terms()
+    return ranks._identity_checks(f.spec, [(t, *star_terms(f.spec, [t]), F, rng)])[0]
+
+
 # -- submodule window densities ---------------------------------------------------
 
 
 def test_submodule_density_examples():
     F4 = folner_set(Z, 4)
-    A = [(zp((0, 2)),)]  # the single generator 2
-    assert submodule_rank_density(A, F4, Z) == 1
-    assert submodule_rank_density([(RingElem.zero(Z),)], F4, Z) == 0
+    A = RingMatrix(Z, [[zp((0, 2))]])  # the single generator 2
+    assert submodule_density(A, F4, Z) == 1
+    assert submodule_density(RingMatrix(Z, [[RingElem.zero(Z)]]), F4, Z) == 0
     # rows of 1 + 2T generate a submodule of full density, so the quotient
     # module has mean rank 0.
-    assert submodule_rank_density(one_plus_2T().entries, F4, Z) == 1
+    assert submodule_density(one_plus_2T(), F4, Z) == 1
 
 
 def test_generator_list_validation():
-    gl = GeneratorList(Z, ((zp((0, 1)),),))
-    assert gl.n == 1
+    # Generators are the rows of a matrix, so they all have one length.
+    assert RingMatrix(Z, [[zp((0, 1))]]).cols == 1
     with pytest.raises(InputError):
-        GeneratorList(Z, ((zp((0, 1)),), (zp((0, 1)), zp((1, 1)))))
+        RingMatrix(Z, [[zp((0, 1))], [zp((0, 1)), zp((1, 1))]])
 
 
 # -- kernel densities ----------------------------------------------------------------
@@ -100,11 +117,11 @@ def test_generator_list_validation():
 def test_window_kernel_density_examples():
     P = ModulePresentation(one_plus_2T())
     for L in (2, 4, 8):
-        assert window_kernel_density(P, folner_set(Z, L)) == 0
+        assert kernel_density(P, folner_set(Z, L)) == 0
     zero = ModulePresentation(RingMatrix(Z, [[RingElem.zero(Z)]]))
-    assert window_kernel_density(zero, folner_set(Z, 5)) == 1
+    assert kernel_density(zero, folner_set(Z, 5)) == 1
     P2 = ModulePresentation(xy_minus_one())
-    d = window_kernel_density(P2, folner_set(Z2, 4))
+    d = kernel_density(P2, folner_set(Z2, 4))
     assert 0 < d < 2
     assert d == Fraction(9, 16)  # (L-1)^2 / L^2 at L = 4
 
@@ -115,24 +132,24 @@ def test_window_kernel_density_examples():
 def test_identity_examples():
     f = one_plus_2T()
     F = folner_set(Z, 4)
-    assert submodule_rank(f.entries, F, Z)[0] == 4
-    assert per_window_identity_check(f, F)
+    assert submodule_rank(f, F, Z)[0] == 4
+    assert identity_check(f, F)
     zero = RingMatrix(Z, [[RingElem.zero(Z)]])
-    assert per_window_identity_check(zero, F)
+    assert identity_check(zero, F)
 
 
 def test_identity_small_random_z2():
     rng = random.Random(5)
     for i in range(5):
         f = random_ring_matrix(rng, Z2, 2, 3, radius=1, coeff_bound=3, max_terms=3)
-        assert per_window_identity_check(f, folner_set(Z2, 3), rng=derived_rng(9, "t", i))
+        assert identity_check(f, folner_set(Z2, 3), rng=derived_rng(9, "t", i))
 
 
 def test_identity_heisenberg():
     rng = random.Random(2)
     for i in range(3):
         f = random_ring_matrix(rng, heisenberg(), 1, 2, radius=1, coeff_bound=2, max_terms=2)
-        assert per_window_identity_check(f, folner_set(heisenberg(), 1))
+        assert identity_check(f, folner_set(heisenberg(), 1))
 
 
 # -- engines ------------------------------------------------------------------------
@@ -183,11 +200,11 @@ def test_series_budget_truncation():
 def test_erank_examples():
     P = ModulePresentation(one_plus_2T())
     F1 = folner_set(Z, 1)
-    assert erank_span_dim(P, F1).value == 1
+    assert quotient_span_rank(P.relations, eye(P), F1).value == 1
     assert erank_dual_restriction_dim(P, F1).value == 1
     zero = ModulePresentation(RingMatrix(Z, [[RingElem.zero(Z)]]))
     F3 = folner_set(Z, 3)
-    assert erank_span_dim(zero, F3).value == 3
+    assert quotient_span_rank(zero.relations, eye(zero), F3).value == 3
     assert erank_dual_restriction_dim(zero, F3).value == 3
     for L in (2, 4, 8):
         sd = erank_dual_restriction_dim(P, folner_set(Z, L))
@@ -198,7 +215,7 @@ def test_erank_unit_over_q():
     # f = 2 is a unit over the rationals, so the quotient has no dual rank.
     P = ModulePresentation(RingMatrix(Z, [[zp((0, 2))]]))
     for L in (1, 3):
-        assert erank_span_dim(P, folner_set(Z, L)).value == 0
+        assert quotient_span_rank(P.relations, eye(P), folner_set(Z, L)).value == 0
         assert erank_dual_restriction_dim(P, folner_set(Z, L)).value == 0
 
 
@@ -207,7 +224,7 @@ def test_erank_accepts_rational_rows():
     half = RingElem.from_terms(Z, [((0,), Fraction(1, 2)), ((1,), 1)])  # (1 + 2T)/2
     P = ModulePresentation(RingMatrix(Z, [[half]]))
     F = folner_set(Z, 3)
-    assert erank_span_dim(P, F).value == 1
+    assert quotient_span_rank(P.relations, eye(P), F).value == 1
     assert erank_dual_restriction_dim(P, F).value == 1
 
 
@@ -219,7 +236,7 @@ def test_erank_equality_on_heisenberg():
         f = random_ring_matrix(rng, H, 1, rng.choice((1, 2)), radius=1, coeff_bound=2, max_terms=2)
         P = ModulePresentation(f)
         F = folner_set(H, 1)
-        span = erank_span_dim(P, F, growth_steps=4, seed=i)
+        span = quotient_span_rank(P.relations, eye(P), F, growth_steps=4, seed=i)
         dual = erank_dual_restriction_dim(P, F, growth_steps=4, seed=i)
         if span.stabilized and dual.stabilized:
             assert span.value == dual.value
@@ -258,7 +275,7 @@ def test_erank_dual_restriction_matches_the_span_on_a_2x2_presentation():
     f = RingMatrix(Z, [[RingElem.zero(Z), zp((-2, 3))], [RingElem.zero(Z), zp((1, -2), (2, -1))]])
     P = ModulePresentation(f)
     F = folner_set(Z, 1)
-    assert erank_span_dim(P, F).value == 1
+    assert quotient_span_rank(P.relations, eye(P), F).value == 1
     assert erank_dual_restriction_dim(P, F).value == 1
 
 
@@ -277,11 +294,11 @@ def test_negative_growth_steps_is_an_input_error():
     P = ModulePresentation(one_plus_2T())
     F = folner_set(Z, 2)
     with pytest.raises(InputError, match="growth_steps"):
-        erank_span_dim(P, F, growth_steps=-1)
+        quotient_span_rank(P.relations, eye(P), F, growth_steps=-1)
     with pytest.raises(InputError, match="growth_steps"):
         erank_dual_restriction_dim(P, F, growth_steps=-1)
     with pytest.raises(InputError, match="growth_steps"):
-        quotient_span_rank(one_plus_2T(), [(zp((0, 1)),)], F, growth_steps=-1)
+        quotient_span_rank(one_plus_2T(), RingMatrix(Z, [[zp((0, 1))]]), F, growth_steps=-1)
     with pytest.raises(InputError, match="growth_steps"):
         erank_of_presentation(P, (2, 4), growth_steps=-1)
 
@@ -291,16 +308,16 @@ def test_negative_growth_steps_is_an_input_error_without_relations(f):
     # The check comes before the shortcut for a module with no relations.
     P, F = ModulePresentation(f), folner_set(Z, 2)
     with pytest.raises(InputError, match="growth_steps"):
-        erank_span_dim(P, F, growth_steps=-1)
+        quotient_span_rank(P.relations, eye(P), F, growth_steps=-1)
     with pytest.raises(InputError, match="growth_steps"):
         erank_dual_restriction_dim(P, F, growth_steps=-1)
     with pytest.raises(InputError, match="growth_steps"):
         erank_of_presentation(P, (2, 4), growth_steps=-1)
     with pytest.raises(InputError, match="growth_steps"):
-        quotient_span_rank(f, [(zp((0, 1)),)], F, growth_steps=-1)
+        quotient_span_rank(f, RingMatrix(Z, [[zp((0, 1))]]), F, growth_steps=-1)
     # And before the shortcut for generators with no window translates.
     with pytest.raises(InputError, match="growth_steps"):
-        quotient_span_rank(one_plus_2T(), [(RingElem.zero(Z),)], F, growth_steps=-1)
+        quotient_span_rank(one_plus_2T(), RingMatrix(Z, [[RingElem.zero(Z)]]), F, growth_steps=-1)
 
 
 def test_erank_dims_nonincreasing_in_window():
@@ -310,7 +327,7 @@ def test_erank_dims_nonincreasing_in_window():
     F = folner_set(Z, 3)
     values = []
     finv = inverse_set(Z, F.elements)
-    E = _initial_erank_window(Z, finv, sorted(f.support()))
+    E = _initial_erank_window(Z, finv, sorted(support(f)))
     finv_set = set(map(tuple, finv.tolist()))
     for _ in range(5):
         elems = list(map(tuple, E.tolist()))
@@ -370,7 +387,7 @@ def test_erank_engines_match_the_restriction_formula(case, growth_steps, seed):
     f, F = case
     P = ModulePresentation(f)
     span, dual = _restriction_dims(P, F, growth_steps)
-    assert erank_span_dim(P, F, growth_steps, seed) == span
+    assert quotient_span_rank(P.relations, eye(P), F, growth_steps, seed) == span
     assert erank_dual_restriction_dim(P, F, growth_steps, seed) == dual
 
 
@@ -455,7 +472,7 @@ def test_oracle_convergence_bound_small():
     P = ModulePresentation(xy_minus_one())
     oracle = oracle_value(P)
     for L in (4, 8):
-        d = window_kernel_density(P, folner_set(Z2, L))
+        d = kernel_density(P, folner_set(Z2, L))
         assert abs(d - oracle) <= Fraction(4, L)
 
 
@@ -470,8 +487,8 @@ def test_finite_times_z_exact_half():
     P = ModulePresentation(RingMatrix(spec, [[t]]))
     for L in (1, 2, 4):
         F = folner_set(spec, L)
-        assert window_kernel_density(P, F) == Fraction(1, 2)
-        assert submodule_rank_density(P.relation_rows(), F, spec) == Fraction(1, 2)
+        assert kernel_density(P, F) == Fraction(1, 2)
+        assert submodule_density(P.relations, F, spec) == Fraction(1, 2)
         sd = erank_dual_restriction_dim(P, F)
         assert sd.stabilized and Fraction(sd.value, len(F)) == Fraction(1, 2)
     series = vnd_of_presentation(P, (2, 4))
@@ -486,7 +503,7 @@ def test_finite_group_density_matches_regular_rep_exactly():
     for _ in range(5):
         f = random_ring_matrix(rng, finite_cyclic(2, 3), 2, 2, coeff_bound=2)
         P = ModulePresentation(f)
-        assert window_kernel_density(P, folner_set(f.spec, 1)) == regular_rep_kernel(f)
+        assert kernel_density(P, folner_set(f.spec, 1)) == regular_rep_kernel(f)
 
 
 # -- structural invariants -----------------------------------------------------------------
@@ -526,18 +543,18 @@ def test_z_to_q_base_change_consistency():
     for _ in range(5):
         f = random_ring_matrix(rng, Z, 2, 2, radius=1, coeff_bound=3)
         F = folner_set(Z, 3)
-        base = submodule_rank_density(f.entries, F, Z)
+        base = submodule_density(f, F, Z)
         scaled = [
             tuple(e * Fraction(rng.randint(1, 5), rng.randint(1, 5)) for e in row)
             for row in f.entries
         ]
-        assert submodule_rank_density(scaled, F, Z) == base
+        assert submodule_density(RingMatrix(Z, scaled), F, Z) == base
 
 
 def test_quotient_span_rank_free_and_torsion():
     zero = RingMatrix(Z, [], cols=1)
     F = folner_set(Z, 3)
-    A = [(zp((0, 1)),)]
+    A = RingMatrix(Z, [[zp((0, 1))]])
     q = quotient_span_rank(zero, A, F)
     assert q.value == 3 and q.stabilized
     # Quotient by the full ring: everything dies.
@@ -586,10 +603,9 @@ def test_block_rank_identity(data):
 def _quotient_span_rank_reference(f, B, F, growth_steps, seed):
     """quotient_span_rank from an explicit rational kernel basis of the out
     rows, mapped into V's layout and stacked with V."""
-    spec = f.spec
-    rows = _rows_of(B)
+    spec, rows = f.spec, B.entries
     felems = list(map(tuple, coords_of(spec, F).tolist()))
-    V = submodule_rank_matrix(rows, F, spec)
+    V = submodule_rank_matrix(B, F, spec)
     if V.cols == 0:
         return StabilizedDim(0, True, 0, 0)
     if f.rows == 0 or f.is_zero():
@@ -601,7 +617,7 @@ def _quotient_span_rank_reference(f, B, F, growth_steps, seed):
     s_set = set(support_cols)
     s_pos = {g: i for i, g in enumerate(support_cols)}
     width = len(support_cols)
-    E0 = _initial_erank_window(spec, support_cols, sorted(f.support()))
+    E0 = _initial_erank_window(spec, support_cols, sorted(support(f)))
 
     def value(E, step):
         rng = derived_rng(seed, "quotient-span", len(E), step)
@@ -644,8 +660,8 @@ def _quotient_case(rng: random.Random):
         tuple(random_ring_elem(rng, spec, **small) * x for x in rng.choice(f.entries))
         for _ in range(rng.randint(0, 2))
     ]
-    A += [tuple(row) for row in random_ring_matrix(rng, spec, rng.randint(1, 2), n, **small).entries]
-    return f, A, folner_set(spec, rng.randint(2, 3))
+    A += random_ring_matrix(rng, spec, rng.randint(1, 2), n, **small).entries
+    return f, RingMatrix(spec, A, cols=n), folner_set(spec, rng.randint(2, 3))
 
 
 def test_quotient_span_rank_matches_nullspace_reference():
@@ -658,7 +674,7 @@ def test_quotient_span_rank_matches_nullspace_reference():
     # Fraction coefficients in f and in A: row integralization and row scaling.
     half = Fraction(1, 2)
     f = RingMatrix(Z2, [[RingElem.from_terms(Z2, [((0, 0), half), ((1, 0), Fraction(-1, 3))])]])
-    A = [(RingElem.from_terms(Z2, [((0, 0), Fraction(2, 5)), ((0, 1), 1)]),), (f.entries[0][0],)]
+    A = RingMatrix(Z2, [[RingElem.from_terms(Z2, [((0, 0), Fraction(2, 5)), ((0, 1), 1)])], [f.entries[0][0]]])
     F = folner_set(Z2, 2)
     for growth_steps in (6, 14):
         new = quotient_span_rank(f, A, F, growth_steps=growth_steps, seed=3)
@@ -683,7 +699,7 @@ def _batch_case(rng: random.Random, kind: str):
     """An (f, B, F) case of one kind for the quotient batch."""
     if kind == "modular":
         spec = rng.choice((Z, Z2))
-        B = [(random_ring_elem(rng, spec, radius=1, coeff_bound=3),) for _ in range(rng.randint(1, 2))]
+        B = RingMatrix(spec, [[random_ring_elem(rng, spec, radius=1, coeff_bound=3)] for _ in range(rng.randint(1, 2))])
         return _NO_UNITS[spec], B, folner_set(spec, 40 if spec.d == 1 else 4)
     f, B, F = _quotient_case(rng)
     if kind == "zero f":
@@ -691,13 +707,13 @@ def _batch_case(rng: random.Random, kind: str):
     elif kind == "no relations":
         f = RingMatrix(f.spec, [], cols=f.cols)
     elif kind == "empty V":
-        B = [tuple(RingElem.zero(f.spec) for _ in range(f.cols))]
+        B = RingMatrix(f.spec, [[RingElem.zero(f.spec)] * f.cols])
     return f, B, F
 
 
 def _terms_case(f, B, F, growth_steps, seed):
     """A quotient-span case as the batch takes it: f and B as ``Terms``."""
-    return f.terms(), ranks._generator_terms(B, f.spec), F, growth_steps, seed
+    return f.terms(), B.terms(), F, growth_steps, seed
 
 
 def _record_rank_rngs(mp) -> dict:
@@ -737,11 +753,11 @@ def test_quotient_batch_matches_each_case_alone(data):
 def test_quotient_span_rank_rejects_generators_of_another_width():
     f, F = RingMatrix(Z, [[zp((0, 1)), zp((1, 2))]]), folner_set(Z, 2)
     with pytest.raises(InputError, match="numbers of columns"):
-        quotient_span_rank(f, [(zp((0, 1)),)], F)
+        quotient_span_rank(f, RingMatrix(Z, [[zp((0, 1))]]), F)
     # In a batch, where the block of one case could reach into the next.
-    good = _terms_case(one_plus_2T(), [(zp((0, 1)),)], F, 2, 0)
+    good = _terms_case(one_plus_2T(), RingMatrix(Z, [[zp((0, 1))]]), F, 2, 0)
     with pytest.raises(InputError, match="case 1"):
-        ranks._quotient_span_ranks(Z, [good, _terms_case(f, [(zp((0, 1)),)], F, 2, 1), good])
+        ranks._quotient_span_ranks(Z, [good, _terms_case(f, RingMatrix(Z, [[zp((0, 1))]]), F, 2, 1), good])
 
 
 def test_quotient_batch_draws_primes_case_by_case():
@@ -776,8 +792,8 @@ def test_an_unstabilized_value_reports_the_last_window_evaluated(monkeypatch):
     # No dilate follows the last step.
     assert dilated == evaluated[:-1]
     # The batch, and quotient_span_rank as its batch of one, likewise.
-    f, B, F = one_plus_2T(), [(zp((0, 1)),)], folner_set(Z, 3)
-    E0 = _initial_erank_window(Z, ranks._generator_windows(Z, [(ranks._generator_terms(B, Z), F)])[3][0], f.terms().support)
+    f, B, F = one_plus_2T(), RingMatrix(Z, [[zp((0, 1))]]), folner_set(Z, 3)
+    E0 = _initial_erank_window(Z, ranks._generator_windows(Z, [(B.terms(), F)])[3][0], f.terms().support)
     unstabilized = StabilizedDim(1, False, 0, len(E0))
     assert quotient_span_rank(f, B, F, growth_steps=0) == unstabilized
     batch = ranks._quotient_span_ranks(Z, [_terms_case(f, B, F, 0, 0), _terms_case(f, B, F, 4, 0)])
@@ -907,7 +923,7 @@ def run_dual_rank_equality_suite(seed: int, cases: int = 50) -> SuiteResult:
         L = rng.randint(1, 4)
         F = folner_set(spec, L)
         P = ModulePresentation(f)
-        span = erank_span_dim(P, F, growth_steps=DEFAULT_GROWTH_STEPS, seed=seed + i)
+        span = quotient_span_rank(P.relations, eye(P), F, growth_steps=DEFAULT_GROWTH_STEPS, seed=seed + i)
         dual = erank_dual_restriction_dim(P, F, growth_steps=DEFAULT_GROWTH_STEPS, seed=seed + i)
         if not (span.stabilized and dual.stabilized):
             result.flagged += 1
@@ -981,4 +997,4 @@ def test_identity_property(seed):
     rng = random.Random(seed)
     spec = (Z, Z2)[seed % 2]
     f = random_ring_matrix(rng, spec, rng.randint(1, 2), rng.randint(1, 2), radius=1, coeff_bound=2)
-    assert per_window_identity_check(f, folner_set(spec, 2))
+    assert identity_check(f, folner_set(spec, 2))

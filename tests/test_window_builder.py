@@ -32,6 +32,7 @@ from folrank.groups import (
 )
 from folrank.mmdim import interior_constraint_matrix
 from folrank.ranks import _interior, submodule_rank_matrix
+from ring_reference import support
 
 SPECS = (zd(0), zd(1), zd(2), finite_cyclic(2, 3), finite_times_zd((2,), 1), heisenberg())
 
@@ -49,7 +50,7 @@ def _clear(acc: dict) -> dict:
 
 def ref_window_matrix(f, felems):
     spec, m, n = f.spec, f.rows, f.cols
-    K = f.support() or frozenset({spec.identity()})
+    K = support(f) or frozenset({spec.identity()})
     kf = sorted({spec.mul(u, s) for u in K for s in felems})
     kf_pos = {t: i for i, t in enumerate(kf)}
     acc: dict = {}
@@ -67,7 +68,7 @@ def ref_window_matrix(f, felems):
 
 def ref_right_window_matrix(f, eelems):
     spec, m, n = f.spec, f.rows, f.cols
-    K = f.support() or frozenset({spec.identity()})
+    K = support(f) or frozenset({spec.identity()})
     ek = sorted({spec.mul(u, v) for u in eelems for v in K})
     ek_pos = {w: i for i, w in enumerate(ek)}
     acc: dict = {}
@@ -106,7 +107,7 @@ def ref_submodule_rank_matrix(rows, felems, spec):
 def ref_dual_constraint_matrix(f, E):
     spec, m, n = f.spec, f.rows, f.cols
     eset, epos = set(E), {w: i for i, w in enumerate(E)}
-    K = sorted(f.support())
+    K = sorted(support(f))
     if not K:
         return (0, n * len(E)), {}
     inv, mul = spec.inverse, spec.mul
@@ -126,7 +127,7 @@ def ref_dual_constraint_matrix(f, E):
 
 def ref_interior_constraint_matrix(f, felems):
     spec, fset = f.spec, set(felems)
-    K = sorted(f.support())
+    K = sorted(support(f))
     inside = {s for s in felems if all(spec.mul(spec.inverse(k), s) in fset for k in K)}
     (rows, cols), entries, row_index, *_ = ref_window_matrix(f, felems)
     keep = [i for i, (_, t) in enumerate(row_index) if t in inside]
