@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import BudgetExceededError, FolrankError, InputError, UnsupportedGroupError, check_keys
+from .errors import BudgetExceededError, FolrankError, InputError, UnsupportedGroupError, check_keys, is_int
 from .groupring import RingMatrix, star_terms
 from .groups import DEFAULT_MAX_WINDOW_ELEMENTS
 from .mmdim import DEFAULT_EPS_SCHEDULE, mmdim_estimate
@@ -329,7 +329,7 @@ def run(job: JobSpec) -> int:
 def _job_int(name: str, value) -> int:
     """A JSON integer, or a string of one; a float or a boolean is not cut to one."""
     try:
-        if isinstance(value, (int, str)) and not isinstance(value, bool):
+        if isinstance(value, str) or is_int(value):
             return int(value)
     except ValueError:
         pass
