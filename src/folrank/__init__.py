@@ -7,9 +7,7 @@ from .exactla import (
     RankCertificate,
     SparseIntMatrix,
     bareiss_rank,
-    generic_rank_laurent,
     rank_q,
-    regular_rep_kernel,
 )
 from .groupring import RingElem, RingMatrix, WindowMatrix, right_window_matrix, window_matrix
 from .groups import (
@@ -40,10 +38,12 @@ from .ranks import (
     StabilizedDim,
     erank_dual_restriction_dim,
     erank_of_presentation,
+    generic_rank_laurent,
     mrank_of_presentation,
     oracle_value,
     quotient_span_rank,
     rationality_snap,
+    regular_rep_kernel,
     vnd_of_presentation,
 )
 

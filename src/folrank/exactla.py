@@ -26,8 +26,8 @@ took 0.30-0.33 s that way and takes 0.011-0.012 s.  Over Z the echelon
 gives ``bareiss_rank``, the exact rank for small cores and the
 last-resort fallback.  Back substitution on its rows gives the kernel
 bases of ``kernel_basis`` and ``nullspace_q`` (the rational and torsion
-solutions that mmdim samples), and modulo a 62-bit prime it gives the
-Laurent oracle's ranks at random points.  ``_ranks_mod_primes`` ranks
+solutions that mmdim samples), and modulo one prime it gives the rank of a
+small dense matrix (``_dense_rank_mod_p``).  ``_ranks_mod_primes`` ranks
 large sparse cores modulo several primes in one pass.
 
 Before ``rank_q`` eliminates, ``_peel_lines`` removes singletons over Q
@@ -116,19 +116,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, UnsupportedGroupError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .groupring import RingMatrix
+from .errors import InputError
 
 SMALL_DIM_CUTOFF = 64
 AGREEMENTS_NEEDED = 3
 MAX_PRIMES = 16
-LAURENT_TRIALS = 3
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # The least strong pseudoprime to bases 2, 3, 5 and 7 (Jaeschke 1993).
@@ -868,91 +864,5 @@ def nullspace_q(M: SparseIntMatrix) -> list[list[Fraction]]:
     return kernel_basis(M.to_dense(), M.cols)
 
 
-def _laurent_eval_mod(coeffs: dict, point: tuple[int, ...], p: int) -> int:
-    acc = 0
-    for expo, c in coeffs.items():
-        term = 1
-        for z, e in zip(point, expo):
-            term = term * pow(z, e, p) % p
-        if isinstance(c, Fraction):
-            cv = c.numerator * pow(c.denominator, p - 2, p) % p
-        else:
-            cv = c % p
-        acc = (acc + cv * term) % p
-    return acc
-
-
 def _dense_rank_mod_p(a: list[list[int]], p: int) -> int:
     return len(_echelon([list(row) for row in a], p))
-
-
-def _laurent_minor_rank(f: "RingMatrix") -> int:
-    # Deterministic fallback: largest k with a nonvanishing k x k minor,
-    # determinants expanded symbolically in the commutative Laurent ring.
-    import itertools
-
-    from .groupring import RingElem
-
-    m, n = f.rows, f.cols
-    for k in range(min(m, n), 0, -1):
-        for rows in itertools.combinations(range(m), k):
-            for cols in itertools.combinations(range(n), k):
-                det = RingElem.zero(f.spec)
-                for perm in itertools.permutations(range(k)):
-                    sign = 1
-                    for i in range(k):
-                        for j in range(i + 1, k):
-                            if perm[i] > perm[j]:
-                                sign = -sign
-                    term = RingElem.one(f.spec) * sign
-                    for i in range(k):
-                        term = term * f.entries[rows[i]][cols[perm[i]]]
-                    det = det + term
-                if not det.is_zero():
-                    return k
-    return 0
-
-
-def generic_rank_laurent(f: "RingMatrix", rng: random.Random | None = None) -> int:
-    """Rank of a Laurent-polynomial matrix over the fraction field of Z[Z^d].
-
-    Random evaluation at points of a ~2^62 prime field, max over
-    ``LAURENT_TRIALS`` points; matrices with at most 4 rows and columns
-    instead use the deterministic symbolic minor expansion.
-    """
-    if f.spec.family != "Zd":
-        raise UnsupportedGroupError("generic Laurent rank needs a Zd group")
-    if f.rows == 0 or f.cols == 0 or f.is_zero():
-        return 0
-    if max(f.rows, f.cols) <= 4:
-        return _laurent_minor_rank(f)
-    rng = rng if rng is not None else random.Random(0xF02)
-    p = random_prime(rng, bits=62)
-    best = 0
-    for _ in range(LAURENT_TRIALS):
-        point = tuple(rng.randrange(1, p) for _ in range(f.spec.d))
-        best = max(best, point_rank_laurent(f, point, p))
-    return best
-
-
-def point_rank_laurent(f: "RingMatrix", point: tuple[int, ...], p: int) -> int:
-    """Rank of f evaluated at one point of the prime field F_p."""
-    dense = [[_laurent_eval_mod(e.coeffs, point, p) for e in row] for row in f.entries]
-    return _dense_rank_mod_p(dense, p)
-
-
-def regular_rep_kernel(f: "RingMatrix", rng: random.Random | None = None) -> Fraction:
-    """Normalized kernel dimension of the whole-group window of a finite group.
-
-    Returns dim ker(window) / |G|, the kernel-projection trace in the finite
-    case; densities over finite groups are exact in this single window.
-    """
-    from .groupring import window_matrix
-    from .groups import folner_set
-
-    if not f.spec.is_finite:
-        raise UnsupportedGroupError("regular representation kernel needs a finite group")
-    order = f.spec.group_order()
-    F = folner_set(f.spec, 1)
-    W = window_matrix(f, F)
-    return Fraction(W.data.cols - rank_q(W.data, rng=rng).rank, order)

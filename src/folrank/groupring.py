@@ -65,19 +65,26 @@ def _norm_coeff(c) -> "int | Fraction":
     raise InputError(f"coefficient must be an int or Fraction, got {type(c).__name__}")
 
 
+def _summed(spec: GroupSpec, terms: Iterable[tuple[Sequence[int], object]]) -> dict:
+    """The sum of the terms c.g as a map g -> c: each g reduced and each c
+    checked once, then zero sums dropped and integral sums made ints."""
+    acc: dict[GroupElement, object] = {}
+    for g, c in terms:
+        g = spec.reduce(g)
+        acc[g] = acc.get(g, 0) + _norm_coeff(c)
+    return {g: _norm_coeff(c) for g, c in acc.items() if c}
+
+
 class RingElem:
     """A finitely supported group-ring element sum_s c_s * s."""
 
     __slots__ = ("spec", "coeffs")
 
     def __init__(self, spec: GroupSpec, coeffs: Mapping[GroupElement, object] | None = None):
+        """The sum of c.g over the items of ``coeffs``: keys that reduce to
+        the same element add up (``from_terms``)."""
         self.spec = spec
-        clean: dict[GroupElement, object] = {}
-        for g, c in (coeffs or {}).items():
-            c = _norm_coeff(c)
-            if c:
-                clean[spec.reduce(g)] = c
-        self.coeffs = clean
+        self.coeffs = _summed(spec, (coeffs or {}).items())
 
     # -- constructors -------------------------------------------------------
 
@@ -91,14 +98,9 @@ class RingElem:
 
     @classmethod
     def from_terms(cls, spec: GroupSpec, terms: Iterable[tuple[Sequence[int], object]]) -> "RingElem":
-        """The sum of the terms c.g: each g reduced and each c checked once,
-        then zero sums dropped and integral sums made ints."""
-        acc: dict[GroupElement, object] = {}
-        for g, c in terms:
-            g = spec.reduce(g)
-            acc[g] = acc.get(g, 0) + _norm_coeff(c)
+        """The sum of the terms c.g, where g may be any sequence of ints."""
         elem = object.__new__(cls)
-        elem.spec, elem.coeffs = spec, {g: _norm_coeff(c) for g, c in acc.items() if c}
+        elem.spec, elem.coeffs = spec, _summed(spec, terms)
         return elem
 
     # -- queries -------------------------------------------------------------
@@ -198,9 +200,6 @@ class RingMatrix:
             self._terms = terms_of(self.spec, self.entries, self.cols)
         return self._terms
 
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         if self.spec != other.spec:
             raise InputError("matrices live over different groups")
@@ -261,7 +260,7 @@ class RingMatrix:
         m, n = obj["rows"], obj["cols"]
         if not is_int(m) or not is_int(n) or m < 0 or n < 0:
             raise InputError("matrix.rows/cols: expected nonnegative integers")
-        grid: list[list[RingElem]] = [[RingElem.zero(spec) for _ in range(n)] for _ in range(m)]
+        cells: dict[tuple[int, int], list] = {}
         for i, ent in enumerate(_json_list("matrix.entries", obj.get("entries", []))):
             where = f"matrix.entries[{i}]"
             if not isinstance(ent, dict):
@@ -273,7 +272,7 @@ class RingMatrix:
                     raise InputError(f"{where}.{field}: expected an integer, got {at!r}")
                 if not 0 <= at < size:
                     raise InputError(f"{where}.{field}: out of range for {size} {field}s")
-            terms = []
+            terms = cells.setdefault((j, k), [])
             for t, term in enumerate(_json_list(f"{where}.terms", ent.get("terms", []))):
                 twhere = f"{where}.terms[{t}]"
                 if not isinstance(term, dict) or "coeff" not in term or "elem" not in term:
@@ -287,8 +286,12 @@ class RingMatrix:
                 elem = term["elem"]
                 if not isinstance(elem, list) or not all(map(is_int, elem)):
                     raise InputError(f"{twhere}.elem: expected a list of integers")
-                terms.append((tuple(elem), coeff))
-            grid[j][k] = grid[j][k] + RingElem.from_terms(spec, terms)
+                terms.append((elem, coeff))
+        # Repeated (row, col) entries add up; the unlisted cells share one zero.
+        zero = RingElem.zero(spec)
+        grid = [[zero] * n for _ in range(m)]
+        for (j, k), terms in cells.items():
+            grid[j][k] = RingElem.from_terms(spec, terms)
         return cls(spec, grid, cols=n)
 
 

@@ -28,10 +28,12 @@ that it approaches.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from math import prod
 from operator import itemgetter
 from typing import Sequence
 
@@ -41,13 +43,14 @@ from .errors import BudgetExceededError, InputError, UnsupportedGroupError
 from .exactla import (
     RankCertificate,
     SparseIntMatrix,
+    _dense_rank_mod_p,
     block_ranks,
-    generic_rank_laurent,
     nullspace_q,  # noqa: F401  no caller here; perfbench traces it as ranks.nullspace_q
+    random_prime,
     rank_q,
-    regular_rep_kernel,
 )
 from .groupring import (
+    RingElem,
     RingMatrix,
     Terms,
     right_window_matrix,  # noqa: F401  no caller here; perfbench traces it as ranks.right_window_matrix
@@ -65,6 +68,7 @@ from .groups import (
     dilate,
     folner_set,
     unique_rows,
+    window_size,
     with_products,
     zd,
 )
@@ -266,8 +270,6 @@ def _validate_schedule(schedule: Sequence[int]) -> tuple[int, ...]:
 
 
 def _truncate_schedule(spec: GroupSpec, schedule: Sequence[int], max_elements: int):
-    from .groups import window_size
-
     kept, truncated = [], False
     for L in schedule:
         if window_size(spec, L) > max_elements:
@@ -313,8 +315,6 @@ def mrank_of_presentation(
     lies in [n - m, n], and can be below 0 when m > n."""
 
     def record(L: int, F) -> SeriesRecord:
-        if P.m == 0:
-            return SeriesRecord(L, len(F), 0, Fraction(P.n))
         rng = _RankRng(seed, "mrank", L)
         rank, cert = submodule_rank(P.relations, F, P.spec, rng=rng)
         return SeriesRecord(L, len(F), rank, P.n - Fraction(rank, len(F)), cert)
@@ -572,18 +572,86 @@ def _quotient_span_ranks(spec: GroupSpec, cases, interior: bool = False) -> list
 # ---------------------------------------------------------------------------
 
 
+LAURENT_TRIALS = 3
+
+
+def _laurent_minor_rank(f: RingMatrix) -> int:
+    # Deterministic: largest k with a nonvanishing k x k minor, determinants
+    # expanded symbolically in the commutative Laurent ring.
+    m, n = f.rows, f.cols
+    for k in range(min(m, n), 0, -1):
+        for rows in itertools.combinations(range(m), k):
+            for cols in itertools.combinations(range(n), k):
+                det = RingElem.zero(f.spec)
+                for perm in itertools.permutations(range(k)):
+                    sign = 1
+                    for i in range(k):
+                        for j in range(i + 1, k):
+                            if perm[i] > perm[j]:
+                                sign = -sign
+                    term = RingElem.one(f.spec) * sign
+                    for i in range(k):
+                        term = term * f.entries[rows[i]][cols[perm[i]]]
+                    det = det + term
+                if not det.is_zero():
+                    return k
+    return 0
+
+
+def generic_rank_laurent(f: RingMatrix, rng: random.Random | None = None) -> int:
+    """Rank of a Laurent-polynomial matrix over the fraction field of Z[Z^d].
+
+    Random evaluation at points of a ~2^62 prime field, max over
+    ``LAURENT_TRIALS`` points; matrices with at most 4 rows and columns
+    instead use the deterministic symbolic minor expansion.
+    """
+    if f.spec.family != "Zd":
+        raise UnsupportedGroupError("generic Laurent rank needs a Zd group")
+    if not f.terms().vals.size:
+        return 0
+    if max(f.rows, f.cols) <= 4:
+        return _laurent_minor_rank(f)
+    rng = rng if rng is not None else random.Random(0xF02)
+    p = random_prime(rng, bits=62)
+    best = 0
+    for _ in range(LAURENT_TRIALS):
+        point = tuple(rng.randrange(1, p) for _ in range(f.spec.d))
+        best = max(best, point_rank_laurent(f, point, p))
+    return best
+
+
+def point_rank_laurent(f: RingMatrix, point: tuple[int, ...], p: int) -> int:
+    """Rank of f evaluated at one point of the prime field F_p.  It evaluates
+    f's terms, whose rows are scaled to integers; the scale is a unit mod p
+    unless p divides a denominator of f."""
+    t = f.terms()
+    monomials = [prod(pow(z, e, p) for z, e in zip(point, expo)) % p for expo in t.support.tolist()]
+    dense = [[0] * t.n for _ in range(t.m)]
+    for j, k, g, c in zip(t.row.tolist(), t.col.tolist(), t.elem.tolist(), t.vals.tolist()):
+        dense[j][k] = (dense[j][k] + c * monomials[g]) % p
+    return _dense_rank_mod_p(dense, p)
+
+
+def regular_rep_kernel(f: RingMatrix, rng: random.Random | None = None) -> Fraction:
+    """Normalized kernel dimension of the whole-group window of a finite group.
+
+    Returns dim ker(window) / |G|, the kernel-projection trace in the finite
+    case; densities over finite groups are exact in this single window.
+    """
+    if not f.spec.is_finite:
+        raise UnsupportedGroupError("regular representation kernel needs a finite group")
+    dim, _ = window_kernel_dim(ModulePresentation(f), folner_set(f.spec, 1), rng=rng)
+    return Fraction(dim, f.spec.group_order())
+
+
 def oracle_value(P: ModulePresentation, seed: int = 0) -> Fraction:
     """Closed-form limit for the families with one: n minus the generic
     Laurent rank over Z^d, or the whole-group kernel density for finite
-    groups."""
+    groups.  A free module (m = 0) gets n from either."""
     spec = P.spec
     if spec.family == "Zd" and spec.d > 0:
-        if P.m == 0:
-            return Fraction(P.n)
         return Fraction(P.n - generic_rank_laurent(P.relations, rng=_RankRng(seed, "oracle")))
     if spec.is_finite:
-        if P.m == 0:
-            return Fraction(P.n)
         return regular_rep_kernel(P.relations, rng=_RankRng(seed, "oracle"))
     raise UnsupportedGroupError(f"no closed-form oracle for {spec.family}")
 

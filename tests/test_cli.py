@@ -105,6 +105,17 @@ def test_identity_check_noncommutative(tmp_path):
     assert code == 0
 
 
+def test_mrank_of_a_free_module(tmp_path):
+    # free_rank1_z has no relations: each window ranks an empty generator
+    # matrix exactly, with no prime drawn.
+    code = run_cli(["mrank", "--input", str(FIXTURES / "free_rank1_z.json"), "--L", "2,4,8"], tmp_path)
+    assert code == 0
+    report = json.loads((tmp_path / "mrank-free_rank1_z.json").read_text())
+    assert [(r["numerator"], r["density"], r["primes"]) for r in report["series"]] == [("0", "1/1", [])] * 3
+    assert report["limit_estimate"] == "1/1"
+    assert (tmp_path / "mrank-free_rank1_z.csv").read_text().splitlines()[1:] == ["2,2,0,1/1,", "4,4,0,1/1,", "8,8,0,1/1,"]
+
+
 def test_mrank_torsion_over_z2(tmp_path):
     code = run_cli(["mrank", "--input", str(FIXTURES / "two_over_z2.json"), "--L", "2,4,8"], tmp_path)
     assert code == 0

@@ -23,17 +23,14 @@ from folrank.exactla import (
     _ranks_mod_primes,
     bareiss_rank,
     block_ranks,
-    generic_rank_laurent,
     kernel_basis,
     nullspace_q,
-    point_rank_laurent,
     random_prime,
     rank_q,
-    regular_rep_kernel,
 )
 from folrank.groupring import RingElem, RingMatrix, window_matrix
 from folrank.groups import finite_cyclic, folner_set, zd
-from folrank.ranks import submodule_rank_matrix
+from folrank.ranks import generic_rank_laurent, point_rank_laurent, regular_rep_kernel, submodule_rank_matrix
 
 Z2 = zd(2)
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"

@@ -64,6 +64,15 @@ def test_from_terms_sums_to_clean_coefficients():
         RingElem.from_terms(Z, [((0,), 1.5)])
 
 
+def test_mapping_keys_that_reduce_to_one_element_add_up():
+    # Over Z/2, 1 and -1 are one element: t - t is 0, and 1 + 1 (at 0 and 2) is 2.
+    assert RingElem(C2, {(1,): 1, (-1,): -1}).is_zero()
+    assert RingElem(C2, {(0,): 1, (2,): 1}) == RingElem(C2, {(0,): 2})
+    half = Fraction(1, 2)
+    e = RingElem(C2, {(1,): half, (3,): half, (0,): 1})
+    assert e.coeffs == {(1,): 1, (0,): 1} and type(e.coeffs[(1,)]) is int
+
+
 def _star(f: RingMatrix):
     """The terms of f*, as ``star_terms`` takes them."""
     return star_terms(f.spec, [f.terms()])[0]
@@ -231,6 +240,39 @@ def test_matrix_json_rational_and_negative():
     back = RingMatrix.from_json(f.to_json())
     assert back == f
     assert any(t["coeff"] == "-2/3" for ent in f.to_json()["entries"] for t in ent["terms"])
+
+
+def _json_matrix(rows, cols, entries, group=None):
+    return {"group": group or {"family": "Zd", "d": 1}, "rows": rows, "cols": cols, "entries": entries}
+
+
+def _entry(row, col, *terms):
+    return {"row": row, "col": col, "terms": [{"coeff": c, "elem": list(g)} for g, c in terms]}
+
+
+def test_matrix_json_repeated_entries_add_up():
+    f = RingMatrix.from_json(
+        _json_matrix(
+            2,
+            2,
+            [
+                _entry(0, 0, ((0,), "1"), ((1,), "2")),
+                _entry(1, 1, ((0,), "1/2")),
+                _entry(0, 0, ((1,), "-2"), ((2,), "3")),
+                _entry(1, 1, ((0,), "1/2")),
+                # These cancel: the cell stays zero.
+                _entry(0, 1, ((4,), "5")),
+                _entry(0, 1, ((4,), "-5")),
+            ],
+        )
+    )
+    z = RingElem.zero(Z)
+    assert f == RingMatrix(Z, [[zpoly((0, 1), (2, 3)), z], [z, RingElem.one(Z)]])
+    assert f.entries[1][1].coeffs == {(0,): 1} and type(f.entries[1][1].coeffs[(0,)]) is int
+    # Entries whose elements reduce to one element of a finite group add up.
+    c2 = {"family": "FiniteCyclicProduct", "orders": [2]}
+    g = RingMatrix.from_json(_json_matrix(1, 1, [_entry(0, 0, ((1,), "1")), _entry(0, 0, ((-1,), "-1"))], c2))
+    assert g.entries[0][0].is_zero() and g.terms().vals.size == 0
 
 
 def test_matrix_json_diagnostics():

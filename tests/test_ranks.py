@@ -38,6 +38,7 @@ from folrank.ranks import (
     oracle_value,
     quotient_span_rank,
     rationality_snap,
+    regular_rep_kernel,
     run_identity_suite,
     run_submodularity_suite,
     run_superadditivity_suite,
@@ -352,7 +353,7 @@ def _restriction_dims(P, F, growth_steps):
     right window on E less its rows at F^{-1}, for the dual the reference
     dual-constraint matrix on E less its columns at F^{-1}."""
     spec, F = P.spec, coords_of(P.spec, F)
-    if P.m == 0 or P.relations.is_zero():
+    if not support(P.relations):
         return (StabilizedDim(P.n * len(F), True, 0, 0),) * 2
     finv = inverse_set(spec, F)
     f, in_finv = integral_rows(P.relations), set(map(tuple, finv.tolist())).__contains__
@@ -468,6 +469,30 @@ def test_oracle_values():
     assert oracle_value(ModulePresentation(fc)) == Fraction(1, 2)
 
 
+def test_oracle_of_a_free_module_is_n():
+    for spec in (Z2, finite_cyclic(2, 3), zd(0)):
+        for n in (1, 3):
+            assert oracle_value(ModulePresentation.free(spec, n)) == n
+
+
+def test_oracle_of_a_5x5_matrix_with_fractions_is_pinned():
+    # Rows 4 and 5 are r1.x + r3 and r1/2 + r2.y, so the generic rank is 3;
+    # 5 rows take the random-evaluation path, each row scaled to integers.
+    def e(*terms):
+        return RingElem.from_terms(Z2, terms)
+
+    x, y, one, z = e(((1, 0), 1)), e(((0, 1), 1)), e(((0, 0), 1)), RingElem.zero(Z2)
+    a = e(((0, 0), Fraction(1, 2)), ((1, 0), Fraction(-2, 3)))
+    b = e(((0, 1), Fraction(3, 4)), ((-1, 0), 5))
+    c = e(((1, 1), Fraction(-1, 6)), ((0, 0), 2))
+    d = e(((2, 0), Fraction(7, 5)))
+    r1, r2, r3 = [a, b, z, c, one], [z, c, d, x, Fraction(1, 3) * y], [b, z, a, y, d]
+    r4 = [p * x + q for p, q in zip(r1, r3)]
+    r5 = [Fraction(1, 2) * p + q * y for p, q in zip(r1, r2)]
+    P = ModulePresentation(RingMatrix(Z2, [r1, r2, r3, r4, r5]))
+    assert [oracle_value(P, seed=seed) for seed in range(4)] == [2] * 4
+
+
 def test_oracle_convergence_bound_small():
     P = ModulePresentation(xy_minus_one())
     oracle = oracle_value(P)
@@ -497,8 +522,6 @@ def test_finite_times_z_exact_half():
 
 
 def test_finite_group_density_matches_regular_rep_exactly():
-    from folrank.exactla import regular_rep_kernel
-
     rng = random.Random(4)
     for _ in range(5):
         f = random_ring_matrix(rng, finite_cyclic(2, 3), 2, 2, coeff_bound=2)
@@ -608,7 +631,7 @@ def _quotient_span_rank_reference(f, B, F, growth_steps, seed):
     V = submodule_rank_matrix(B, F, spec)
     if V.cols == 0:
         return StabilizedDim(0, True, 0, 0)
-    if f.rows == 0 or f.is_zero():
+    if not support(f):
         return StabilizedDim(rank_q(V).rank, True, 0, 0)
     inv, mul = spec.inverse, spec.mul
     support_cols = sorted(
